@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Census of which driver routes fire across instance sizes.
 
-Runs the square-path finder over seeded random tournaments, tallies the
-route taken at every recursion node from the trace, and prints one row per
-size. Useful when retuning RegularityParams: it shows where the probe
+Runs the finder at k = 2 (squares of paths) over seeded random
+tournaments, tallies the route taken at every recursion node from the trace,
+and prints one row per size. Useful when retuning RegularityParams: it shows where the probe
 thresholds push the recursion (chain vs concatenation vs split vs greedy).
 
 Usage: python scripts/route_census.py [--sizes 64,128,256,512] [--trials 20]
@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ppath.driver import find_square_path
+from ppath.driver import find_kth_power_path
 from ppath.engine import RegularityParams
 from ppath.tournament import random_tournament
 
@@ -38,7 +38,7 @@ def main() -> None:
         for seed in range(ns.trials):
             trace: list = []
             t = random_tournament(n, seed)
-            path = find_square_path(t, params, seed=seed, trace=trace)
+            path = find_kth_power_path(t, 2, params, seed=seed, trace=trace)
             total_len += len(path)
             routes.update(rec["route"] for rec in trace)
         counts = " ".join(f"{r}={c}" for r, c in sorted(routes.items()))

@@ -14,8 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ppath.driver import find_square_path
-from ppath.engine import DEFAULT_PARAMS, chain_square_path, good_pair_threshold
+from ppath.driver import find_kth_power_path
+from ppath.engine import DEFAULT_PARAMS, chain_power_path, good_pair_threshold
 from ppath.exact import verify_power_path
 from ppath.search import AnnealConfig, anneal_min_pp
 from ppath.tournament import (
@@ -73,14 +73,14 @@ def chain_pilot() -> None:
         t = transitive(2 * half)
         a = VertexSet.from_iterable(range(0, 2 * half, 2), 2 * half)
         b = VertexSet.from_iterable(range(1, 2 * half, 2), 2 * half)
-        ch = chain_square_path(t, bipartite_pair(t, a, b), DEFAULT_PARAMS)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
         assert verify_power_path(t, ch)[0]
         parity[str(half)] = len(ch)
     lengths = []
     for seed in range(100):
         t = random_tournament(1000, seed)
         a, b = random_split(t, seed)
-        ch = chain_square_path(t, bipartite_pair(t, a, b), DEFAULT_PARAMS)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
         assert verify_power_path(t, ch)[0]
         lengths.append(len(ch))
     successes = sum(1 for x in lengths if x >= 50)
@@ -108,7 +108,7 @@ def growth_pilot() -> None:
         lengths = []
         for seed in range(50):
             t = random_tournament(n, seed)
-            p = find_square_path(t, seed=seed)
+            p = find_kth_power_path(t, 2, seed=seed)
             lengths.append(len(p))
         medians[str(n)] = statistics.median(lengths)
     _write(

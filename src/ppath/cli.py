@@ -75,6 +75,23 @@ def workers_from_env() -> int:
     return max(1, w)
 
 
+def _map(fn, jobs: list) -> list:
+    """[fn(j) for j in jobs], fanned out over a fork pool of up to
+    PPATH_THREADS workers; serial when one worker suffices or no pool starts."""
+    workers = workers_from_env()
+    if workers > 1 and len(jobs) > 1:
+        import multiprocessing
+
+        try:
+            with multiprocessing.get_context("fork").Pool(
+                min(workers, len(jobs))
+            ) as pool:
+                return pool.map(fn, jobs)
+        except OSError:
+            pass
+    return [fn(j) for j in jobs]
+
+
 @dataclass
 class RunManifest:
     subcommand: str
@@ -264,8 +281,7 @@ def _emit_record_files(out_dir: Path, tag: str, rec: SearchRecord) -> str:
 
 def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
     """Worker: one chain; returns (chain_id, (tag, record) specs, end state)."""
-    chain_id, n, k, cfg_dict, budget_states, stop_after, resume_state = args
-    cfg = AnnealConfig(**cfg_dict)
+    chain_id, n, k, cfg, budget_states, stop_after, resume_state = args
     chain = AnnealChain(n, k, cfg, SolveBudget(max_states=budget_states))
     records: list[SearchRecord] = []
     if resume_state is not None:
@@ -281,7 +297,11 @@ def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
         if stop_after is not None and steps_done >= stop_after:
             stopped = True
             break
-    specs = [(f"c{chain_id:02d}_i{rec.iteration:06d}", rec) for rec in records]
+    # A chain emits a record only when its best pp strictly drops, so the pp
+    # makes the tag unique even for several records of one iteration.
+    specs = [
+        (f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}", rec) for rec in records
+    ]
     return chain_id, specs, [stopped, chain.state_dict()]
 
 
@@ -345,30 +365,11 @@ def cmd_search(ns: argparse.Namespace) -> int:
             moves_per_step=ns.moves,
             seed=derive_seed(ns.seed, "chain", c),
         )
-        cfg_dict = {
-            "iterations": cfg.iterations,
-            "initial_temperature": cfg.initial_temperature,
-            "cooling_rate": cfg.cooling_rate,
-            "moves_per_step": cfg.moves_per_step,
-            "seed": cfg.seed,
-        }
         jobs.append(
-            (c, ns.n, ns.k, cfg_dict, ns.budget_states, ns.stop_after,
+            (c, ns.n, ns.k, cfg, ns.budget_states, ns.stop_after,
              resume_state if c == 0 else None)
         )
-    workers = workers_from_env()
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        try:
-            with multiprocessing.get_context("fork").Pool(
-                min(workers, len(jobs))
-            ) as pool:
-                results = pool.map(_run_anneal_chain, jobs)
-        except OSError:
-            results = [_run_anneal_chain(j) for j in jobs]
-    else:
-        results = [_run_anneal_chain(j) for j in jobs]
+    results = _map(_run_anneal_chain, jobs)
     rows = list(prior_rows)
     stopped_any = False
     final_state = None
@@ -422,19 +423,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
         for n in sizes
         for trial in range(ns.trials)
     ]
-    workers = workers_from_env()
-    if workers > 1 and len(cells) > 1:
-        import multiprocessing
-
-        try:
-            with multiprocessing.get_context("fork").Pool(
-                min(workers, len(cells))
-            ) as pool:
-                rows = pool.map(_table_cell, cells)
-        except OSError:
-            rows = [_table_cell(c) for c in cells]
-    else:
-        rows = [_table_cell(c) for c in cells]
+    rows = _map(_table_cell, cells)
     out = Path(ns.out)
     out.write_text(_TABLE_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
     manifest = RunManifest(

@@ -6,8 +6,9 @@ inside a balanced regular pair when one exists, concatenate along a long
 path of the cluster digraph when one exists, and otherwise split the part
 ordering in half, discard weak vertices, and recurse on both halves. Every
 route's output is verified, and the longest verified witness (structural
-route vs greedy baseline) is returned. Fixed (tournament, params, seed)
-yields an identical route trace and witness.
+route vs greedy baseline) is returned. The one recursion serves every k:
+k = 1 is the insertion Hamiltonian path, and k >= 2 runs the routes above.
+Fixed (tournament, params, seed) yields an identical route trace and witness.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .engine import (
-    OrderingCertificate,
     OrientedGraph,
     RegularityParams,
     DEFAULT_PARAMS,
     _ceil_frac,
+    _truncate_verified,
     chain_power_path,
     order_or_long_path,
     sampled_regular,
@@ -33,6 +34,7 @@ from .exact import (
     PowerPath,
     SolveBudget,
     _greedy_mask,
+    hamiltonian_path_insertion,
     longest_power_path_exact,
     verify_power_path,
 )
@@ -143,15 +145,6 @@ def _cond_mask(t: Tournament, tail: Sequence[int], base_mask: int) -> int:
     return m
 
 
-def _truncate_verified(t: Tournament, k: int, flat: tuple[int, ...]) -> PowerPath:
-    while True:
-        path = PowerPath(k, flat)
-        ok, violation = verify_power_path(t, path)
-        if ok:
-            return path
-        flat = flat[: violation[1]]
-
-
 def concatenate_along_cluster_path(
     t: Tournament,
     cd: ClusterDigraph,
@@ -251,68 +244,11 @@ def _split_join_core(
     return joined
 
 
-def split_and_join(
-    t: Tournament,
-    params: RegularityParams,
-    depth: int = DEFAULT_MAX_DEPTH,
-    subfinder: Optional[Subfinder] = None,
-    seed: int = 0,
-    k: int = 2,
-    trace: Optional[list] = None,
-) -> PowerPath:
-    """Standalone split route over the full vertex set.
-
-    Builds its own seeded equipartition and cluster digraph, orders the parts
-    by the peeling dichotomy, and runs the split/join core; the result is
-    compared against the greedy baseline and the longest verified witness is
-    returned. Depth exhaustion inside the recursion falls back to greedy.
-    """
-    mask = t.full_mask
-    parts = _partition(t, mask, params.parts, Rng(derive_seed(seed, "partition")))
-    cd = build_cluster_digraph(t, parts, params, seed=derive_seed(seed, "probe"))
-    lp = len(parts)
-    kk = max(1, _ceil_frac(params.delta_f * lp / 2))
-    got = order_or_long_path(_cd_graph(cd), kk)
-    ordering = (
-        got.order if isinstance(got, OrderingCertificate) else tuple(range(lp))
-    )
-    if subfinder is None:
-        subfinder = _recursive_subfinder(
-            k, params, seed, depth - 1, trace,
-            DEFAULT_EXACT_THRESHOLD, DEFAULT_EXACT_STATES,
-        )
-    res = _split_join_core(t, cd, ordering, params, subfinder, k)
-    greedy = PowerPath(k, _greedy_mask(t, mask, k, Rng(derive_seed(seed, "greedy"))))
-    best = res if len(res) >= len(greedy) else greedy
-    ok, _ = verify_power_path(t, best)
-    if not ok:
-        raise RuntimeError("internal error: unverified witness leaving split_and_join")
-    return best
-
-
 def _cd_graph(cd: ClusterDigraph) -> OrientedGraph:
     rows = [0] * len(cd.parts)
     for i, j in cd.arcs:
         rows[i] |= 1 << j
     return OrientedGraph(len(cd.parts), tuple(rows))
-
-
-def _insertion_mask(t: Tournament, mask: int) -> PowerPath:
-    """Hamiltonian path of the induced subtournament, by insertion."""
-    rows = t.rows
-    order: list[int] = []
-    m = mask
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        for pos, u in enumerate(order):
-            if (rows[v] >> u) & 1:
-                order.insert(pos, v)
-                break
-        else:
-            order.append(v)
-    return PowerPath(1, tuple(order))
 
 
 def _recursive_subfinder(
@@ -359,7 +295,8 @@ def _find(
     if m == 0:
         return finish("greedy", PowerPath(k, ()))
     if k == 1:
-        return finish("greedy", _insertion_mask(t, mask))
+        # k = 1 returns before any recursion, so mask is the full vertex set.
+        return finish("greedy", hamiltonian_path_insertion(t))
     if m <= exact_threshold:
         sub, labels = induced(t, VertexSet(mask, t.n))
         res = longest_power_path_exact(
@@ -400,23 +337,6 @@ def _find(
     return finish(route, res if len(res) >= len(greedy) else greedy)
 
 
-def find_square_path(
-    t: Tournament,
-    params: RegularityParams = DEFAULT_PARAMS,
-    seed: int = 0,
-    trace: Optional[list] = None,
-    *,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    exact_states: int = DEFAULT_EXACT_STATES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-) -> PowerPath:
-    """Longest verified square of a path the route machinery can produce."""
-    return _find(
-        t, t.full_mask, 2, params, derive_seed(seed, "find"), max_depth, trace,
-        exact_threshold, exact_states,
-    )
-
-
 def find_kth_power_path(
     t: Tournament,
     k: int,
@@ -428,11 +348,11 @@ def find_kth_power_path(
     exact_states: int = DEFAULT_EXACT_STATES,
     max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PowerPath:
-    """k-th power generalization of the driver.
+    """Longest verified k-th power of a path the route machinery can produce.
 
-    k=1 reduces to the insertion Hamiltonian path; k=2 shares the square
-    driver's route logic verbatim; k>=3 chains good k-tuples and conditions
-    every join on the last k vertices.
+    k=1 reduces to the insertion Hamiltonian path; k=2 (squares of paths)
+    chains good pairs; k>=3 chains good k-tuples. Every join conditions on
+    the last k vertices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -391,22 +391,17 @@ def chain_power_path(
         assert all(
             sides[i] != sides[i + 1] for i in range(len(sides) - 1)
         ), "chain did not alternate sides"
+    return _truncate_verified(t, k, flat)
+
+
+def _truncate_verified(t: Tournament, k: int, flat: tuple[int, ...]) -> PowerPath:
+    """Cut flat at its first violation until it verifies as a k-th power."""
     while True:
         path = PowerPath(k, flat)
         ok, violation = verify_power_path(t, path)
         if ok:
             return path
         flat = flat[: violation[1]]
-
-
-def chain_square_path(
-    t: Tournament,
-    pair: BipartitePair,
-    params: RegularityParams,
-    start_side: str = "a",
-) -> PowerPath:
-    """Square-of-a-path chain (k=2 instantiation of chain_power_path)."""
-    return chain_power_path(t, pair, 2, params, start_side)
 
 
 def weak_count_threshold(params: RegularityParams, num_parts: int) -> int:

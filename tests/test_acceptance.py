@@ -16,13 +16,13 @@ from ppath.cli import main as cli_main
 from ppath.driver import (
     build_cluster_digraph,
     concatenate_along_cluster_path,
-    find_square_path,
+    find_kth_power_path,
 )
 from ppath.engine import (
     DEFAULT_PARAMS,
     OrderingCertificate,
     RegularityParams,
-    chain_square_path,
+    chain_power_path,
     is_good_pair,
     order_or_long_path,
     random_oriented_graph,
@@ -218,14 +218,14 @@ def test_criterion_05_chain_construction():
         t = transitive(2 * half)
         a = VertexSet.from_iterable(range(0, 2 * half, 2), 2 * half)
         b = VertexSet.from_iterable(range(1, 2 * half, 2), 2 * half)
-        ch = chain_square_path(t, bipartite_pair(t, a, b), DEFAULT_PARAMS)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
         parity_lens[half] = len(ch)
         ok = ok and verify_power_path(t, ch)[0] and len(ch) >= half
     successes = 0
     for seed in range(100):
         t = random_tournament(1000, seed)
         a, b = random_split(t, seed)
-        ch = chain_square_path(t, bipartite_pair(t, a, b), DEFAULT_PARAMS)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
         if verify_power_path(t, ch)[0] and len(ch) >= 50:
             successes += 1
     elapsed = time.perf_counter() - t0
@@ -250,7 +250,7 @@ def test_criterion_06_driver_soundness_near_optimality():
     for seed in range(200):
         n = 8 + seed % 7  # 8..14
         t = random_tournament(n, seed)
-        got = find_square_path(t, seed=seed)
+        got = find_kth_power_path(t, 2, seed=seed)
         exact = len(longest_power_path_exact(t, 2).path)
         if not verify_power_path(t, got)[0] or len(got) > exact:
             sound = False
@@ -289,8 +289,8 @@ def test_criterion_07_concatenation_route():
         return PowerPath(2, tuple(labels[v] for v in res.path.vertices))
 
     cat = concatenate_along_cluster_path(bt, cd, [0, 1, 2], params, sub)
-    drv1 = find_square_path(bt, seed=0)
-    drv2 = find_square_path(bt, seed=0)
+    drv1 = find_kth_power_path(bt, 2, seed=0)
+    drv2 = find_kth_power_path(bt, 2, seed=0)
     ok = (
         set(cd.arcs) == {(0, 1), (1, 2), (2, 0)}
         and verify_power_path(bt, cat)[0]
@@ -339,7 +339,7 @@ def test_criterion_09_empirical_growth():
         lengths = []
         for seed in range(50):
             t = random_tournament(n, seed)
-            p = find_square_path(t, seed=seed)
+            p = find_kth_power_path(t, 2, seed=seed)
             assert verify_power_path(t, p)[0]
             lengths.append(len(p))
         medians.append(statistics.median(lengths))

@@ -3,8 +3,9 @@ import subprocess
 import sys
 
 from ppath.cli import main
+from ppath.exact import longest_power_path_exact
 from ppath.tournament import random_tournament, transitive
-from ppath.trn import save_trn, write_trn
+from ppath.trn import load_trn, save_trn, write_trn
 
 
 def run(argv):
@@ -172,14 +173,21 @@ class TestSearch:
         assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
 
     def test_anneal_witnesses_stored(self, tmp_path):
-        d = tmp_path / "w"
-        assert run(["search", "--mode", "anneal", "--n", 6, "--seed", 1,
-                    "--iters", 40, "--out-dir", d]) == 0
-        rows = (d / "results.csv").read_text().splitlines()[1:]
-        for row in rows:
-            name = row.split(",")[-1]
-            assert (d / name).exists()
-            assert (d / name.replace(".json", ".trn")).exists()
+        # Seed 18 at n = 10 improves on its initial tournament in the first
+        # step, so two records come from iteration 0.
+        for n, seed, iters in [(6, 1, 40), (10, 18, 1)]:
+            d = tmp_path / f"w{n}_{seed}"
+            assert run(["search", "--mode", "anneal", "--n", n, "--seed", seed,
+                        "--iters", iters, "--out-dir", d]) == 0
+            rows = [r.split(",") for r in
+                    (d / "results.csv").read_text().splitlines()[1:]]
+            names = [row[-1] for row in rows]
+            assert len(set(names)) == len(names) > 1, names
+            for row in rows:
+                k, pp, name = int(row[1]), int(row[3]), row[-1]
+                assert (d / name).exists()
+                t = load_trn(d / name.replace(".json", ".trn"))
+                assert len(longest_power_path_exact(t, k).path) == pp, name
 
 
 class TestTable:
@@ -252,6 +260,17 @@ def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
             line.rsplit(",", 1)[0] for line in out.read_text().splitlines()
         ]
     assert rows["1"] == rows["3"]
+
+
+def test_anneal_worker_fanout_is_byte_deterministic(tmp_path, monkeypatch):
+    csvs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("PPATH_THREADS", workers)
+        d = tmp_path / f"s{workers}"
+        assert run(["search", "--mode", "anneal", "--n", 6, "--chains", 2,
+                    "--seed", 3, "--iters", 30, "--out-dir", d]) == 0
+        csvs[workers] = (d / "results.csv").read_bytes()
+    assert csvs["1"] == csvs["2"]
 
 
 class TestEdgeCases:

@@ -5,13 +5,12 @@ from ppath.driver import (
     build_cluster_digraph,
     concatenate_along_cluster_path,
     find_kth_power_path,
-    find_square_path,
-    split_and_join,
 )
 from ppath.engine import DEFAULT_PARAMS, RegularityParams
 from ppath.exact import (
     PowerPath,
     greedy_power_path,
+    hamiltonian_path_insertion,
     longest_power_path_exact,
     verify_power_path,
 )
@@ -149,59 +148,64 @@ class TestConcatenate:
 
 
 class TestSplitAndJoin:
+    """The split-and-join route, reached through the finder (route claim3)."""
+
     def test_transitive_full_length(self):
-        out = split_and_join(transitive(64), DEFAULT_PARAMS, seed=0)
+        out = find_kth_power_path(transitive(64), 2, DEFAULT_PARAMS, seed=0)
         assert len(out) == 64
 
     def test_many_random_instances_verify(self):
         for seed in range(500):
             t = random_tournament(256, seed)
-            out = split_and_join(t, DEFAULT_PARAMS, seed=seed)
+            out = find_kth_power_path(t, 2, DEFAULT_PARAMS, seed=seed)
             assert verify_power_path(t, out)[0], seed
 
     def test_small_instance_depth_zero_falls_back(self):
         t = random_tournament(40, 2)
-        out = split_and_join(t, DEFAULT_PARAMS, depth=0, seed=2)
+        trace = []
+        out = find_kth_power_path(t, 2, DEFAULT_PARAMS, seed=2, trace=trace,
+                                  max_depth=0)
         assert verify_power_path(t, out)[0]
         assert len(out) >= 2
+        assert [rec["route"] for rec in trace] == ["greedy"]
 
     def test_total_even_when_cluster_digraph_has_long_path(self):
         # A 3-part blow-up probes to a directed triangle, so the ordering
-        # precondition fails; the op must still return a verified witness.
+        # precondition fails; the finder must still return a verified witness.
         bt = blowup_triangle(20)
         params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        out = split_and_join(bt, params, seed=1)
+        out = find_kth_power_path(bt, 2, params, seed=1)
         assert verify_power_path(bt, out)[0]
         assert len(out) >= 2
 
 
 class TestFindSquarePath:
     def test_transitive_200(self):
-        assert len(find_square_path(transitive(200))) == 200
+        assert len(find_kth_power_path(transitive(200), 2)) == 200
 
     def test_single_vertex(self):
-        assert len(find_square_path(transitive(1))) == 1
+        assert len(find_kth_power_path(transitive(1), 2)) == 1
 
     def test_base_case_matches_exact(self):
         for seed in range(30):
             t = random_tournament(12 + seed % 5, seed)
             exact = len(longest_power_path_exact(t, 2).path)
             trace = []
-            got = find_square_path(t, seed=seed, trace=trace)
+            got = find_kth_power_path(t, 2, seed=seed, trace=trace)
             assert len(got) == exact
             assert trace[-1]["route"] == "base"
 
     def test_route_determinism(self):
         t = random_tournament(300, 5)
         tr1, tr2 = [], []
-        p1 = find_square_path(t, seed=7, trace=tr1)
-        p2 = find_square_path(t, seed=7, trace=tr2)
+        p1 = find_kth_power_path(t, 2, seed=7, trace=tr1)
+        p2 = find_kth_power_path(t, 2, seed=7, trace=tr2)
         assert p1 == p2 and tr1 == tr2
 
     def test_trace_record_shape(self):
         t = random_tournament(300, 5)
         trace = []
-        find_square_path(t, seed=7, trace=trace)
+        find_kth_power_path(t, 2, seed=7, trace=trace)
         for rec in trace:
             assert set(rec) == {"node", "route", "len"}
             assert rec["route"] in {"claim1", "claim2", "claim3", "base", "greedy"}
@@ -211,7 +215,7 @@ class TestFindSquarePath:
         params = RegularityParams(eps=0.05, delta=0.3, parts=4, samples=4)
         for seed in range(20):
             t = random_tournament(14, seed)
-            got = find_square_path(t, params, seed=seed, exact_threshold=6)
+            got = find_kth_power_path(t, 2, params, seed=seed, exact_threshold=6)
             exact = len(longest_power_path_exact(t, 2).path)
             assert verify_power_path(t, got)[0]
             assert len(got) <= exact
@@ -229,6 +233,7 @@ class TestFindKthPowerPath:
             assert len(got) == n
             exact = longest_power_path_exact(t, 1)
             assert len(exact.path) == len(got)
+            assert got == hamiltonian_path_insertion(t)
 
     def test_k3_beats_or_matches_greedy_baseline(self):
         wins = 0
@@ -240,10 +245,6 @@ class TestFindKthPowerPath:
             wins += len(got) >= len(base)
         assert wins >= 5
 
-    def test_k2_agrees_with_square_driver(self):
-        t = random_tournament(300, 12)
-        assert find_kth_power_path(t, 2, seed=3) == find_square_path(t, seed=3)
-
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             find_kth_power_path(transitive(4), 0)
@@ -251,8 +252,8 @@ class TestFindKthPowerPath:
 
 def test_blowup_driver_deterministic_and_long():
     bt = blowup_triangle(20)
-    p1 = find_square_path(bt, seed=0)
-    p2 = find_square_path(bt, seed=0)
+    p1 = find_kth_power_path(bt, 2, seed=0)
+    p2 = find_kth_power_path(bt, 2, seed=0)
     assert p1 == p2
     assert len(p1) >= 40
     assert verify_power_path(bt, p1)[0]
@@ -267,7 +268,7 @@ def test_driver_tracks_oracle_at_base_boundary():
     for seed in range(6):
         n = 15 + seed % 2
         t = random_tournament(n, seed)
-        got = find_square_path(t, seed=seed)
+        got = find_kth_power_path(t, 2, seed=seed)
         exact = longest_power_path_exact(t, 2, SolveBudget(max_states=3_000_000))
         assert exact.optimal
         assert verify_power_path(t, got)[0]
@@ -297,7 +298,7 @@ def test_cluster_path_route_fires_end_to_end():
     for seed in (0, 1, 2, 3, 4):
         t = random_tournament(40, seed)
         trace = []
-        p = find_square_path(t, params, seed=seed, trace=trace)
+        p = find_kth_power_path(t, 2, params, seed=seed, trace=trace)
         assert verify_power_path(t, p)[0]
         assert len(p) >= 30
         if trace[-1]["route"] == "claim2":

@@ -11,7 +11,6 @@ from ppath.engine import (
     OrientedGraph,
     RegularityParams,
     chain_power_path,
-    chain_square_path,
     find_good_pair,
     is_good_pair,
     order_or_long_path,
@@ -237,12 +236,12 @@ class TestSampledRegular:
 class TestChains:
     def test_complete_pair_stalls_at_two(self):
         t, pair = _complete_pair(10)
-        ch = chain_square_path(t, pair, DEFAULT_PARAMS)
+        ch = chain_power_path(t, pair, 2, DEFAULT_PARAMS)
         assert len(ch) == 2
 
     def test_parity_split_reaches_half(self):
         t, pair = _parity_pair(10)
-        ch = chain_square_path(t, pair, DEFAULT_PARAMS)
+        ch = chain_power_path(t, pair, 2, DEFAULT_PARAMS)
         assert verify_power_path(t, ch)[0]
         assert len(ch) >= 10
 
@@ -250,7 +249,7 @@ class TestChains:
         t = random_tournament(200, 8)
         a, b = random_split(t, 8)
         pair = bipartite_pair(t, a, b)
-        ch = chain_square_path(t, pair, DEFAULT_PARAMS)
+        ch = chain_power_path(t, pair, 2, DEFAULT_PARAMS)
         assert verify_power_path(t, ch)[0]
         assert len(ch) >= 20
         sides = [v in pair.a for v in ch.vertices]
@@ -261,7 +260,7 @@ class TestChains:
         t = random_tournament(100, 3)
         a, b = random_split(t, 3)
         pair = bipartite_pair(t, a, b)
-        ch = chain_square_path(t, pair, DEFAULT_PARAMS, start_side="b")
+        ch = chain_power_path(t, pair, 2, DEFAULT_PARAMS, start_side="b")
         assert verify_power_path(t, ch)[0]
         assert ch.vertices[0] in pair.b
 
@@ -276,7 +275,7 @@ class TestChains:
     def test_invalid_start_side(self):
         t, pair = _complete_pair(4)
         with pytest.raises(ValueError):
-            chain_square_path(t, pair, DEFAULT_PARAMS, start_side="c")
+            chain_power_path(t, pair, 2, DEFAULT_PARAMS, start_side="c")
 
 
 def test_weak_count_threshold_rounding():
