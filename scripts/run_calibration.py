@@ -9,7 +9,6 @@ from. Re-running reproduces the files byte-for-byte (all seeds fixed).
 import json
 import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -103,7 +102,6 @@ def growth_pilot() -> None:
     """Median driver lengths over 50 seeds at n in {64,128,256,512}; fixes
     the conservative n=512 floor of 23 = ceil(512^0.5)."""
     medians = {}
-    t_start = time.perf_counter()
     for n in (64, 128, 256, 512):
         lengths = []
         for seed in range(50):
@@ -118,7 +116,6 @@ def growth_pilot() -> None:
             "seeds": "0..49",
             "medians": medians,
             "floor_at_512_asserted": 23,
-            "elapsed_s": round(time.perf_counter() - t_start, 1),
         },
     )
 

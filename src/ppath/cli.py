@@ -306,6 +306,8 @@ def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
+    if ns.mode == "anneal" and ns.n < 2:
+        raise UsageError("--n must be >= 2 for --mode anneal")
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"

@@ -215,34 +215,21 @@ def longest_power_path_exact(
 
 
 def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:
-    """Greedy extension within a vertex subset given as a bitmask."""
-    if not mask:
-        return ()
+    """Greedy extension within a vertex subset given as a bitmask.
+
+    Every pick, the first one included, is the candidate with the most
+    out-neighbors among the unused vertices of the subset; ``rng`` breaks ties.
+    """
     rows = t.rows
-    live = mask
-    # Start at the vertex of maximum out-degree within the subset.
-    best = -1
-    starts: list[int] = []
-    m = live
-    while m:
-        b = m & -m
-        v = b.bit_length() - 1
-        m ^= b
-        d = (rows[v] & mask).bit_count()
-        if d > best:
-            best, starts = d, [v]
-        elif d == best:
-            starts.append(v)
-    cur = starts[0] if len(starts) == 1 else rng.choice(starts)
-    seq = [cur]
-    used = 1 << cur
+    seq: list[int] = []
+    used = 0
     while True:
-        cand = live & ~used
+        unused = mask & ~used
+        cand = unused
         for u in seq[-k:]:
             cand &= rows[u]
         if not cand:
             return tuple(seq)
-        unused = live & ~used
         best = -1
         picks: list[int] = []
         m = cand

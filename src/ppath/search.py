@@ -16,6 +16,7 @@ from typing import Iterator, Optional
 from .exact import (
     PowerPath,
     SolveBudget,
+    _greedy_mask,
     longest_power_path_exact,
 )
 from .rng import Rng, derive_seed
@@ -126,28 +127,6 @@ def canonical_fingerprint(t: Tournament) -> str:
     return "r" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _greedy_len_fast(rows: tuple[int, ...], n: int, k: int) -> int:
-    """Deterministic label-order greedy; a cheap lower bound for pruning."""
-    full = (1 << n) - 1
-    best_start = 0
-    best_deg = -1
-    for v in range(n):
-        d = rows[v].bit_count()
-        if d > best_deg:
-            best_deg, best_start = d, v
-    seq = [best_start]
-    used = 1 << best_start
-    while True:
-        cand = full & ~used
-        for u in seq[-k:]:
-            cand &= rows[u]
-        if not cand:
-            return len(seq)
-        v = (cand & -cand).bit_length() - 1
-        seq.append(v)
-        used |= 1 << v
-
-
 def enumerate_min_pp(
     n: int, k: int, budget: Optional[SolveBudget] = None
 ) -> tuple[int, Tournament, int]:
@@ -176,10 +155,9 @@ def enumerate_min_pp(
                 rows[i] |= 1 << j
             else:
                 rows[j] |= 1 << i
-        rows_t = tuple(rows)
-        if _greedy_len_fast(rows_t, n, k) > cur_min:
+        t = _unchecked(tuple(rows))
+        if len(_greedy_mask(t, t.full_mask, k, Rng(0))) > cur_min:
             continue
-        t = _unchecked(rows_t)
         res = longest_power_path_exact(t, k, budget)
         if not res.optimal:
             raise RuntimeError("enumeration budget too small for exactness")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -94,6 +94,30 @@ class VertexSet:
         return tuple(self)
 
 
+def _rows_to_matrix(rows: tuple[int, ...]) -> np.ndarray:
+    """n x n uint8 matrix whose cell (i, j) is bit j of ``rows[i]`` (< 2**n)."""
+    n = len(rows)
+    nbytes = (n + 7) // 8
+    buf = np.frombuffer(
+        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
+    ).reshape(n, nbytes)
+    return np.unpackbits(buf, axis=1, count=n, bitorder="little")
+
+
+def _matrix_to_rows(mat: np.ndarray) -> tuple[int, ...]:
+    """Row bitsets of a 0/1 n x n matrix; inverse of ``_rows_to_matrix``."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+
+def _first_misoriented(mat: np.ndarray) -> Optional[tuple[int, int]]:
+    """Lex-first pair (i, j), i < j, not oriented exactly once, or None."""
+    bad = (mat + mat.T) != 1
+    np.fill_diagonal(bad, False)
+    # bad is symmetric, so its first flagged cell lies above the diagonal.
+    return divmod(int(np.argmax(bad)), len(mat)) if bad.any() else None
+
+
 def _validate_rows(rows: tuple[int, ...]) -> None:
     n = len(rows)
     if n < 1:
@@ -103,22 +127,8 @@ def _validate_rows(rows: tuple[int, ...]) -> None:
             raise ValueError(f"row {i} has bits outside 0..{n - 1}")
         if (r >> i) & 1:
             raise ValueError(f"self-loop at vertex {i}")
-    if n <= 64:
-        for i in range(n):
-            ri = rows[i]
-            for j in range(i + 1, n):
-                if ((ri >> j) & 1) == ((rows[j] >> i) & 1):
-                    raise ValueError(f"pair ({i},{j}) is not oriented exactly once")
-        return
-    # Large instances: vectorized M + M^T == all-ones-off-diagonal check.
-    nbytes = (n + 7) // 8
-    buf = np.frombuffer(
-        b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
-    ).reshape(n, nbytes)
-    mat = np.unpackbits(buf, axis=1, bitorder="little")[:, :n]
-    good = mat + mat.T + np.eye(n, dtype=np.uint8)
-    if not (good == 1).all():
-        bad = np.argwhere(good != 1)[0]
+    bad = _first_misoriented(_rows_to_matrix(rows))
+    if bad is not None:
         raise ValueError(f"pair ({bad[0]},{bad[1]}) is not oriented exactly once")
 
 
@@ -146,17 +156,8 @@ class Tournament:
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.rows[i] >> j) & 1)
 
-    def out_mask(self, v: int) -> int:
-        return self.rows[v]
-
-    def in_mask(self, v: int) -> int:
-        return self.full_mask & ~self.rows[v] & ~(1 << v)
-
     def out_degree(self, v: int) -> int:
         return self.rows[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return self.n - 1 - self.out_degree(v)
 
     def reverse(self) -> "Tournament":
         full = self.full_mask
@@ -233,8 +234,7 @@ def _random_rows_numpy(n: int, base: int) -> tuple[int, ...]:
     iu = np.triu_indices(n, 1)
     mat[iu] = bits
     mat[(iu[1], iu[0])] = 1 - bits
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n))
+    return _matrix_to_rows(mat)
 
 
 def random_tournament(n: int, seed: int) -> Tournament:

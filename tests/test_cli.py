@@ -294,6 +294,12 @@ class TestEdgeCases:
                     "--out-dir", tmp_path / "s1"]) == 0
         assert "min_pp=1 count=1" in capsys.readouterr().out
 
+    def test_search_anneal_single_vertex_rejected(self, tmp_path, capsys):
+        assert run(["search", "--mode", "anneal", "--n", 1,
+                    "--out-dir", tmp_path / "s1"]) == 2
+        assert "--n must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "s1").exists()
+
     def test_find_with_custom_probe_flags(self, tmp_path, capsys):
         trn = tmp_path / "r.trn"
         save_trn(random_tournament(200, 4), trn)

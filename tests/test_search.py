@@ -82,22 +82,25 @@ class TestEnumerate:
 
     def test_matches_unpruned_enumeration_n4(self):
         # Independent route: exact solver on every orientation, no greedy skip.
-        pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-        best, count = 5, 0
-        for code in range(1 << 6):
-            rows = [0] * 4
-            for p, (i, j) in enumerate(pairs):
-                if (code >> p) & 1:
-                    rows[i] |= 1 << j
-                else:
-                    rows[j] |= 1 << i
-            got = len(longest_power_path_exact(Tournament.from_rows(rows), 2).path)
-            if got < best:
-                best, count = got, 1
-            elif got == best:
-                count += 1
-        mn, _, cnt = enumerate_min_pp(4, 2)
-        assert (mn, cnt) == (best, count)
+        for n in (4, 5):
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            best, count, first = n + 1, 0, None
+            for code in range(1 << len(pairs)):
+                rows = [0] * n
+                for p, (i, j) in enumerate(pairs):
+                    if (code >> p) & 1:
+                        rows[i] |= 1 << j
+                    else:
+                        rows[j] |= 1 << i
+                t = Tournament.from_rows(rows)
+                got = len(longest_power_path_exact(t, 2).path)
+                if got < best:
+                    best, count, first = got, 1, t
+                elif got == best:
+                    count += 1
+            mn, wit, cnt = enumerate_min_pp(n, 2)
+            assert (mn, cnt) == (best, count)
+            assert wit.rows == first.rows
 
     def test_golden_n6(self):
         golden = json.loads((GOLDEN / "min_pp_n6.json").read_text())

@@ -141,6 +141,11 @@ class TestInvariants:
             Tournament.from_rows([0b01, 0b00])  # self-loop
         with pytest.raises(ValueError):
             Tournament.from_rows([0b000, 0b001, 0b000])  # missing orientation
+        rows = list(random_tournament(100, 5).rows)
+        rows[30] |= 1 << 60
+        rows[60] |= 1 << 30
+        with pytest.raises(ValueError, match=r"pair \(30,60\) is not oriented exactly once"):
+            Tournament.from_rows(rows)  # both ways, n > 64
 
 
 class TestSetOperations:

@@ -18,10 +18,17 @@ def test_exact_bytes_for_two_vertices():
     assert write_trn(transitive(2)) == b"TRN 1\n2\n-1\n0-\n"
 
 
+def test_exact_bytes_for_transitive_70():
+    n = 70
+    rows = ["0" * i + "-" + "1" * (n - 1 - i) + "\n" for i in range(n)]
+    assert write_trn(transitive(n)) == f"TRN 1\n{n}\n{''.join(rows)}".encode()
+
+
 def test_round_trip_random_50():
-    t = random_tournament(50, 7)
-    assert read_trn(write_trn(t)).rows == t.rows
-    assert write_trn(read_trn(write_trn(t))) == write_trn(t)
+    for n in (50, 64, 65, 129, 1000):
+        t = random_tournament(n, 7)
+        assert read_trn(write_trn(t)).rows == t.rows
+        assert write_trn(read_trn(write_trn(t))) == write_trn(t)
 
 
 @given(
@@ -39,6 +46,11 @@ def test_orientation_violation_both_ways():
         read_trn(b"TRN 1\n2\n-1\n1-\n")
     with pytest.raises(OrientationViolation):
         read_trn(b"TRN 1\n2\n-0\n0-\n")
+    data = bytearray(write_trn(random_tournament(100, 3)))
+    cell = len(b"TRN 1\n100\n") + 41 * 101 + 73
+    data[cell] ^= ord("0") ^ ord("1")  # flip 41->73 only; 73->41 is untouched
+    with pytest.raises(OrientationViolation, match=r"pair \(41,73\)"):
+        read_trn(bytes(data))
 
 
 def test_malformed_header():
@@ -57,6 +69,12 @@ def test_non_square():
         read_trn(b"TRN 1\n2\n-11\n0-\n")
     with pytest.raises(NonSquareMatrix):
         read_trn(b"TRN 1\n2\n-1\n0-\nextra\n")
+    with pytest.raises(NonSquareMatrix):
+        read_trn(b"TRN 1\n2\n-1\r\n0-\r\n")  # CRLF line endings
+    with pytest.raises(NonSquareMatrix):
+        read_trn(b"TRN 1\n3\n-1\n10-1\n00-\n")  # a newline moved inside a row
+    with pytest.raises(NonSquareMatrix):
+        read_trn(b"TRN 1\n2\n-1\n0-")  # no final newline
 
 
 def test_bad_diagonal():
