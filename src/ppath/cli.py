@@ -306,8 +306,15 @@ def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
-    if ns.mode == "anneal" and ns.n < 2:
+    if ns.mode == "enumerate":
+        if ns.n > 7:
+            raise UsageError("enumeration is limited to n <= 7; use --mode anneal")
+    elif ns.n < 2:
         raise UsageError("--n must be >= 2 for --mode anneal")
+    elif ns.resume and ns.chains != 1:
+        raise UsageError("--resume requires --chains 1")
+    elif ns.checkpoint_every and ns.chains != 1:
+        raise UsageError("--checkpoint-every requires --chains 1")
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
@@ -325,8 +332,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
         outputs=[str(csv_path)],
     )
     if ns.mode == "enumerate":
-        if ns.n > 7:
-            raise UsageError("enumeration is limited to n <= 7; use --mode anneal")
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         res = longest_power_path_exact(witness_t, ns.k)
         rec = SearchRecord(
@@ -348,10 +353,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
         return EXIT_OK
 
     # anneal mode
-    if ns.resume and ns.chains != 1:
-        raise UsageError("--resume requires --chains 1")
-    if ns.checkpoint_every and ns.chains != 1:
-        raise UsageError("--checkpoint-every requires --chains 1")
     resume_state = None
     prior_rows: list[str] = []
     if ns.resume:

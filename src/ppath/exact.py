@@ -1,10 +1,13 @@
 """Ground-truth operations on k-th powers of paths.
 
 ``verify_power_path`` is the package-wide soundness check: every witness any
-module emits must pass it. ``longest_power_path_exact`` is a memoized DFS
-over (used-vertex bitset, tuple of the last min(k, len) vertices) states, so
-its answer is exact whenever the state budget is not exhausted; on exhaustion
-it returns the best witness found so far, flagged as a lower bound.
+module emits must pass it. ``longest_power_path_exact`` is one iterative
+depth-first walk with an explicit stack (no recursion, so no depth limit)
+over (used-vertex bitset, tuple of the last min(k, len) vertices) states,
+memoized, so its answer is exact whenever the state budget is not exhausted;
+on exhaustion it returns the best witness found so far, flagged as a lower
+bound. The witness is the first maximum-length prefix the walk visits, which
+is the lexicographically least maximum sequence.
 """
 
 from __future__ import annotations
@@ -100,19 +103,21 @@ def verify_power_path(
     return True, None
 
 
-class _BudgetStop(Exception):
-    pass
-
-
 def longest_power_path_exact(
     t: Tournament, k: int, budget: Optional[SolveBudget] = None
 ) -> ExactResult:
     """Maximum-order k-th power of a path, with a deterministic witness.
 
-    Among maximum-length witnesses the lexicographically least sequence is
-    returned (reconstructed from the memo after the full state-space walk).
-    The search is exact unless the budget trips; the state cap is checked on
-    memo growth, so results are reproducible whenever max_millis is None.
+    One loop walks the valid sequences depth-first with an explicit stack,
+    trying extensions in ascending label order, and returns the first
+    maximum-length prefix it visits. That prefix is the lexicographically
+    least maximum witness: the walk visits prefixes in lexicographic order,
+    and a memo hit skips only the completions of a state that a lex-smaller
+    prefix with the same (used set, tail) already expanded. A state enters
+    the memo when its subtree is finished; the state cap is checked after the
+    memo lookup, before a new state is expanded, so results are reproducible
+    whenever max_millis is None. When the budget trips the best prefix so far
+    is returned with optimal=False.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -121,97 +126,54 @@ def longest_power_path_exact(
     rows = t.rows
     full = (1 << n) - 1
     shift = max(7, n.bit_length())
-    memo: dict[int, int] = {}
     deadline = (
         time.monotonic() + budget.max_millis / 1000.0
         if budget.max_millis is not None
         else None
     )
     max_states = budget.max_states
-    best_len = 0
-    best_seq: tuple[int, ...] = ()
+    memo: set[int] = set()
+    best: tuple[int, ...] = ()
     prefix: list[int] = []
-
-    def pack(tup: tuple[int, ...]) -> int:
-        key = 1
-        for v in tup:
-            key = (key << shift) | v
-        return key
-
-    def dfs(used: int, tup: tuple[int, ...], key: int) -> int:
-        nonlocal best_len, best_seq
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if len(memo) >= max_states:
-            raise _BudgetStop
-        if deadline is not None and len(memo) % 1024 == 0:
-            if time.monotonic() > deadline:
-                raise _BudgetStop
-        cand = full & ~used
-        for u in tup:
-            cand &= rows[u]
-        add = 0
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            prefix.append(v)
-            if len(prefix) > best_len:
-                best_len = len(prefix)
-                best_seq = tuple(prefix)
-            child = (tup + (v,))[-k:] if len(tup) >= k else tup + (v,)
-            sub = dfs(used | b, child, pack(child) << n | (used | b))
-            prefix.pop()
-            if sub + 1 > add:
-                add = sub + 1
-        memo[key] = add
-        return add
-
-    if n == 0:
-        return ExactResult(PowerPath(k, ()), True, 0)
-    try:
-        total = 0
-        for v0 in range(n):
-            prefix = [v0]
-            if best_len == 0:
-                best_len, best_seq = 1, (v0,)
-            tup = (v0,)
-            got = 1 + dfs(1 << v0, tup, pack(tup) << n | (1 << v0))
-            if got > total:
-                total = got
-    except _BudgetStop:
-        return ExactResult(PowerPath(k, best_seq), False, len(memo))
-
-    # Lexicographically least maximum witness via memo-guided reconstruction.
-    seq: list[int] = []
     used = 0
-    tup: tuple[int, ...] = ()
-    for v0 in range(n):
-        if 1 + memo[pack((v0,)) << n | (1 << v0)] == total:
-            seq = [v0]
-            used = 1 << v0
-            tup = (v0,)
-            break
-    remaining = total - len(seq)
-    while remaining:
-        cand = full & ~used
-        for u in tup:
-            cand &= rows[u]
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            child = (tup + (v,))[-k:] if len(tup) >= k else tup + (v,)
-            if memo[pack(child) << n | (used | b)] == remaining - 1:
-                seq.append(v)
-                used |= b
-                tup = child
-                break
-        remaining -= 1
-    return ExactResult(PowerPath(k, tuple(seq)), True, len(memo))
+    # The empty prefix is the root: every vertex extends it, and it is no state.
+    cand = full
+    key = 0
+    stack: list[tuple[int, int]] = []
+    while True:
+        if cand:
+            b = cand & -cand
+            cand ^= b
+            prefix.append(b.bit_length() - 1)
+            used |= b
+            if len(prefix) > len(best):
+                best = tuple(prefix)
+            tail = prefix[-k:]
+            child = 1
+            for u in tail:
+                child = (child << shift) | u
+            child = child << n | used
+            if child in memo:
+                prefix.pop()
+                used ^= b
+                continue
+            if len(memo) >= max_states or (
+                deadline is not None
+                and len(memo) % 1024 == 0
+                and time.monotonic() > deadline
+            ):
+                return ExactResult(PowerPath(k, best), False, len(memo))
+            stack.append((cand, key))
+            key = child
+            cand = full & ~used
+            for u in tail:
+                cand &= rows[u]
+        elif stack:
+            memo.add(key)
+            cand, key = stack.pop()
+            used ^= 1 << prefix.pop()
+        else:
+            return ExactResult(PowerPath(k, best), True, len(memo))
 
 
 def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:

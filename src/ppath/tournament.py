@@ -231,9 +231,9 @@ def _random_rows_numpy(n: int, base: int) -> tuple[int, ...]:
         z = z ^ (z >> np.uint64(31))
     bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")[:npairs]
     mat = np.zeros((n, n), dtype=np.uint8)
-    iu = np.triu_indices(n, 1)
-    mat[iu] = bits
-    mat[(iu[1], iu[0])] = 1 - bits
+    # Boolean-mask assignment fills the upper triangle in row-major pair order.
+    mat[~np.tri(n, dtype=bool)] = bits
+    mat += np.tril(1 - mat.T, -1)
     return _matrix_to_rows(mat)
 
 

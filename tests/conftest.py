@@ -9,16 +9,18 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CALIBRATION = Path(__file__).resolve().parents[1] / "calibration"
 
 
-def brute_longest_power(t: Tournament, k: int) -> int:
+def brute_first_longest(t: Tournament, k: int) -> tuple[int, ...]:
     """Definition-level oracle: DFS over all valid vertex sequences.
 
     A sequence is valid when every pair of positions i < j <= i + k carries
     the forward edge; every prefix of a valid sequence is valid, so plain
-    DFS without memoization enumerates exactly the valid sequences.
+    DFS without memoization enumerates exactly the valid sequences. Children
+    are tried in ascending label order, so the first maximum-length sequence
+    the DFS reaches is the lexicographically least one; that is returned.
     Exponential, intended for n <= 7.
     """
     n = t.n
-    best = 0
+    best: tuple[int, ...] = ()
 
     def ok_to_append(seq: list[int], v: int) -> bool:
         lo = max(0, len(seq) - k)
@@ -29,8 +31,8 @@ def brute_longest_power(t: Tournament, k: int) -> int:
 
     def dfs(seq: list[int], used: set[int]) -> None:
         nonlocal best
-        if len(seq) > best:
-            best = len(seq)
+        if len(seq) > len(best):
+            best = tuple(seq)
         for v in range(n):
             if v in used:
                 continue
@@ -43,6 +45,11 @@ def brute_longest_power(t: Tournament, k: int) -> int:
 
     dfs([], set())
     return best
+
+
+def brute_longest_power(t: Tournament, k: int) -> int:
+    """Vertex count of the longest k-th power of a path, by brute force."""
+    return len(brute_first_longest(t, k))
 
 
 def relabel(t: Tournament, perm: list[int]) -> Tournament:

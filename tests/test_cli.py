@@ -60,6 +60,13 @@ class TestSolve:
         length = int(out.split("pp=")[1].split()[0])
         assert length <= 30
 
+    def test_budget_trip_on_deep_instance_exits_3_with_witness(self, tmp_path):
+        trn = tmp_path / "t1500.trn"
+        save_trn(transitive(1500), trn)
+        assert run(["solve", "--exact", "-k", 2, "--budget-states", 1000, trn]) == 3
+        data = json.loads((tmp_path / "t1500.trn.witness.json").read_text())
+        assert data == {"k": 2, "vertices": list(range(1500))}
+
     def test_budget_exhaustion_exits_3_with_witness(self, tmp_path):
         trn = tmp_path / "r14.trn"
         save_trn(random_tournament(14, 5), trn)
@@ -156,6 +163,17 @@ class TestSearch:
     def test_enumerate_large_n_rejected(self, tmp_path):
         assert run(["search", "--mode", "enumerate", "--n", 9,
                     "--out-dir", tmp_path / "s"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_single_chain_flags_rejected_with_two_chains(self, tmp_path, capsys):
+        base = ["search", "--mode", "anneal", "--n", 6, "--chains", 2]
+        for flags, message in [
+            (["--resume", tmp_path / "ck.json"], "--resume requires --chains 1"),
+            (["--checkpoint-every", 5], "--checkpoint-every requires --chains 1"),
+        ]:
+            assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "s").exists()
 
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

@@ -1,10 +1,11 @@
+import gc
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, brute_longest_power
+from conftest import GOLDEN, brute_first_longest, brute_longest_power
 from ppath.exact import (
     BudgetExceededError,
     InvalidLabelError,
@@ -71,7 +72,7 @@ class TestExactSolver:
             for k in (1, 2, 3):
                 res = longest_power_path_exact(t, k)
                 assert res.optimal
-                assert len(res.path) == brute_longest_power(t, k), (n, seed, k)
+                assert res.path.vertices == brute_first_longest(t, k), (n, seed, k)
                 assert verify_power_path(t, res.path)[0]
 
     def test_lexicographic_witness_is_stable(self):
@@ -86,6 +87,26 @@ class TestExactSolver:
         assert not capped.optimal
         assert verify_power_path(t, capped.path)[0]
         assert len(capped.path) <= len(full.path)
+
+    def test_deep_walk_budget_trip_keeps_witness(self):
+        # A 1500-vertex prefix is 1500 levels deep; the walk keeps no call
+        # stack, and the trip returns the spanning prefix it already visited.
+        t = transitive(1500)
+        res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
+        assert not res.optimal and res.states == 1000
+        assert res.path.vertices == tuple(range(1500))
+        assert verify_power_path(t, res.path)[0]
+
+    def test_solve_leaves_no_cyclic_garbage(self):
+        t = random_tournament(9, 4)
+        gc.collect()
+        gc.disable()
+        try:
+            longest_power_path_exact(t, 2)
+            longest_power_path_exact(t, 2, SolveBudget(max_states=5))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_wall_clock_budget_accepted(self):
         res = longest_power_path_exact(

@@ -87,7 +87,7 @@ class TestRandomTournament:
         assert random_tournament(8, 42).rows != random_tournament(8, 43).rows
 
     def test_assembly_paths_agree(self):
-        for n in (2, 17, 63, 64, 65, 129):
+        for n in (2, 17, 63, 64, 65, 129, 2048):
             base = derive_seed(5, "tournament", n)
             assert _random_rows_pure(n, base) == _random_rows_numpy(n, base)
 
