@@ -124,8 +124,9 @@ def _read_witness(path: Path) -> PowerPath:
     return PowerPath(int(data["k"]), tuple(int(v) for v in data["vertices"]))
 
 
-def _manifest_args(ns: argparse.Namespace, keys: Sequence[str]) -> dict:
-    return {key: getattr(ns, key) for key in keys}
+def _manifest_args(ns: argparse.Namespace) -> dict:
+    """The parsed flags of a run, as recorded for replay."""
+    return {key: value for key, value in vars(ns).items() if key != "subcommand"}
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +151,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     save_trn(t, out)
     manifest = RunManifest(
         subcommand="gen",
-        args=_manifest_args(ns, ["type", "n", "seed", "residues", "out"]),
+        args=_manifest_args(ns),
         seed=ns.seed,
         outputs=[str(out)],
     )
@@ -186,9 +187,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     out.write_bytes(_witness_json_bytes(path))
     manifest = RunManifest(
         subcommand="solve",
-        args=_manifest_args(
-            ns, ["input", "exact", "greedy", "k", "budget_states", "budget_ms", "seed", "out"]
-        ),
+        args=_manifest_args(ns),
         seed=ns.seed,
         input_hashes={ns.input: _sha256_file(Path(ns.input))},
         outputs=[str(out)],
@@ -225,9 +224,7 @@ def cmd_find(ns: argparse.Namespace) -> int:
         outputs.append(ns.trace)
     manifest = RunManifest(
         subcommand="find",
-        args=_manifest_args(
-            ns, ["input", "k", "eps", "delta", "parts", "samples", "seed", "trace", "out"]
-        ),
+        args=_manifest_args(ns),
         seed=ns.seed,
         input_hashes={ns.input: _sha256_file(Path(ns.input))},
         outputs=outputs,
@@ -282,27 +279,18 @@ def _emit_record_files(out_dir: Path, tag: str, rec: SearchRecord) -> str:
 def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
     """Worker: one chain; returns (chain_id, (tag, record) specs, end state)."""
     chain_id, n, k, cfg, budget_states, stop_after, resume_state = args
-    chain = AnnealChain(n, k, cfg, SolveBudget(max_states=budget_states))
-    records: list[SearchRecord] = []
-    if resume_state is not None:
-        chain.restore(resume_state)
+    budget = SolveBudget(max_states=budget_states)
+    if resume_state is None:
+        chain = AnnealChain(n, k, cfg, budget)
     else:
-        records.extend(chain.maybe_emit_initial())
-    start = chain.iteration
-    steps_done = 0
-    stopped = False
-    for _ in range(start, cfg.iterations):
-        records.extend(chain.step())
-        steps_done += 1
-        if stop_after is not None and steps_done >= stop_after:
-            stopped = True
-            break
+        chain = AnnealChain.from_state(n, k, cfg, budget, resume_state)
     # A chain emits a record only when its best pp strictly drops, so the pp
     # makes the tag unique even for several records of one iteration.
     specs = [
-        (f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}", rec) for rec in records
+        (f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}", rec)
+        for rec in chain.run(stop_after)
     ]
-    return chain_id, specs, [stopped, chain.state_dict()]
+    return chain_id, specs, [chain.iteration < cfg.iterations, chain.state_dict()]
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
@@ -315,19 +303,14 @@ def cmd_search(ns: argparse.Namespace) -> int:
         raise UsageError("--resume requires --chains 1")
     elif ns.checkpoint_every and ns.chains != 1:
         raise UsageError("--checkpoint-every requires --chains 1")
+    elif ns.stop_after is not None and ns.chains != 1:
+        raise UsageError("--stop-after requires --chains 1")
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
     manifest = RunManifest(
         subcommand="search",
-        args=_manifest_args(
-            ns,
-            [
-                "mode", "n", "k", "seed", "iters", "temp", "cool", "moves",
-                "chains", "checkpoint_every", "resume", "stop_after",
-                "budget_states", "out_dir",
-            ],
-        ),
+        args=_manifest_args(ns),
         seed=ns.seed,
         outputs=[str(csv_path)],
     )
@@ -431,7 +414,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
     out.write_text(_TABLE_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
     manifest = RunManifest(
         subcommand="table",
-        args=_manifest_args(ns, ["n_list", "trials", "seed", "method", "k", "out"]),
+        args=_manifest_args(ns),
         seed=ns.seed,
         outputs=[str(out)],
     )
@@ -510,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--checkpoint-every", type=int, default=0, dest="checkpoint_every")
     se.add_argument("--resume", default=None)
     se.add_argument("--stop-after", type=int, default=None, dest="stop_after",
-                    help="stop cleanly after this many iterations (exit 3)")
+                    help="stop cleanly after this many iterations (exit 3 if iterations remain)")
     se.add_argument("--budget-states", type=int, default=400_000, dest="budget_states")
     se.add_argument("--out-dir", required=True, dest="out_dir")
 

@@ -214,10 +214,16 @@ class SearchRecord:
 class AnnealChain:
     """Single seeded annealing chain over edge flips, minimizing exact pp.
 
-    The objective caches by fingerprint; a budget-exhausted solve is retried
-    once with a doubled budget and otherwise kept as a flagged bound. State
-    (rng word, matrix, temperature, bookkeeping) round-trips through
-    state_dict/restore for bit-exact resume.
+    Build a chain fresh with ``AnnealChain(n, k, cfg, budget)`` or from a
+    checkpoint with ``AnnealChain.from_state``; ``run`` drives it and yields
+    its records. A record is emitted whenever the current tournament changes
+    (the start, an accepted move or a reheat) to one whose pp is below every
+    pp recorded so far, so recorded pp strictly drops. Each exact solve runs
+    at twice the given budget; a solve that still exhausts it is kept as a
+    flagged lower bound. The objective caches ``(pp, bound)`` by fingerprint,
+    and a record's witness comes from a solve of the record's own
+    tournament. State (rng word, matrix, temperature, bookkeeping)
+    round-trips through ``state_dict``/``from_state`` for bit-exact resume.
     """
 
     def __init__(
@@ -230,56 +236,70 @@ class AnnealChain:
         self.n = n
         self.k = k
         self.cfg = cfg
-        self.budget = budget or SolveBudget(max_states=400_000)
+        budget = budget or SolveBudget(max_states=400_000)
+        millis = budget.max_millis
+        self.budget = SolveBudget(budget.max_states * 2, millis and millis * 2)
         self.rng = Rng(derive_seed(cfg.seed, "anneal"))
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        self.t = random_tournament(n, derive_seed(cfg.seed, "anneal-init"))
+        # run() draws the start; a chain built from a checkpoint has its own.
+        self.t: Optional[Tournament] = None
         self.temperature = cfg.initial_temperature
         self.iteration = 0
-        self._cache: dict[str, tuple[int, bool, tuple[int, ...]]] = {}
-        self.cur_pp, self.cur_bound, _ = self._objective(self.t)
-        self.best_pp = self.n + 1
+        self.best_pp = n + 1
+        self._cache: dict[str, tuple[int, bool]] = {}
 
-    def _objective(self, t: Tournament) -> tuple[int, bool, tuple[int, ...]]:
+    @classmethod
+    def from_state(
+        cls,
+        n: int,
+        k: int,
+        cfg: AnnealConfig,
+        budget: Optional[SolveBudget],
+        state: dict,
+    ) -> "AnnealChain":
+        """Chain resumed from a ``state_dict``; raises ValueError when the
+        checkpoint's n or k differ or its rows are not a tournament."""
+        if state["n"] != n or state["k"] != k:
+            raise ValueError("checkpoint does not match this chain")
+        chain = cls(n, k, cfg, budget)
+        chain.rng.setstate(state["rng"])
+        chain.t = Tournament.from_rows(int(r, 16) for r in state["rows"])
+        chain.temperature = float.fromhex(state["temperature"])
+        chain.iteration = state["iteration"]
+        chain.cur_pp = state["cur_pp"]
+        chain.cur_bound = state["cur_bound"]
+        chain.best_pp = state["best_pp"]
+        return chain
+
+    def _objective(self, t: Tournament) -> tuple[int, bool]:
         fp = canonical_fingerprint(t)
         hit = self._cache.get(fp)
-        if hit is not None:
-            return hit
+        if hit is None:
+            res = longest_power_path_exact(t, self.k, self.budget)
+            hit = self._cache[fp] = (len(res.path), not res.optimal)
+        return hit
+
+    def _move_to(self, t: Tournament, pp: int, bound: bool) -> list[SearchRecord]:
+        """Make t current; a record when its pp is a new minimum."""
+        self.t, self.cur_pp, self.cur_bound = t, pp, bound
+        if pp >= self.best_pp:
+            return []
+        self.best_pp = pp
         res = longest_power_path_exact(t, self.k, self.budget)
-        if not res.optimal:
-            doubled = SolveBudget(
-                max_states=self.budget.max_states * 2,
-                max_millis=(
-                    self.budget.max_millis * 2
-                    if self.budget.max_millis is not None
-                    else None
-                ),
+        return [
+            SearchRecord(
+                n=self.n,
+                k=self.k,
+                fingerprint=canonical_fingerprint(t),
+                pp=len(res.path),
+                bound_flag=not res.optimal,
+                witness=res.path,
+                seed=self.cfg.seed,
+                method="anneal",
+                iteration=self.iteration,
+                tournament=t,
             )
-            res = longest_power_path_exact(t, self.k, doubled)
-        entry = (len(res.path), not res.optimal, res.path.vertices)
-        self._cache[fp] = entry
-        return entry
-
-    def _record(self) -> SearchRecord:
-        pp, bound, verts = self._objective(self.t)
-        return SearchRecord(
-            n=self.n,
-            k=self.k,
-            fingerprint=canonical_fingerprint(self.t),
-            pp=pp,
-            bound_flag=bound,
-            witness=PowerPath(self.k, verts),
-            seed=self.cfg.seed,
-            method="anneal",
-            iteration=self.iteration,
-            tournament=self.t,
-        )
-
-    def maybe_emit_initial(self) -> list[SearchRecord]:
-        if self.cur_pp < self.best_pp:
-            self.best_pp = self.cur_pp
-            return [self._record()]
-        return []
+        ]
 
     def step(self) -> list[SearchRecord]:
         """One temperature step of moves_per_step proposals; returns records
@@ -289,25 +309,31 @@ class AnnealChain:
         for _ in range(cfg.moves_per_step):
             i, j = self.pairs[self.rng.randrange(len(self.pairs))]
             cand = flip_edge(self.t, i, j)
-            new_pp, new_bound, _ = self._objective(cand)
+            new_pp, new_bound = self._objective(cand)
             delta = new_pp - self.cur_pp
-            accept = delta <= 0 or self.rng.random() < math.exp(
-                -delta / self.temperature
-            )
-            if accept:
-                self.t = cand
-                self.cur_pp, self.cur_bound = new_pp, new_bound
-                if new_pp < self.best_pp:
-                    self.best_pp = new_pp
-                    out.append(self._record())
+            if delta <= 0 or self.rng.random() < math.exp(-delta / self.temperature):
+                out += self._move_to(cand, new_pp, new_bound)
         self.iteration += 1
         self.temperature *= cfg.cooling_rate
         if self.temperature < cfg.initial_temperature * 1e-6:
             # Freeze point: reheat and restart from a fresh random tournament.
             self.temperature = cfg.initial_temperature
-            self.t = random_tournament(self.n, self.rng.next_u64())
-            self.cur_pp, self.cur_bound, _ = self._objective(self.t)
+            t = random_tournament(self.n, self.rng.next_u64())
+            out += self._move_to(t, *self._objective(t))
         return out
+
+    def run(self, steps: Optional[int] = None) -> Iterator[SearchRecord]:
+        """Records of the next ``steps`` iterations (all remaining ones when
+        None), never past ``cfg.iterations``; a fresh chain first draws its
+        start tournament, whose record therefore always comes first."""
+        if self.t is None:
+            t = random_tournament(self.n, derive_seed(self.cfg.seed, "anneal-init"))
+            yield from self._move_to(t, *self._objective(t))
+        end = self.cfg.iterations
+        if steps is not None:
+            end = min(end, self.iteration + steps)
+        while self.iteration < end:
+            yield from self.step()
 
     def state_dict(self) -> dict:
         return {
@@ -322,17 +348,6 @@ class AnnealChain:
             "best_pp": self.best_pp,
         }
 
-    def restore(self, state: dict) -> None:
-        if state["n"] != self.n or state["k"] != self.k:
-            raise ValueError("checkpoint does not match this chain")
-        self.rng.setstate(state["rng"])
-        self.t = Tournament.from_rows(int(r, 16) for r in state["rows"])
-        self.temperature = float.fromhex(state["temperature"])
-        self.iteration = state["iteration"]
-        self.cur_pp = state["cur_pp"]
-        self.cur_bound = state["cur_bound"]
-        self.best_pp = state["best_pp"]
-
 
 def anneal_min_pp(
     n: int,
@@ -345,7 +360,4 @@ def anneal_min_pp(
     The initial tournament's record is always emitted first; zero iterations
     therefore yields exactly that record.
     """
-    chain = AnnealChain(n, k, cfg, budget)
-    yield from chain.maybe_emit_initial()
-    for _ in range(cfg.iterations):
-        yield from chain.step()
+    return AnnealChain(n, k, cfg, budget).run()

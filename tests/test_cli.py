@@ -170,6 +170,7 @@ class TestSearch:
         for flags, message in [
             (["--resume", tmp_path / "ck.json"], "--resume requires --chains 1"),
             (["--checkpoint-every", 5], "--checkpoint-every requires --chains 1"),
+            (["--stop-after", 5], "--stop-after requires --chains 1"),
         ]:
             assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
             assert message in capsys.readouterr().err
@@ -189,6 +190,14 @@ class TestSearch:
         assert run(base + ["--stop-after", 40, "--out-dir", part]) == 3
         assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
         assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
+
+    def test_stop_after_reaching_last_iteration_is_complete(self, tmp_path):
+        full, stopped = tmp_path / "full", tmp_path / "stopped"
+        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 40]
+        assert run(base + ["--out-dir", full]) == 0
+        assert run(base + ["--stop-after", 40, "--out-dir", stopped]) == 0
+        assert not (stopped / "checkpoint.json").exists()
+        assert (full / "results.csv").read_bytes() == (stopped / "results.csv").read_bytes()
 
     def test_anneal_witnesses_stored(self, tmp_path):
         # Seed 18 at n = 10 improves on its initial tournament in the first

@@ -156,19 +156,38 @@ class TestAnneal:
     def test_chain_state_roundtrip(self):
         cfg = AnnealConfig(iterations=60, moves_per_step=4, seed=13)
         a = AnnealChain(6, 2, cfg)
-        records = list(a.maybe_emit_initial())
-        for _ in range(30):
-            records.extend(a.step())
+        head = list(a.run(30))
         snapshot = a.state_dict()
-        tail_a = []
-        for _ in range(30):
-            tail_a.extend(a.step())
-        b = AnnealChain(6, 2, cfg)
-        b.restore(json.loads(json.dumps(snapshot)))
-        tail_b = []
-        for _ in range(30):
-            tail_b.extend(b.step())
+        tail_a = list(a.run(30))
+        b = AnnealChain.from_state(6, 2, cfg, None, json.loads(json.dumps(snapshot)))
+        tail_b = list(b.run(30))
         assert tail_a == tail_b
+        assert head + tail_b == list(anneal_min_pp(6, 2, cfg))
+        with pytest.raises(ValueError, match="does not match"):
+            AnnealChain.from_state(7, 2, cfg, None, snapshot)
+        with pytest.raises(ValueError):
+            AnnealChain.from_state(6, 2, cfg, None, {**snapshot, "rows": ["0"] * 6})
+
+    def test_reheat_records_new_minimum(self):
+        # The freeze after iteration 120 reheats onto a pp-4 tournament while
+        # the best so far is 5; that tournament is the record.
+        cfg = AnnealConfig(iterations=200, initial_temperature=0.8,
+                           cooling_rate=0.5, moves_per_step=6, seed=40)
+        recs = list(anneal_min_pp(6, 2, cfg))
+        assert [(r.iteration, r.pp) for r in recs] == [(0, 6), (1, 5), (120, 4)]
+        for r in recs:
+            assert verify_power_path(r.tournament, r.witness)[0]
+
+    def test_reheating_chains_record_verified_drops(self):
+        # Cooling 0.5 freezes and reheats every 20 iterations.
+        for seed in range(20):
+            cfg = AnnealConfig(iterations=100, initial_temperature=0.8,
+                               cooling_rate=0.5, moves_per_step=6, seed=seed)
+            recs = list(anneal_min_pp(4 + seed % 4, 2, cfg))
+            values = [r.pp for r in recs]
+            assert all(a > b for a, b in zip(values, values[1:])), (seed, values)
+            for r in recs:
+                assert verify_power_path(r.tournament, r.witness)[0], (seed, r.iteration)
 
 
 class TestFlip:
