@@ -276,21 +276,22 @@ def _emit_record_files(out_dir: Path, tag: str, rec: SearchRecord) -> str:
     return wit_json.name
 
 
-def _run_anneal_chain(args: tuple) -> tuple[int, list, list]:
-    """Worker: one chain; returns (chain_id, (tag, record) specs, end state)."""
-    chain_id, n, k, cfg, budget_states, stop_after, resume_state = args
-    budget = SolveBudget(max_states=budget_states)
-    if resume_state is None:
-        chain = AnnealChain(n, k, cfg, budget)
-    else:
-        chain = AnnealChain.from_state(n, k, cfg, budget, resume_state)
+def _record_tag(chain_id: int, rec: SearchRecord) -> str:
     # A chain emits a record only when its best pp strictly drops, so the pp
     # makes the tag unique even for several records of one iteration.
-    specs = [
-        (f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}", rec)
-        for rec in chain.run(stop_after)
-    ]
-    return chain_id, specs, [chain.iteration < cfg.iterations, chain.state_dict()]
+    return f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}"
+
+
+def _run_anneal_chain(args: tuple) -> tuple[int, list]:
+    """Worker: one fresh chain run to its last iteration; returns
+    (chain_id, (tag, record) specs)."""
+    chain_id, n, k, cfg, budget = args
+    chain = AnnealChain(n, k, cfg, budget)
+    return chain_id, [(_record_tag(chain_id, rec), rec) for rec in chain.run()]
+
+
+def _write_search_csv(csv_path: Path, rows: list[str]) -> None:
+    csv_path.write_text(_SEARCH_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
@@ -305,6 +306,29 @@ def cmd_search(ns: argparse.Namespace) -> int:
         raise UsageError("--checkpoint-every requires --chains 1")
     elif ns.stop_after is not None and ns.chains != 1:
         raise UsageError("--stop-after requires --chains 1")
+    elif ns.checkpoint_every < 0:
+        raise UsageError("--checkpoint-every must be >= 0")
+    if ns.mode == "anneal":
+        budget = SolveBudget(max_states=ns.budget_states)
+        cfgs = [
+            AnnealConfig(
+                iterations=ns.iters,
+                initial_temperature=ns.temp,
+                cooling_rate=ns.cool,
+                moves_per_step=ns.moves,
+                seed=derive_seed(ns.seed, "chain", c),
+            )
+            for c in range(ns.chains)
+        ]
+        chain, prior_rows = None, []
+        if ns.resume:
+            # A checkpoint of another n, k, config or budget raises
+            # ValueError, a usage error, before any output exists.
+            ck = json.loads(Path(ns.resume).read_text())
+            chain = AnnealChain.from_state(ns.n, ns.k, cfgs[0], budget, ck["state"])
+            prior_rows = ck["rows"]
+        elif ns.chains == 1:
+            chain = AnnealChain(ns.n, ns.k, cfgs[0], budget)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
@@ -329,51 +353,50 @@ def cmd_search(ns: argparse.Namespace) -> int:
             tournament=witness_t,
         )
         name = _emit_record_files(out_dir, "enum", rec)
-        rows = [_record_to_row(rec, name)]
-        csv_path.write_text(_SEARCH_CSV_HEADER + "\n" + "\n".join(rows) + "\n")
+        _write_search_csv(csv_path, [_record_to_row(rec, name)])
         _write_manifest(out_dir / "manifest.json", manifest)
         print(f"min_pp={mn} count={count}")
         return EXIT_OK
 
-    # anneal mode
-    resume_state = None
-    prior_rows: list[str] = []
-    if ns.resume:
-        ck = json.loads(Path(ns.resume).read_text())
-        resume_state = ck["state"]
-        prior_rows = ck["rows"]
-    jobs = []
-    for c in range(ns.chains):
-        cfg = AnnealConfig(
-            iterations=ns.iters,
-            initial_temperature=ns.temp,
-            cooling_rate=ns.cool,
-            moves_per_step=ns.moves,
-            seed=derive_seed(ns.seed, "chain", c),
-        )
-        jobs.append(
-            (c, ns.n, ns.k, cfg, ns.budget_states, ns.stop_after,
-             resume_state if c == 0 else None)
-        )
-    results = _map(_run_anneal_chain, jobs)
+    if chain is None:
+        results = _map(_run_anneal_chain,
+                       [(c, ns.n, ns.k, cfg, budget) for c, cfg in enumerate(cfgs)])
+        rows = [
+            _record_to_row(rec, _emit_record_files(out_dir, tag, rec))
+            for _, specs in sorted(results)
+            for tag, rec in specs
+        ]
+        _write_search_csv(csv_path, rows)
+        _write_manifest(out_dir / "manifest.json", manifest)
+        return _report_search(rows, stopped=False)
+
+    # One chain: it runs here, in segments that end at every multiple of
+    # --checkpoint-every and at the --stop-after point; each segment's
+    # records, the CSV so far and a checkpoint go to disk before the next.
     rows = list(prior_rows)
-    stopped_any = False
-    final_state = None
-    for chain_id, specs, (stopped, state) in sorted(results):
-        for tag, rec in specs:
-            name = _emit_record_files(out_dir, tag, rec)
-            rows.append(_record_to_row(rec, name))
-        stopped_any = stopped_any or stopped
-        if chain_id == 0:
-            final_state = state
-    csv_path.write_text(_SEARCH_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
-    if ns.checkpoint_every or stopped_any:
-        ck = {"state": final_state, "rows": rows}
-        (out_dir / "checkpoint.json").write_bytes(_json_bytes(ck))
+    end = ns.iters if ns.stop_after is None else min(ns.iters, chain.iteration + ns.stop_after)
+    every = ns.checkpoint_every
+    while True:
+        steps = end - chain.iteration
+        if every:
+            steps = min(steps, every - chain.iteration % every)
+        for rec in chain.run(steps):
+            rows.append(_record_to_row(rec, _emit_record_files(out_dir, _record_tag(0, rec), rec)))
+        _write_search_csv(csv_path, rows)
+        stopped = chain.iteration < ns.iters
+        if every or stopped:
+            ck = {"state": chain.state_dict(), "rows": rows}
+            (out_dir / "checkpoint.json").write_bytes(_json_bytes(ck))
+        if chain.iteration >= end:
+            break
     _write_manifest(out_dir / "manifest.json", manifest)
+    return _report_search(rows, stopped)
+
+
+def _report_search(rows: list[str], stopped: bool) -> int:
     best = min((int(r.split(",")[3]) for r in rows), default=-1)
     print(f"records={len(rows)} best_pp={best}")
-    return EXIT_BUDGET if stopped_any else EXIT_OK
+    return EXIT_BUDGET if stopped else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

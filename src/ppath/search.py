@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 from .exact import (
@@ -257,11 +257,17 @@ class AnnealChain:
         budget: Optional[SolveBudget],
         state: dict,
     ) -> "AnnealChain":
-        """Chain resumed from a ``state_dict``; raises ValueError when the
-        checkpoint's n or k differ or its rows are not a tournament."""
-        if state["n"] != n or state["k"] != k:
-            raise ValueError("checkpoint does not match this chain")
+        """Chain resumed from a ``state_dict``; raises ValueError naming the
+        first of n, k, the config fields and the budget fields that differs
+        from this chain's, or when the checkpoint's rows are not a
+        tournament."""
         chain = cls(n, k, cfg, budget)
+        for name, value in chain._identity().items():
+            if state.get(name) != value:
+                raise ValueError(
+                    f"checkpoint does not match this chain: {name} is "
+                    f"{state.get(name)!r} there, {value!r} here"
+                )
         chain.rng.setstate(state["rng"])
         chain.t = Tournament.from_rows(int(r, 16) for r in state["rows"])
         chain.temperature = float.fromhex(state["temperature"])
@@ -335,10 +341,21 @@ class AnnealChain:
         while self.iteration < end:
             yield from self.step()
 
-    def state_dict(self) -> dict:
+    def _identity(self) -> dict:
+        """The ``state_dict`` fields a checkpoint must match to resume this
+        chain: n, k, every config field and the solve budget, in the order
+        ``from_state`` checks them."""
         return {
             "n": self.n,
             "k": self.k,
+            **asdict(self.cfg),
+            "max_states": self.budget.max_states,
+            "max_millis": self.budget.max_millis,
+        }
+
+    def state_dict(self) -> dict:
+        return {
+            **self._identity(),
             "rng": self.rng.getstate(),
             "rows": [f"{r:x}" for r in self.t.rows],
             "temperature": self.temperature.hex(),

@@ -60,3 +60,57 @@ def relabel(t: Tournament, perm: list[int]) -> Tournament:
             if t.has_edge(i, j):
                 rows[perm[i]] |= 1 << perm[j]
     return Tournament.from_rows(rows)
+
+
+def reference_greedy_mask(t: Tournament, mask: int, k: int, rng) -> tuple[int, ...]:
+    """The greedy as first written: one popcount per candidate per step.
+
+    Kept as the reference the bit-sliced ``exact._greedy_mask`` must match,
+    picks and rng draws alike: the candidate with the most out-neighbors
+    among the unused vertices of ``mask``, ties broken by one ``rng.choice``
+    over the tied candidates in ascending label order.
+    """
+    rows = t.rows
+    seq: list[int] = []
+    used = 0
+    while True:
+        unused = mask & ~used
+        cand = unused
+        for u in seq[-k:]:
+            cand &= rows[u]
+        if not cand:
+            return tuple(seq)
+        best = -1
+        picks: list[int] = []
+        m = cand
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            d = (rows[v] & unused).bit_count()
+            if d > best:
+                best, picks = d, [v]
+            elif d == best:
+                picks.append(v)
+        v = picks[0] if len(picks) == 1 else rng.choice(picks)
+        seq.append(v)
+        used |= 1 << v
+
+
+def triangle_chain(n: int) -> Tournament:
+    """Directed triangles {3i, 3i+1, 3i+2} in transitive order, then n mod 3
+    single vertices: every vertex beats each later block, and 3i -> 3i+1 ->
+    3i+2 -> 3i inside a triangle. Its square paths have at most ceil(2n/3)
+    vertices. Rows are built with bitset arithmetic, O(n) big-int operations.
+    """
+    full = (1 << n) - 1
+    tri = n - n % 3
+    rows = []
+    for v in range(n):
+        if v < tri:
+            start = v - v % 3
+            nxt = start + (v - start + 1) % 3
+            rows.append((full >> (start + 3) << (start + 3)) | 1 << nxt)
+        else:
+            rows.append(full >> (v + 1) << (v + 1))
+    return Tournament.from_rows(rows)

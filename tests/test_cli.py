@@ -2,8 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ppath.cli import main
 from ppath.exact import longest_power_path_exact
+from ppath.search import AnnealChain
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
 
@@ -175,6 +178,10 @@ class TestSearch:
             assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "s").exists()
+        assert run(["search", "--mode", "anneal", "--n", 6, "--checkpoint-every", -1,
+                    "--out-dir", tmp_path / "s"]) == 2
+        assert "--checkpoint-every must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -188,6 +195,38 @@ class TestSearch:
         base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120]
         assert run(base + ["--out-dir", full]) == 0
         assert run(base + ["--stop-after", 40, "--out-dir", part]) == 3
+        assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
+        assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
+
+    def test_resume_under_another_seed_is_usage_error(self, tmp_path, capsys):
+        part = tmp_path / "part"
+        base = ["search", "--mode", "anneal", "--n", 6, "--iters", 120, "--out-dir", part]
+        assert run(base + ["--seed", 5, "--stop-after", 2]) == 3
+        before = (part / "results.csv").read_bytes()
+        capsys.readouterr()
+        assert run(base + ["--seed", 6, "--resume", part / "checkpoint.json"]) == 2
+        assert "does not match this chain: seed " in capsys.readouterr().err
+        assert (part / "results.csv").read_bytes() == before
+
+    def test_checkpoint_every_resumes_a_killed_run(self, tmp_path, monkeypatch):
+        full, part = tmp_path / "full", tmp_path / "part"
+        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120,
+                "--checkpoint-every", 10]
+        assert run(base + ["--out-dir", full]) == 0
+
+        step = AnnealChain.step
+
+        def dies_after_35(chain):
+            if chain.iteration == 35:
+                raise RuntimeError("killed")
+            return step(chain)
+
+        monkeypatch.setattr(AnnealChain, "step", dies_after_35)
+        with pytest.raises(RuntimeError, match="killed"):
+            run(base + ["--out-dir", part])
+        monkeypatch.setattr(AnnealChain, "step", step)
+        ck = json.loads((part / "checkpoint.json").read_text())
+        assert ck["state"]["iteration"] == 30
         assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
         assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
 

@@ -5,18 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, brute_first_longest, brute_longest_power
+from conftest import (
+    GOLDEN,
+    brute_first_longest,
+    brute_longest_power,
+    reference_greedy_mask,
+    triangle_chain,
+)
 from ppath.exact import (
     BudgetExceededError,
     InvalidLabelError,
     PowerPath,
     SolveBudget,
+    _greedy_mask,
     greedy_power_path,
     hamiltonian_path_insertion,
     longest_power_path_exact,
     pp_value,
     verify_power_path,
 )
+from ppath.rng import Rng
 from ppath.tournament import (
     VertexSet,
     induced,
@@ -133,6 +141,52 @@ class TestGreedy:
     def test_deterministic_per_seed(self):
         t = random_tournament(20, 9)
         assert greedy_power_path(t, 2, seed=4) == greedy_power_path(t, 2, seed=4)
+
+    def test_matches_reference_picks_and_draws(self):
+        # Rotational tournaments exist at odd order only (an even n builds
+        # n + 1); every degree starts tied, so rng.choice runs from the first
+        # pick. The triangle chain ties inside each triangle.
+        families = {
+            "random": lambda n: random_tournament(n, 7 * n + 1),
+            "transitive": transitive,
+            "rotational": lambda n: rotational(n | 1, range(1, (n | 1) // 2 + 1)),
+            "triangle_chain": triangle_chain,
+        }
+        sizes = [*range(1, 40), 63, 64, 65, 100, 257, 1024]
+        draws = 0
+        for name, make in families.items():
+            for n in sizes:
+                t = make(n)
+                pick = Rng(n)
+                members = [v for v in range(t.n) if pick.randrange(2)]
+                sparse = [v for v in range(t.n) if pick.randrange(8) == 0]
+                masks = {
+                    "full": t.full_mask,
+                    "random": sum(1 << v for v in members),
+                    "sparse": sum(1 << v for v in sparse),
+                }
+                for mask_name, mask in masks.items():
+                    for k in (1, 2, 3):
+                        seed = (n << 4) | k
+                        ours, ref = Rng(seed), Rng(seed)
+                        got = _greedy_mask(t, mask, k, ours)
+                        want = reference_greedy_mask(t, mask, k, ref)
+                        case = (name, n, mask_name, k)
+                        assert got == want, case
+                        assert ours.getstate() == ref.getstate(), case
+                        draws += ours.getstate() != Rng(seed).getstate()
+        assert draws > 0
+
+    @pytest.mark.parametrize("n", [3072, 3073, 3074])
+    def test_triangle_chain_floor_at_scale(self, n):
+        t = triangle_chain(n)
+        p = greedy_power_path(t, 2, seed=0)
+        assert verify_power_path(t, p)[0]
+        assert len(p) == -(-2 * n // 3)
+
+    def test_triangle_chain_is_extremal(self):
+        for n in range(1, 8):
+            assert pp_value(triangle_chain(n)) == -(-2 * n // 3), n
 
 
 class TestPpValue:

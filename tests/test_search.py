@@ -168,6 +168,35 @@ class TestAnneal:
         with pytest.raises(ValueError):
             AnnealChain.from_state(6, 2, cfg, None, {**snapshot, "rows": ["0"] * 6})
 
+    def test_from_state_names_first_mismatch(self):
+        cfg = AnnealConfig(iterations=20, moves_per_step=4, seed=13)
+        chain = AnnealChain(6, 2, cfg, SolveBudget(max_states=500))
+        list(chain.run(5))
+        snapshot = json.loads(json.dumps(chain.state_dict()))
+        for other, budget, field in [
+            (cfg, SolveBudget(max_states=500), None),
+            (AnnealConfig(iterations=20, moves_per_step=4, seed=14),
+             SolveBudget(max_states=500), "seed"),
+            (AnnealConfig(iterations=30, moves_per_step=4, seed=14),
+             SolveBudget(max_states=500), "iterations"),
+            (AnnealConfig(iterations=20, cooling_rate=0.9, moves_per_step=4, seed=13),
+             SolveBudget(max_states=500), "cooling_rate"),
+            (cfg, SolveBudget(max_states=600), "max_states"),
+            (cfg, SolveBudget(max_states=500, max_millis=10), "max_millis"),
+        ]:
+            if field is None:
+                resumed = AnnealChain.from_state(6, 2, other, budget, snapshot)
+                assert resumed.state_dict() == snapshot
+                continue
+            with pytest.raises(ValueError, match=f"does not match this chain: {field} "):
+                AnnealChain.from_state(6, 2, other, budget, snapshot)
+        # A checkpoint that predates the stored config cannot be checked.
+        legacy = {key: snapshot[key] for key in ("n", "k", "rng", "rows", "temperature",
+                                                 "iteration", "cur_pp", "cur_bound",
+                                                 "best_pp")}
+        with pytest.raises(ValueError, match="iterations"):
+            AnnealChain.from_state(6, 2, cfg, SolveBudget(max_states=500), legacy)
+
     def test_reheat_records_new_minimum(self):
         # The freeze after iteration 120 reheats onto a pp-4 tournament while
         # the best so far is 5; that tournament is the record.
