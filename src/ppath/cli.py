@@ -296,6 +296,8 @@ def _write_search_csv(csv_path: Path, rows: list[str]) -> None:
 
 def cmd_search(ns: argparse.Namespace) -> int:
     if ns.mode == "enumerate":
+        if ns.n < 1:
+            raise UsageError("--n must be >= 1")
         if ns.n > 7:
             raise UsageError("enumeration is limited to n <= 7; use --mode anneal")
     elif ns.n < 2:
@@ -308,6 +310,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
         raise UsageError("--stop-after requires --chains 1")
     elif ns.checkpoint_every < 0:
         raise UsageError("--checkpoint-every must be >= 0")
+    elif ns.stop_after is not None and ns.stop_after < 0:
+        raise UsageError("--stop-after must be >= 0")
     if ns.mode == "anneal":
         budget = SolveBudget(max_states=ns.budget_states)
         cfgs = [

@@ -7,7 +7,9 @@ over (used-vertex bitset, tuple of the last min(k, len) vertices) states,
 memoized, so its answer is exact whenever the state budget is not exhausted;
 on exhaustion it returns the best witness found so far, flagged as a lower
 bound. The witness is the first maximum-length prefix the walk visits, which
-is the lexicographically least maximum sequence.
+is the lexicographically least maximum sequence. The walk stops at the first
+spanning prefix, and skips a state whose unused reachable vertices cannot
+make a prefix longer than the best one so far.
 """
 
 from __future__ import annotations
@@ -118,6 +120,12 @@ def longest_power_path_exact(
     memo lookup, before a new state is expanded, so results are reproducible
     whenever max_millis is None. When the budget trips the best prefix so far
     is returned with optimal=False.
+
+    The first n-vertex prefix ends the walk. A state is pruned (it enters the
+    memo unexpanded, and counts in ``states``) when its prefix length plus
+    the vertices reachable from its candidates by out-arcs among the unused
+    vertices is at most the best length so far: no completion of it can be
+    longer, and the best length only grows, so the witness is unchanged.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -148,6 +156,8 @@ def longest_power_path_exact(
             used |= b
             if len(prefix) > len(best):
                 best = tuple(prefix)
+                if len(best) == n:
+                    return ExactResult(PowerPath(k, best), True, len(memo))
             tail = prefix[-k:]
             child = 1
             for u in tail:
@@ -163,11 +173,27 @@ def longest_power_path_exact(
                 and time.monotonic() > deadline
             ):
                 return ExactResult(PowerPath(k, best), False, len(memo))
+            free = full & ~used
+            nxt = free
+            for u in tail:
+                nxt &= rows[u]
+            # Every later vertex is an out-neighbour of the one before it, so
+            # all of them lie in the closure of nxt under out-arcs in free.
+            room = len(best) - len(prefix)
+            reach = frontier = nxt
+            while frontier and reach.bit_count() <= room:
+                c = frontier & -frontier
+                grown = rows[c.bit_length() - 1] & free & ~reach
+                reach |= grown
+                frontier = (frontier ^ c) | grown
+            if reach.bit_count() <= room:
+                memo.add(child)
+                prefix.pop()
+                used ^= b
+                continue
             stack.append((cand, key))
             key = child
-            cand = full & ~used
-            for u in tail:
-                cand &= rows[u]
+            cand = nxt
         elif stack:
             memo.add(key)
             cand, key = stack.pop()

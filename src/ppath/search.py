@@ -46,13 +46,16 @@ def flip_edge(t: Tournament, i: int, j: int) -> Tournament:
 def _refinement_classes(t: Tournament) -> list[list[int]]:
     """Iterated degree refinement; classes come out in a label-invariant order."""
     n = t.n
-    color = [t.out_degree(v) for v in range(n)]
+    rows = t.rows
+    outs = [[u for u in range(n) if (rows[v] >> u) & 1] for v in range(n)]
+    ins = [[u for u in range(n) if (rows[u] >> v) & 1] for v in range(n)]
+    color = [len(out) for out in outs]
     while True:
-        keys = []
-        for v in range(n):
-            outs = sorted(color[u] for u in range(n) if t.has_edge(v, u))
-            ins = sorted(color[u] for u in range(n) if t.has_edge(u, v))
-            keys.append((color[v], tuple(outs), tuple(ins)))
+        keys = [
+            (color[v], tuple(sorted(color[u] for u in outs[v])),
+             tuple(sorted(color[u] for u in ins[v])))
+            for v in range(n)
+        ]
         ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
         new_color = [ranking[keys[v]] for v in range(n)]
         if new_color == color:

@@ -1,4 +1,5 @@
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -97,6 +98,28 @@ def reference_greedy_mask(t: Tournament, mask: int, k: int, rng) -> tuple[int, .
         used |= 1 << v
 
 
+def reference_refinement_classes(t: Tournament) -> list[list[int]]:
+    """The degree refinement as first written: 2 n^2 ``has_edge`` calls per
+    round. Kept as the reference ``search._refinement_classes`` must match."""
+    n = t.n
+    color = [t.out_degree(v) for v in range(n)]
+    while True:
+        keys = []
+        for v in range(n):
+            outs = sorted(color[u] for u in range(n) if t.has_edge(v, u))
+            ins = sorted(color[u] for u in range(n) if t.has_edge(u, v))
+            keys.append((color[v], tuple(outs), tuple(ins)))
+        ranking = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+        new_color = [ranking[keys[v]] for v in range(n)]
+        if new_color == color:
+            break
+        color = new_color
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(color[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
 def triangle_chain(n: int) -> Tournament:
     """Directed triangles {3i, 3i+1, 3i+2} in transitive order, then n mod 3
     single vertices: every vertex beats each later block, and 3i -> 3i+1 ->
@@ -114,3 +137,18 @@ def triangle_chain(n: int) -> Tournament:
         else:
             rows.append(full >> (v + 1) << (v + 1))
     return Tournament.from_rows(rows)
+
+
+def blowup(rows: Sequence[int]) -> Tournament:
+    """Each vertex a of the tournament with out-neighbour bitsets ``rows``
+    becomes the directed triangle 3a -> 3a+1 -> 3a+2 -> 3a, and every arc
+    a -> b becomes the nine arcs from a's triangle to b's."""
+    out = []
+    for a, r in enumerate(rows):
+        block = 0
+        for b in range(len(rows)):
+            if (r >> b) & 1:
+                block |= 7 << 3 * b
+        for i in range(3):
+            out.append(block | 1 << 3 * a + (i + 1) % 3)
+    return Tournament.from_rows(out)

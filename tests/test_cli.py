@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
-from ppath.exact import longest_power_path_exact
+from ppath.exact import PowerPath, longest_power_path_exact, verify_power_path
 from ppath.search import AnnealChain
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
@@ -64,17 +65,26 @@ class TestSolve:
         assert length <= 30
 
     def test_budget_trip_on_deep_instance_exits_3_with_witness(self, tmp_path):
+        trn = tmp_path / "c1500.trn"
+        t = triangle_chain(1500)
+        save_trn(t, trn)
+        assert run(["solve", "--exact", "-k", 2, "--budget-states", 1000, trn]) == 3
+        data = json.loads((tmp_path / "c1500.trn.witness.json").read_text())
+        assert data == {"k": 2, "vertices": [v for v in range(1500) if v % 3 != 2]}
+        assert verify_power_path(t, PowerPath(2, tuple(data["vertices"])))[0]
+
+    def test_deep_spanning_instance_is_optimal(self, tmp_path):
         trn = tmp_path / "t1500.trn"
         save_trn(transitive(1500), trn)
-        assert run(["solve", "--exact", "-k", 2, "--budget-states", 1000, trn]) == 3
+        assert run(["solve", "--exact", "-k", 2, "--budget-states", 1000, trn]) == 0
         data = json.loads((tmp_path / "t1500.trn.witness.json").read_text())
         assert data == {"k": 2, "vertices": list(range(1500))}
 
     def test_budget_exhaustion_exits_3_with_witness(self, tmp_path):
-        trn = tmp_path / "r14.trn"
-        save_trn(random_tournament(14, 5), trn)
+        trn = tmp_path / "b18.trn"
+        save_trn(blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows), trn)
         assert run(["solve", "--exact", "-k", 2, "--budget-states", 100, trn]) == 3
-        data = json.loads((tmp_path / "r14.trn.witness.json").read_text())
+        data = json.loads((tmp_path / "b18.trn.witness.json").read_text())
         assert data["vertices"]
 
     def test_malformed_input_exits_2(self, tmp_path):
@@ -166,6 +176,18 @@ class TestSearch:
     def test_enumerate_large_n_rejected(self, tmp_path):
         assert run(["search", "--mode", "enumerate", "--n", 9,
                     "--out-dir", tmp_path / "s"]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_enumerate_empty_n_rejected(self, tmp_path, capsys):
+        assert run(["search", "--mode", "enumerate", "--n", 0,
+                    "--out-dir", tmp_path / "s"]) == 2
+        assert "--n must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_negative_stop_after_rejected(self, tmp_path, capsys):
+        assert run(["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 20,
+                    "--stop-after", -5, "--out-dir", tmp_path / "s"]) == 2
+        assert "--stop-after must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_single_chain_flags_rejected_with_two_chains(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN,
+    blowup,
     brute_first_longest,
     brute_longest_power,
     reference_greedy_mask,
@@ -25,6 +27,7 @@ from ppath.exact import (
     verify_power_path,
 )
 from ppath.rng import Rng
+from ppath.trn import load_trn
 from ppath.tournament import (
     VertexSet,
     induced,
@@ -74,14 +77,31 @@ class TestExactSolver:
         assert brute_longest_power(t, 2) == 2
 
     def test_agrees_with_brute_enumeration(self):
-        for seed in range(12):
-            n = 4 + seed % 4  # 4..7
-            t = random_tournament(n, seed)
+        # Random tournaments mostly have pp = n; triangle chains and blow-ups
+        # of the n = 6 minimizer's induced subtournaments have pp < n, where
+        # the reachability prune fires.
+        minimizer = load_trn(GOLDEN / "min_pp_n6.trn")
+        cases = [(f"random{seed}", random_tournament(4 + seed % 4, seed))
+                 for seed in range(12)]
+        cases += [(f"triangle_chain{n}", triangle_chain(n)) for n in range(1, 13)]
+        for size in (1, 2, 3):
+            for members in combinations(range(6), size):
+                sub, _ = induced(minimizer, VertexSet.from_iterable(members, 6))
+                cases.append((f"blowup{members}", blowup(sub.rows)))
+        for name, t in cases:
             for k in (1, 2, 3):
                 res = longest_power_path_exact(t, k)
                 assert res.optimal
-                assert res.path.vertices == brute_first_longest(t, k), (n, seed, k)
+                assert res.path.vertices == brute_first_longest(t, k), (name, k)
                 assert verify_power_path(t, res.path)[0]
+
+    def test_blowup_of_minimizer_is_pruned(self):
+        # Without the early exit and the prune the walk took 304,407 states.
+        t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
+        res = longest_power_path_exact(t, 2)
+        assert res.optimal and res.states < 10**5
+        assert res.path.vertices == (0, 15, 16, 12, 13, 1, 2, 17, 3, 9, 10, 6, 7, 4, 5, 11)
+        assert verify_power_path(t, res.path)[0]
 
     def test_lexicographic_witness_is_stable(self):
         t = rotational(3, {1})
@@ -89,7 +109,7 @@ class TestExactSolver:
         assert res.path.vertices == (0, 1)
 
     def test_budget_exhaustion_returns_flagged_lower_bound(self):
-        t = random_tournament(14, 5)
+        t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
         full = longest_power_path_exact(t, 2)
         capped = longest_power_path_exact(t, 2, SolveBudget(max_states=200))
         assert not capped.optimal
@@ -97,13 +117,19 @@ class TestExactSolver:
         assert len(capped.path) <= len(full.path)
 
     def test_deep_walk_budget_trip_keeps_witness(self):
-        # A 1500-vertex prefix is 1500 levels deep; the walk keeps no call
-        # stack, and the trip returns the spanning prefix it already visited.
-        t = transitive(1500)
+        # A 1000-vertex prefix is 1000 levels deep; the walk keeps no call
+        # stack, and the trip returns the deepest prefix it already visited.
+        t = triangle_chain(1500)
         res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
         assert not res.optimal and res.states == 1000
-        assert res.path.vertices == tuple(range(1500))
+        assert res.path.vertices == tuple(v for v in range(1500) if v % 3 != 2)
         assert verify_power_path(t, res.path)[0]
+
+    def test_deep_walk_stops_at_spanning_prefix(self):
+        t = transitive(1500)
+        res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
+        assert res.optimal and res.states == 0
+        assert res.path.vertices == tuple(range(1500))
 
     def test_solve_leaves_no_cyclic_garbage(self):
         t = random_tournament(9, 4)
@@ -201,7 +227,7 @@ class TestPpValue:
         assert pp_value(rotational(7, {1, 2, 4})) == golden["pp_rotational7_qr"]
 
     def test_budget_propagates_with_work(self):
-        t = random_tournament(14, 2)
+        t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
         with pytest.raises(BudgetExceededError) as info:
             pp_value(t, SolveBudget(max_states=100))
         assert verify_power_path(t, info.value.result.path)[0]
@@ -277,8 +303,6 @@ class TestHigherOrders:
     def test_k_at_least_n_finds_largest_transitive_subset(self):
         # With k >= n-1 a valid sequence is exactly a transitively ordered
         # subset, so the answer matches a direct subset scan.
-        from itertools import combinations
-
         t = random_tournament(7, 3)
         best = 1
         for size in range(2, 8):

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GOLDEN, relabel
+from conftest import (
+    GOLDEN,
+    blowup,
+    reference_refinement_classes,
+    relabel,
+    triangle_chain,
+)
+from ppath import search
 from ppath.exact import SolveBudget, longest_power_path_exact, verify_power_path
 from ppath.rng import Rng
 from ppath.search import (
@@ -42,6 +49,17 @@ class TestFingerprint:
         perm = list(range(n))
         Rng(perm_seed).shuffle(perm)
         assert canonical_fingerprint(t) == canonical_fingerprint(relabel(t, perm))
+
+    def test_matches_reference_refinement(self, monkeypatch):
+        cases = [random_tournament(n, seed) for n in range(1, 11) for seed in range(8)]
+        cases += [triangle_chain(n) for n in range(1, 11)]
+        cases += [transitive(n) for n in range(1, 11)]
+        cases += [rotational(9, {1, 2, 3, 4}), rotational(7, {1, 2, 4})]
+        classes = [search._refinement_classes(t) for t in cases]
+        fps = [canonical_fingerprint(t) for t in cases]
+        monkeypatch.setattr(search, "_refinement_classes", reference_refinement_classes)
+        assert classes == [reference_refinement_classes(t) for t in cases]
+        assert fps == [canonical_fingerprint(t) for t in cases]
 
     def test_non_isomorphic_differ(self):
         assert canonical_fingerprint(rotational(3, {1})) != canonical_fingerprint(
@@ -147,8 +165,17 @@ class TestAnneal:
             assert min(r.pp for r in anneal_min_pp(5, 2, cfg)) >= floor
 
     def test_budget_bound_flag(self):
+        # The chain resumes on the 18-vertex blow-up of the n = 6 minimizer
+        # (pp = 16 < n), so every proposal is a pp < n instance that the
+        # 100-state proposal solves cannot settle.
         cfg = AnnealConfig(iterations=2, moves_per_step=2, seed=1)
-        recs = list(anneal_min_pp(12, 2, cfg, budget=SolveBudget(max_states=50)))
+        budget = SolveBudget(max_states=50)
+        chain = AnnealChain(18, 2, cfg, budget)
+        list(chain.run(0))
+        start = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
+        state = {**chain.state_dict(), "rows": [f"{r:x}" for r in start.rows],
+                 "cur_pp": 16, "cur_bound": False, "best_pp": 19}
+        recs = list(AnnealChain.from_state(18, 2, cfg, budget, state).run())
         assert recs and all(r.bound_flag for r in recs)
         for r in recs:
             assert verify_power_path(r.tournament, r.witness)[0]
