@@ -295,6 +295,8 @@ def _write_search_csv(csv_path: Path, rows: list[str]) -> None:
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
+    if ns.k < 1:
+        raise UsageError("-k must be >= 1")
     if ns.mode == "enumerate":
         if ns.n < 1:
             raise UsageError("--n must be >= 1")
@@ -302,6 +304,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
             raise UsageError("enumeration is limited to n <= 7; use --mode anneal")
     elif ns.n < 2:
         raise UsageError("--n must be >= 2 for --mode anneal")
+    elif ns.chains < 1:
+        raise UsageError("--chains must be >= 1")
     elif ns.resume and ns.chains != 1:
         raise UsageError("--resume requires --chains 1")
     elif ns.checkpoint_every and ns.chains != 1:

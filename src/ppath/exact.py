@@ -9,7 +9,9 @@ on exhaustion it returns the best witness found so far, flagged as a lower
 bound. The witness is the first maximum-length prefix the walk visits, which
 is the lexicographically least maximum sequence. The walk stops at the first
 spanning prefix, and skips a state whose unused reachable vertices cannot
-make a prefix longer than the best one so far.
+make a prefix longer than the best one so far. A ``target`` makes it a
+decision procedure: the walk also stops at the first prefix of ``target``
+vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
 """
 
 from __future__ import annotations
@@ -106,7 +108,11 @@ def verify_power_path(
 
 
 def longest_power_path_exact(
-    t: Tournament, k: int, budget: Optional[SolveBudget] = None
+    t: Tournament,
+    k: int,
+    budget: Optional[SolveBudget] = None,
+    *,
+    target: Optional[int] = None,
 ) -> ExactResult:
     """Maximum-order k-th power of a path, with a deterministic witness.
 
@@ -126,11 +132,21 @@ def longest_power_path_exact(
     the vertices reachable from its candidates by out-arcs among the unused
     vertices is at most the best length so far: no completion of it can be
     longer, and the best length only grows, so the witness is unchanged.
+
+    ``target`` (None means n; a value above n acts as n; below 1 raises
+    ValueError) ends the walk at the first prefix of ``target`` vertices.
+    The best length grows one vertex at a time, so that prefix is reached
+    exactly when pp >= target; when pp < target the walk and its result are
+    those of the call without ``target``. ``optimal`` means the budget did
+    not trip: the path is a maximum, or it has ``target`` vertices.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if target is not None and target < 1:
+        raise ValueError("target must be >= 1")
     budget = budget or DEFAULT_BUDGET
     n = t.n
+    goal = n if target is None else min(target, n)
     rows = t.rows
     full = (1 << n) - 1
     shift = max(7, n.bit_length())
@@ -156,7 +172,7 @@ def longest_power_path_exact(
             used |= b
             if len(prefix) > len(best):
                 best = tuple(prefix)
-                if len(best) == n:
+                if len(best) == goal:
                     return ExactResult(PowerPath(k, best), True, len(memo))
             tail = prefix[-k:]
             child = 1

@@ -139,7 +139,9 @@ def enumerate_min_pp(
 
     Tournaments whose greedy witness already exceeds the running minimum are
     skipped without running the exact solver; greedy <= exact keeps the
-    minimum, witness and count exact.
+    minimum, witness and count exact. The solve of a survivor only decides
+    whether its pp is at most the running minimum: it stops at a prefix one
+    vertex longer (``target``), which changes neither minimum nor count.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -161,7 +163,7 @@ def enumerate_min_pp(
         t = _unchecked(tuple(rows))
         if len(_greedy_mask(t, t.full_mask, k, Rng(0))) > cur_min:
             continue
-        res = longest_power_path_exact(t, k, budget)
+        res = longest_power_path_exact(t, k, budget, target=cur_min + 1)
         if not res.optimal:
             raise RuntimeError("enumeration budget too small for exactness")
         got = len(res.path)
@@ -223,10 +225,13 @@ class AnnealChain:
     (the start, an accepted move or a reheat) to one whose pp is below every
     pp recorded so far, so recorded pp strictly drops. Each exact solve runs
     at twice the given budget; a solve that still exhausts it is kept as a
-    flagged lower bound. The objective caches ``(pp, bound)`` by fingerprint,
-    and a record's witness comes from a solve of the record's own
-    tournament. State (rng word, matrix, temperature, bookkeeping)
-    round-trips through ``state_dict``/``from_state`` for bit-exact resume.
+    flagged lower bound. The objective caches ``(pp, bound)`` by the labeled
+    rows, so a relabeling gets its own solve and a resumed chain, whose cache
+    starts empty, gets the bounds the uninterrupted chain got. Fingerprints
+    are computed for records only, and a record's witness comes from a solve
+    of the record's own tournament. State (rng word, matrix, temperature,
+    bookkeeping) round-trips through ``state_dict``/``from_state`` for
+    bit-exact resume.
     """
 
     def __init__(
@@ -249,7 +254,7 @@ class AnnealChain:
         self.temperature = cfg.initial_temperature
         self.iteration = 0
         self.best_pp = n + 1
-        self._cache: dict[str, tuple[int, bool]] = {}
+        self._cache: dict[tuple[int, ...], tuple[int, bool]] = {}
 
     @classmethod
     def from_state(
@@ -281,11 +286,10 @@ class AnnealChain:
         return chain
 
     def _objective(self, t: Tournament) -> tuple[int, bool]:
-        fp = canonical_fingerprint(t)
-        hit = self._cache.get(fp)
+        hit = self._cache.get(t.rows)
         if hit is None:
             res = longest_power_path_exact(t, self.k, self.budget)
-            hit = self._cache[fp] = (len(res.path), not res.optimal)
+            hit = self._cache[t.rows] = (len(res.path), not res.optimal)
         return hit
 
     def _move_to(self, t: Tournament, pp: int, bound: bool) -> list[SearchRecord]:

@@ -190,6 +190,20 @@ class TestSearch:
         assert "--stop-after must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_zero_chains_rejected(self, tmp_path, capsys):
+        for chains in (0, -1):
+            assert run(["search", "--mode", "anneal", "--n", 6, "--chains", chains,
+                        "--out-dir", tmp_path / "s"]) == 2
+            assert "--chains must be >= 1" in capsys.readouterr().err
+            assert not (tmp_path / "s").exists()
+
+    def test_zero_k_rejected_in_both_modes(self, tmp_path, capsys):
+        for mode in ("enumerate", "anneal"):
+            assert run(["search", "--mode", mode, "--n", 4, "-k", 0,
+                        "--out-dir", tmp_path / "s"]) == 2
+            assert "-k must be >= 1" in capsys.readouterr().err
+            assert not (tmp_path / "s").exists()
+
     def test_single_chain_flags_rejected_with_two_chains(self, tmp_path, capsys):
         base = ["search", "--mode", "anneal", "--n", 6, "--chains", 2]
         for flags, message in [

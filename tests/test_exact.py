@@ -63,6 +63,18 @@ class TestVerify:
             verify_power_path(transitive(3), PowerPath(2, (0, 7)))
 
 
+def _pruned_cases():
+    """Triangle chains and blow-ups of the n = 6 minimizer's induced
+    subtournaments: pp < n, where the reachability prune fires."""
+    minimizer = load_trn(GOLDEN / "min_pp_n6.trn")
+    cases = [(f"triangle_chain{n}", triangle_chain(n)) for n in range(1, 13)]
+    for size in (1, 2, 3):
+        for members in combinations(range(6), size):
+            sub, _ = induced(minimizer, VertexSet.from_iterable(members, 6))
+            cases.append((f"blowup{members}", blowup(sub.rows)))
+    return cases
+
+
 class TestExactSolver:
     def test_transitive_is_full_for_every_k(self):
         for n in (1, 4, 9, 12):
@@ -77,23 +89,34 @@ class TestExactSolver:
         assert brute_longest_power(t, 2) == 2
 
     def test_agrees_with_brute_enumeration(self):
-        # Random tournaments mostly have pp = n; triangle chains and blow-ups
-        # of the n = 6 minimizer's induced subtournaments have pp < n, where
-        # the reachability prune fires.
-        minimizer = load_trn(GOLDEN / "min_pp_n6.trn")
         cases = [(f"random{seed}", random_tournament(4 + seed % 4, seed))
                  for seed in range(12)]
-        cases += [(f"triangle_chain{n}", triangle_chain(n)) for n in range(1, 13)]
-        for size in (1, 2, 3):
-            for members in combinations(range(6), size):
-                sub, _ = induced(minimizer, VertexSet.from_iterable(members, 6))
-                cases.append((f"blowup{members}", blowup(sub.rows)))
-        for name, t in cases:
+        for name, t in cases + _pruned_cases():
             for k in (1, 2, 3):
                 res = longest_power_path_exact(t, k)
                 assert res.optimal
                 assert res.path.vertices == brute_first_longest(t, k), (name, k)
                 assert verify_power_path(t, res.path)[0]
+
+    def test_target_decides_pp_at_least_target(self):
+        cases = [(f"random{seed}", random_tournament(1 + seed % 9, seed))
+                 for seed in range(18)]
+        for name, t in cases + _pruned_cases():
+            for k in (1, 2, 3):
+                pp = brute_longest_power(t, k)
+                full = longest_power_path_exact(t, k)
+                for target in range(1, t.n + 2):
+                    res = longest_power_path_exact(t, k, target=target)
+                    assert res.optimal
+                    assert verify_power_path(t, res.path)[0]
+                    reached = len(res.path) >= min(target, t.n)
+                    assert reached == (pp >= min(target, t.n)), (name, k, target)
+                    if not reached:
+                        assert (res.path, res.optimal) == (full.path, full.optimal)
+                    if target >= t.n:
+                        assert res == full, (name, k, target)
+                with pytest.raises(ValueError, match="target"):
+                    longest_power_path_exact(t, k, target=0)
 
     def test_blowup_of_minimizer_is_pruned(self):
         # Without the early exit and the prune the walk took 304,407 states.

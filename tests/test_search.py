@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN,
+    ReferenceObjectiveChain,
     blowup,
     reference_refinement_classes,
     relabel,
@@ -244,6 +245,51 @@ class TestAnneal:
             assert all(a > b for a, b in zip(values, values[1:])), (seed, values)
             for r in recs:
                 assert verify_power_path(r.tournament, r.witness)[0], (seed, r.iteration)
+
+    def test_rows_cache_matches_fingerprint_cache(self):
+        # Unbudgeted solves are exact, so an isomorph's cached pp equals its
+        # own; cooling 0.5 reheats at iteration 20.
+        def fields(r):
+            return (r.iteration, r.pp, r.bound_flag, r.fingerprint, r.witness,
+                    r.tournament.rows)
+
+        for n in range(4, 11):
+            for cooling, temperature in ((0.95, 1.0), (0.5, 0.8)):
+                for seed in range(3):
+                    cfg = AnnealConfig(iterations=30, initial_temperature=temperature,
+                                       cooling_rate=cooling, moves_per_step=6, seed=seed)
+                    got = [fields(r) for r in AnnealChain(n, 2, cfg).run()]
+                    want = [fields(r) for r in ReferenceObjectiveChain(n, 2, cfg).run()]
+                    assert got == want, (n, cooling, seed)
+
+    def test_budgeted_resume_matches_uninterrupted_run(self):
+        # Proposal solves trip their 30-state cap, and a resumed chain starts
+        # with an empty cache. At seeds 0 and 1 a proposal after the resume
+        # point relabels one solved before it, so a fingerprint-keyed cache
+        # would hand it another bound than the uninterrupted chain used.
+        budget = SolveBudget(max_states=15)
+        for seed in range(4):
+            cfg = AnnealConfig(iterations=30, moves_per_step=6, seed=seed)
+            whole = list(AnnealChain(8, 2, cfg, budget).run())
+            chain = AnnealChain(8, 2, cfg, budget)
+            head = list(chain.run(15))
+            state = json.loads(json.dumps(chain.state_dict()))
+            tail = list(AnnealChain.from_state(8, 2, cfg, budget, state).run())
+            assert any(r.bound_flag for r in whole)
+            assert head + tail == whole, seed
+
+    def test_fingerprint_computed_once_per_record(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t.rows)
+            return canonical_fingerprint(t)
+
+        monkeypatch.setattr(search, "canonical_fingerprint", counting)
+        cfg = AnnealConfig(iterations=40, initial_temperature=0.8,
+                           cooling_rate=0.5, moves_per_step=6, seed=40)
+        recs = list(anneal_min_pp(8, 2, cfg))
+        assert calls == [r.tournament.rows for r in recs]
 
 
 class TestFlip:
