@@ -1,11 +1,13 @@
 """Command-line harness: gen / solve / find / verify / search / table / replay.
 
-Every subcommand that writes files also writes a RunManifest JSON next to
-them (resolved flags, seed, tool version, input hashes, output list);
+Every subcommand that writes files also writes a RunManifest JSON
+(resolved flags, seed, tool version, input hashes, output list), as
+``<output>.manifest.json`` or, for search, ``<out-dir>/manifest.json``;
 ``ppath replay manifest.json`` re-executes the recorded run, reproducing the
 outputs byte-for-byte (the table command's wall-clock millis column is the
 documented exception). Exit codes: 0 ok, 1 verification failure, 2
-usage/format error, 3 budget exhausted.
+usage/format error (a malformed replay manifest too), 3 budget exhausted,
+70 an emitted witness failed self-verification.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .search import (
 from .tournament import (
     InvalidResiduesError,
     InvalidSizeError,
+    Tournament,
     random_tournament,
     rotational,
     transitive,
@@ -53,6 +56,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 70
 MAX_EXACT_N = 18
 
 _SEARCH_CSV_HEADER = "n,k,fingerprint,pp,bound_flag,method,seed,witness_file"
@@ -60,6 +64,10 @@ _TABLE_CSV_HEADER = "n,seed,method,length,millis"
 
 
 class UsageError(Exception):
+    pass
+
+
+class InternalError(Exception):
     pass
 
 
@@ -103,30 +111,37 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n").encode()
 
 
-def _write_manifest(path: Path, manifest: RunManifest) -> None:
+def _write_manifest(path: Path, ns: argparse.Namespace, outputs: list, inputs=()) -> None:
+    """Record the run of ``ns`` (its parsed flags, for replay) at ``path``."""
+    manifest = RunManifest(
+        subcommand=ns.subcommand,
+        args={key: value for key, value in vars(ns).items() if key != "subcommand"},
+        seed=ns.seed,
+        input_hashes={name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                      for name in inputs},
+        outputs=[str(out) for out in outputs],
+    )
     path.write_bytes(_json_bytes(asdict(manifest)))
 
 
-def _witness_json_bytes(p: PowerPath) -> bytes:
-    return _json_bytes({"k": p.k, "vertices": list(p.vertices)})
+def _write_witness(t: Tournament, witness: PowerPath, out: Path) -> None:
+    """Write the witness JSON, once it verifies against ``t``."""
+    if not verify_power_path(t, witness)[0]:
+        raise InternalError("emitted witness failed self-verification")
+    out.write_bytes(_json_bytes({"k": witness.k, "vertices": list(witness.vertices)}))
+
+
+def _write_csv(path: Path, header: str, rows: list[str]) -> None:
+    path.write_text("".join(line + "\n" for line in [header, *rows]))
 
 
 def _read_witness(path: Path) -> PowerPath:
     data = json.loads(path.read_text())
     return PowerPath(int(data["k"]), tuple(int(v) for v in data["vertices"]))
-
-
-def _manifest_args(ns: argparse.Namespace) -> dict:
-    """The parsed flags of a run, as recorded for replay."""
-    return {key: value for key, value in vars(ns).items() if key != "subcommand"}
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +164,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
     else:  # pragma: no cover - argparse choices guard this
         raise UsageError(f"unknown type {ns.type}")
     save_trn(t, out)
-    manifest = RunManifest(
-        subcommand="gen",
-        args=_manifest_args(ns),
-        seed=ns.seed,
-        outputs=[str(out)],
-    )
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out])
     print(f"{out} n={t.n}")
     return EXIT_OK
 
@@ -180,19 +189,8 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     else:
         path = greedy_power_path(t, ns.k, seed=ns.seed)
         method = "greedy"
-    ok, _ = verify_power_path(t, path)
-    if not ok:
-        print("internal error: emitted witness failed self-verification", file=sys.stderr)
-        return 70
-    out.write_bytes(_witness_json_bytes(path))
-    manifest = RunManifest(
-        subcommand="solve",
-        args=_manifest_args(ns),
-        seed=ns.seed,
-        input_hashes={ns.input: _sha256_file(Path(ns.input))},
-        outputs=[str(out)],
-    )
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
+    _write_witness(t, path, out)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out], [ns.input])
     print(f"pp={len(path)} method={method} verified=true")
     return EXIT_BUDGET if exceeded else EXIT_OK
 
@@ -209,12 +207,8 @@ def cmd_find(ns: argparse.Namespace) -> int:
     )
     trace: Optional[list] = [] if ns.trace else None
     path = find_kth_power_path(t, ns.k, params, seed=ns.seed, trace=trace)
-    ok, _ = verify_power_path(t, path)
-    if not ok:
-        print("internal error: emitted witness failed self-verification", file=sys.stderr)
-        return 70
-    out.write_bytes(_witness_json_bytes(path))
-    outputs = [str(out)]
+    _write_witness(t, path, out)
+    outputs = [out]
     if ns.trace:
         lines = "".join(
             json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
@@ -222,14 +216,7 @@ def cmd_find(ns: argparse.Namespace) -> int:
         )
         Path(ns.trace).write_text(lines)
         outputs.append(ns.trace)
-    manifest = RunManifest(
-        subcommand="find",
-        args=_manifest_args(ns),
-        seed=ns.seed,
-        input_hashes={ns.input: _sha256_file(Path(ns.input))},
-        outputs=outputs,
-    )
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, outputs, [ns.input])
     print(f"len={len(path)} k={ns.k} verified=true")
     return EXIT_OK
 
@@ -264,15 +251,9 @@ def _record_to_row(rec: SearchRecord, witness_file: str) -> str:
 
 
 def _emit_record_files(out_dir: Path, tag: str, rec: SearchRecord) -> str:
-    if rec.tournament is not None:
-        ok, _ = verify_power_path(rec.tournament, rec.witness)
-        if not ok:
-            print("internal error: search record failed self-verification",
-                  file=sys.stderr)
-            raise SystemExit(70)
-        save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
     wit_json = out_dir / f"w_{tag}.json"
-    wit_json.write_bytes(_witness_json_bytes(rec.witness))
+    _write_witness(rec.tournament, rec.witness, wit_json)
+    save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
     return wit_json.name
 
 
@@ -288,10 +269,6 @@ def _run_anneal_chain(args: tuple) -> tuple[int, list]:
     chain_id, n, k, cfg, budget = args
     chain = AnnealChain(n, k, cfg, budget)
     return chain_id, [(_record_tag(chain_id, rec), rec) for rec in chain.run()]
-
-
-def _write_search_csv(csv_path: Path, rows: list[str]) -> None:
-    csv_path.write_text(_SEARCH_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
@@ -340,12 +317,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "results.csv"
-    manifest = RunManifest(
-        subcommand="search",
-        args=_manifest_args(ns),
-        seed=ns.seed,
-        outputs=[str(csv_path)],
-    )
     if ns.mode == "enumerate":
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         res = longest_power_path_exact(witness_t, ns.k)
@@ -361,8 +332,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
             tournament=witness_t,
         )
         name = _emit_record_files(out_dir, "enum", rec)
-        _write_search_csv(csv_path, [_record_to_row(rec, name)])
-        _write_manifest(out_dir / "manifest.json", manifest)
+        _write_csv(csv_path, _SEARCH_CSV_HEADER, [_record_to_row(rec, name)])
+        _write_manifest(out_dir / "manifest.json", ns, [csv_path])
         print(f"min_pp={mn} count={count}")
         return EXIT_OK
 
@@ -374,8 +345,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
             for _, specs in sorted(results)
             for tag, rec in specs
         ]
-        _write_search_csv(csv_path, rows)
-        _write_manifest(out_dir / "manifest.json", manifest)
+        _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
+        _write_manifest(out_dir / "manifest.json", ns, [csv_path])
         return _report_search(rows, stopped=False)
 
     # One chain: it runs here, in segments that end at every multiple of
@@ -390,14 +361,14 @@ def cmd_search(ns: argparse.Namespace) -> int:
             steps = min(steps, every - chain.iteration % every)
         for rec in chain.run(steps):
             rows.append(_record_to_row(rec, _emit_record_files(out_dir, _record_tag(0, rec), rec)))
-        _write_search_csv(csv_path, rows)
+        _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
         stopped = chain.iteration < ns.iters
         if every or stopped:
             ck = {"state": chain.state_dict(), "rows": rows}
             (out_dir / "checkpoint.json").write_bytes(_json_bytes(ck))
         if chain.iteration >= end:
             break
-    _write_manifest(out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir / "manifest.json", ns, [csv_path])
     return _report_search(rows, stopped)
 
 
@@ -442,14 +413,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
     ]
     rows = _map(_table_cell, cells)
     out = Path(ns.out)
-    out.write_text(_TABLE_CSV_HEADER + "\n" + ("\n".join(rows) + "\n" if rows else ""))
-    manifest = RunManifest(
-        subcommand="table",
-        args=_manifest_args(ns),
-        seed=ns.seed,
-        outputs=[str(out)],
-    )
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), manifest)
+    _write_csv(out, _TABLE_CSV_HEADER, rows)
+    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out])
     print(f"rows={len(rows)} out={out}")
     return EXIT_OK
 
@@ -460,11 +425,22 @@ def cmd_table(ns: argparse.Namespace) -> int:
 
 def cmd_replay(ns: argparse.Namespace) -> int:
     manifest = json.loads(Path(ns.manifest).read_text())
+    if not isinstance(manifest, dict):
+        raise UsageError("manifest is not a JSON object")
     sub = manifest["subcommand"]
-    if sub not in _DISPATCH or sub == "replay":
+    if not isinstance(sub, str) or sub not in _DISPATCH or sub == "replay":
         raise UsageError(f"cannot replay subcommand {sub!r}")
-    replay_ns = argparse.Namespace(**manifest["args"])
-    return _DISPATCH[sub](replay_ns)
+    args = manifest["args"]
+    if not isinstance(args, dict):
+        raise UsageError("manifest args is not a JSON object")
+    # Every argument of the subcommand's parser must be recorded, so a
+    # hand-edited manifest fails here, before anything is written.
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    for action in subparsers.choices[sub]._actions:
+        if action.dest not in args and action.dest != "help":
+            flag = (action.option_strings or [action.dest])[0]
+            raise UsageError(f"manifest args lack {flag}")
+    return _DISPATCH[sub](argparse.Namespace(**{**args, "subcommand": sub}))
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +537,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _DISPATCH[ns.subcommand](ns)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (
         UsageError,
         TrnError,

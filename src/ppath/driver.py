@@ -1,14 +1,16 @@
 """Top-level search drivers for long path powers.
 
 The driver recursion mirrors the constructive argument it implements: solve
-small sets exactly; otherwise probe a seeded random equipartition, chain
-inside a balanced regular pair when one exists, concatenate along a long
-path of the cluster digraph when one exists, and otherwise split the part
-ordering in half, discard weak vertices, and recurse on both halves. Every
-route's output is verified, and the longest verified witness (structural
-route vs greedy baseline) is returned. The one recursion serves every k:
-k = 1 is the insertion Hamiltonian path, and k >= 2 runs the routes above.
-Fixed (tournament, params, seed) yields an identical route trace and witness.
+sets of at most DEFAULT_EXACT_THRESHOLD vertices exactly; otherwise probe a
+seeded random equipartition, chain inside a balanced regular pair when one
+exists, concatenate along a long path of the cluster digraph when one
+exists, and otherwise split the part ordering in half, discard weak
+vertices, and recurse on both halves. Every route's output is verified, and
+the longest verified witness (structural route vs greedy baseline, the route
+on a tie) is returned; a node DEFAULT_MAX_DEPTH levels down returns its
+greedy baseline. The one recursion serves every k: k = 1 is the insertion
+Hamiltonian path, and k >= 2 runs the routes above. Fixed (tournament,
+params, seed) yields an identical route trace and witness.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from .tournament import Tournament, VertexSet, bipartite_pair, induced
 
 Subfinder = Callable[[Tournament, VertexSet], PowerPath]
 
-# Exact base case: states-only budget keeps results deterministic.
+# Fixed for every caller: the exact base case's size and states-only budget
+# (which keeps results deterministic), and the recursion depth.
 DEFAULT_EXACT_THRESHOLD = 16
 DEFAULT_EXACT_STATES = 150_000
 DEFAULT_MAX_DEPTH = 24
@@ -251,25 +254,6 @@ def _cd_graph(cd: ClusterDigraph) -> OrientedGraph:
     return OrientedGraph(len(cd.parts), tuple(rows))
 
 
-def _recursive_subfinder(
-    k: int,
-    params: RegularityParams,
-    seed: int,
-    depth: int,
-    trace: Optional[list],
-    exact_threshold: int,
-    exact_states: int,
-) -> Subfinder:
-    def sub(t: Tournament, s: VertexSet) -> PowerPath:
-        child_seed = derive_seed(seed, "sub", _node_id(t.n, s.mask))
-        return _find(
-            t, s.mask, k, params, child_seed, depth, trace,
-            exact_threshold, exact_states,
-        )
-
-    return sub
-
-
 def _find(
     t: Tournament,
     mask: int,
@@ -278,8 +262,6 @@ def _find(
     seed: int,
     depth: int,
     trace: Optional[list],
-    exact_threshold: int,
-    exact_states: int,
 ) -> PowerPath:
     def finish(route: str, path: PowerPath) -> PowerPath:
         ok, _ = verify_power_path(t, path)
@@ -297,10 +279,10 @@ def _find(
     if k == 1:
         # k = 1 returns before any recursion, so mask is the full vertex set.
         return finish("greedy", hamiltonian_path_insertion(t))
-    if m <= exact_threshold:
+    if m <= DEFAULT_EXACT_THRESHOLD:
         sub, labels = induced(t, VertexSet(mask, t.n))
         res = longest_power_path_exact(
-            sub, k, SolveBudget(max_states=exact_states, max_millis=None)
+            sub, k, SolveBudget(max_states=DEFAULT_EXACT_STATES, max_millis=None)
         )
         return finish(
             "base", PowerPath(k, tuple(labels[v] for v in res.path.vertices))
@@ -313,9 +295,11 @@ def _find(
         return finish("greedy", greedy)
     parts = _partition(t, mask, ell, Rng(derive_seed(seed, "partition")))
     cd = build_cluster_digraph(t, parts, params, seed=derive_seed(seed, "probe"))
-    subfinder = _recursive_subfinder(
-        k, params, seed, depth - 1, trace, exact_threshold, exact_states
-    )
+
+    def subfinder(t: Tournament, s: VertexSet) -> PowerPath:
+        child_seed = derive_seed(seed, "sub", _node_id(t.n, s.mask))
+        return _find(t, s.mask, k, params, child_seed, depth - 1, trace)
+
     if cd.mid_pairs:
         i, j, _ = min(
             cd.mid_pairs, key=lambda rec: (-min(rec[2], 1 - rec[2]), rec[0], rec[1])
@@ -343,10 +327,6 @@ def find_kth_power_path(
     params: RegularityParams = DEFAULT_PARAMS,
     seed: int = 0,
     trace: Optional[list] = None,
-    *,
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-    exact_states: int = DEFAULT_EXACT_STATES,
-    max_depth: int = DEFAULT_MAX_DEPTH,
 ) -> PowerPath:
     """Longest verified k-th power of a path the route machinery can produce.
 
@@ -357,6 +337,5 @@ def find_kth_power_path(
     if k < 1:
         raise ValueError("k must be >= 1")
     return _find(
-        t, t.full_mask, k, params, derive_seed(seed, "find"), max_depth, trace,
-        exact_threshold, exact_states,
+        t, t.full_mask, k, params, derive_seed(seed, "find"), DEFAULT_MAX_DEPTH, trace
     )

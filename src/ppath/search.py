@@ -23,6 +23,7 @@ from .rng import Rng, derive_seed
 from .tournament import Tournament, _unchecked, random_tournament
 
 _CANONICAL_MAX_N = 10
+_ENUMERATION_BUDGET = SolveBudget(max_states=5_000_000)
 
 
 class UseAnnealInsteadError(ValueError):
@@ -130,9 +131,7 @@ def canonical_fingerprint(t: Tournament) -> str:
     return "r" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def enumerate_min_pp(
-    n: int, k: int, budget: Optional[SolveBudget] = None
-) -> tuple[int, Tournament, int]:
+def enumerate_min_pp(n: int, k: int) -> tuple[int, Tournament, int]:
     """Exact minimum of the longest k-power over ALL labeled tournaments on n
     vertices, with the first minimizing tournament (in orientation-code
     order) and the count of labeled minimizers.
@@ -147,7 +146,6 @@ def enumerate_min_pp(
         raise ValueError("n must be >= 1")
     if n > 7:
         raise UseAnnealInsteadError("enumeration beyond n = 7 is infeasible")
-    budget = budget or SolveBudget(max_states=5_000_000)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     npairs = len(pairs)
     cur_min = n + 1
@@ -163,7 +161,7 @@ def enumerate_min_pp(
         t = _unchecked(tuple(rows))
         if len(_greedy_mask(t, t.full_mask, k, Rng(0))) > cur_min:
             continue
-        res = longest_power_path_exact(t, k, budget, target=cur_min + 1)
+        res = longest_power_path_exact(t, k, _ENUMERATION_BUDGET, target=cur_min + 1)
         if not res.optimal:
             raise RuntimeError("enumeration budget too small for exactness")
         got = len(res.path)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+import ppath.cli
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, longest_power_path_exact, verify_power_path
@@ -338,6 +340,143 @@ class TestReplay:
         man = tmp_path / "m.json"
         man.write_text(json.dumps({"subcommand": "replay", "args": {}}))
         assert run(["replay", man]) == 2
+
+    def test_malformed_manifest_is_usage_error(self, tmp_path, capsys):
+        man = tmp_path / "m.json"
+        for manifest, message in [
+            ({"subcommand": "gen", "args": {"type": "transitive"}},
+             "error: manifest args lack --n"),
+            ([{"subcommand": "gen"}], "error: manifest is not a JSON object"),
+            ({"subcommand": "gen"}, "error: "),
+        ]:
+            man.write_text(json.dumps(manifest))
+            assert run(["replay", man]) == 2
+            assert message in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [man]
+
+    def _assert_replay_reproduces(self, tmp_path, argv, manifest, inputs=(),
+                                  mask=lambda path, data: data):
+        """Run argv, delete every file but the manifest and the inputs, replay
+        the manifest, and compare every file (through ``mask``)."""
+
+        def snapshot():
+            return {p: mask(p, p.read_bytes()) for p in tmp_path.rglob("*") if p.is_file()}
+
+        assert run(argv) == 0
+        before = snapshot()
+        for p in before:
+            if p != manifest and p not in inputs:
+                p.unlink()
+        assert run(["replay", manifest]) == 0
+        assert snapshot() == before
+
+    def test_find_trace_replay_byte_identical(self, tmp_path):
+        trn = tmp_path / "t.trn"
+        save_trn(random_tournament(300, 2), trn)
+        self._assert_replay_reproduces(
+            tmp_path, ["find", "-k", 2, "--seed", 1, "--trace", tmp_path / "tr.jsonl", trn],
+            tmp_path / "t.trn.witness.json.manifest.json", inputs=[trn])
+
+    def test_table_replay_rows_identical(self, tmp_path):
+        out = tmp_path / "tab.csv"
+
+        def without_millis(path, data):
+            if path != out:
+                return data
+            return [line.rsplit(b",", 1)[0] for line in data.splitlines()]
+
+        self._assert_replay_reproduces(
+            tmp_path, ["table", "--n-list", "6,200", "--trials", 2, "--method", "find",
+                       "--out", out],
+            tmp_path / "tab.csv.manifest.json", mask=without_millis)
+
+    def test_search_enumerate_replay_byte_identical(self, tmp_path):
+        d = tmp_path / "s"
+        self._assert_replay_reproduces(
+            tmp_path, ["search", "--mode", "enumerate", "--n", 4, "--out-dir", d],
+            d / "manifest.json")
+
+    def test_search_anneal_two_chains_replay_byte_identical(self, tmp_path):
+        d = tmp_path / "s"
+        self._assert_replay_reproduces(
+            tmp_path, ["search", "--mode", "anneal", "--n", 6, "--seed", 3, "--iters", 30,
+                       "--chains", 2, "--out-dir", d],
+            d / "manifest.json")
+
+
+class TestManifests:
+    """One manifest per writer site, pinned field by field."""
+
+    def test_solve_out(self, tmp_path):
+        trn, out = tmp_path / "t.trn", tmp_path / "w.json"
+        save_trn(random_tournament(10, 1), trn)
+        assert run(["solve", "--exact", "-k", 2, "--out", out, trn]) == 0
+        assert json.loads((tmp_path / "w.json.manifest.json").read_text()) == {
+            "subcommand": "solve",
+            "args": {"exact": True, "greedy": False, "k": 2, "budget_ms": None,
+                     "budget_states": 1_000_000, "seed": 0, "out": str(out),
+                     "input": str(trn)},
+            "seed": 0,
+            "tool": "ppath",
+            "version": "0.1.0",
+            "input_hashes": {str(trn): hashlib.sha256(trn.read_bytes()).hexdigest()},
+            "outputs": [str(out)],
+        }
+
+    def test_find_trace(self, tmp_path):
+        trn, trace = tmp_path / "t.trn", tmp_path / "tr.jsonl"
+        save_trn(random_tournament(20, 1), trn)
+        assert run(["find", "-k", 3, "--seed", 4, "--trace", trace, trn]) == 0
+        wit = tmp_path / "t.trn.witness.json"
+        assert json.loads((tmp_path / "t.trn.witness.json.manifest.json").read_text()) == {
+            "subcommand": "find",
+            "args": {"k": 3, "eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8,
+                     "seed": 4, "trace": str(trace), "out": None, "input": str(trn)},
+            "seed": 4,
+            "tool": "ppath",
+            "version": "0.1.0",
+            "input_hashes": {str(trn): hashlib.sha256(trn.read_bytes()).hexdigest()},
+            "outputs": [str(wit), str(trace)],
+        }
+
+    def test_search(self, tmp_path):
+        d = tmp_path / "s"
+        assert run(["search", "--mode", "anneal", "--n", 5, "--seed", 2, "--iters", 10,
+                    "--out-dir", d]) == 0
+        assert json.loads((d / "manifest.json").read_text()) == {
+            "subcommand": "search",
+            "args": {"mode": "anneal", "n": 5, "k": 2, "seed": 2, "iters": 10,
+                     "temp": 0.8, "cool": 0.95, "moves": 6, "chains": 1,
+                     "checkpoint_every": 0, "resume": None, "stop_after": None,
+                     "budget_states": 400_000, "out_dir": str(d)},
+            "seed": 2,
+            "tool": "ppath",
+            "version": "0.1.0",
+            "input_hashes": {},
+            "outputs": [str(d / "results.csv")],
+        }
+
+
+class TestWitnessGate:
+    """A witness that fails self-verification is exit 70, and nothing is written."""
+
+    @pytest.fixture(autouse=True)
+    def _broken_verifier(self, monkeypatch):
+        monkeypatch.setattr(ppath.cli, "verify_power_path", lambda t, p: (False, (0, 0)))
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--exact", "-k", 2],
+        ["find", "-k", 2],
+        ["search", "--mode", "enumerate", "--n", 4, "--out-dir"],
+    ])
+    def test_internal_error_writes_nothing(self, tmp_path, capsys, argv):
+        trn = tmp_path / "t.trn"
+        save_trn(random_tournament(12, 3), trn)
+        out_dir = tmp_path / "s"
+        assert run(argv + [out_dir if argv[0] == "search" else trn]) == 70
+        assert ("internal error: emitted witness failed self-verification"
+                in capsys.readouterr().err)
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
 
 
 def test_module_entrypoint_smoke(tmp_path):

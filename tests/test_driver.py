@@ -1,5 +1,6 @@
 import pytest
 
+import ppath.driver
 from ppath.driver import (
     ClusterDigraph,
     build_cluster_digraph,
@@ -160,11 +161,11 @@ class TestSplitAndJoin:
             out = find_kth_power_path(t, 2, DEFAULT_PARAMS, seed=seed)
             assert verify_power_path(t, out)[0], seed
 
-    def test_small_instance_depth_zero_falls_back(self):
+    def test_small_instance_depth_zero_falls_back(self, monkeypatch):
+        monkeypatch.setattr(ppath.driver, "DEFAULT_MAX_DEPTH", 0)
         t = random_tournament(40, 2)
         trace = []
-        out = find_kth_power_path(t, 2, DEFAULT_PARAMS, seed=2, trace=trace,
-                                  max_depth=0)
+        out = find_kth_power_path(t, 2, DEFAULT_PARAMS, seed=2, trace=trace)
         assert verify_power_path(t, out)[0]
         assert len(out) >= 2
         assert [rec["route"] for rec in trace] == ["greedy"]
@@ -210,12 +211,13 @@ class TestFindSquarePath:
             assert set(rec) == {"node", "route", "len"}
             assert rec["route"] in {"claim1", "claim2", "claim3", "base", "greedy"}
 
-    def test_output_never_beats_oracle_lowered_base(self):
+    def test_output_never_beats_oracle_lowered_base(self, monkeypatch):
         # Drive the structural routes by lowering the exact base threshold.
+        monkeypatch.setattr(ppath.driver, "DEFAULT_EXACT_THRESHOLD", 6)
         params = RegularityParams(eps=0.05, delta=0.3, parts=4, samples=4)
         for seed in range(20):
             t = random_tournament(14, seed)
-            got = find_kth_power_path(t, 2, params, seed=seed, exact_threshold=6)
+            got = find_kth_power_path(t, 2, params, seed=seed)
             exact = len(longest_power_path_exact(t, 2).path)
             assert verify_power_path(t, got)[0]
             assert len(got) <= exact

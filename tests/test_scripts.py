@@ -1,0 +1,34 @@
+"""Smoke tests for scripts/: they import and call the library directly, so a
+library signature change must not break them silently."""
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize("name, entry", [("run_calibration", "growth_pilot"),
+                                         ("make_goldens", "main")])
+def test_script_imports(name, entry):
+    # Import only: running them rewrites the committed calibration/ and
+    # tests/golden/ files.
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(getattr(module, entry))
+
+
+def test_route_census_runs():
+    # At 256 vertices the recursion runs; at 64 only greedy does.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "route_census.py"), "--sizes", "256", "--trials", "1"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header == "n,trials,mean_len,route_counts"
+    assert row.startswith("256,1,")
