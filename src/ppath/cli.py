@@ -26,7 +26,6 @@ from . import __version__
 from .driver import find_kth_power_path
 from .engine import RegularityParams
 from .exact import (
-    InvalidLabelError,
     PowerPath,
     SolveBudget,
     greedy_power_path,
@@ -38,19 +37,11 @@ from .search import (
     AnnealChain,
     AnnealConfig,
     SearchRecord,
-    UseAnnealInsteadError,
     canonical_fingerprint,
     enumerate_min_pp,
 )
-from .tournament import (
-    InvalidResiduesError,
-    InvalidSizeError,
-    Tournament,
-    random_tournament,
-    rotational,
-    transitive,
-)
-from .trn import TrnError, load_trn, save_trn
+from .tournament import Tournament, random_tournament, rotational, transitive
+from .trn import load_trn, save_trn
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -202,6 +193,9 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def cmd_find(ns: argparse.Namespace) -> int:
     t = load_trn(ns.input)
     out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
+    for path in (out, ns.trace):
+        if path and not Path(path).parent.is_dir():
+            raise UsageError(f"no directory {Path(path).parent} for {path}")
     params = RegularityParams(
         eps=ns.eps, delta=ns.delta, parts=ns.parts, samples=ns.samples
     )
@@ -433,13 +427,22 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     args = manifest["args"]
     if not isinstance(args, dict):
         raise UsageError("manifest args is not a JSON object")
-    # Every argument of the subcommand's parser must be recorded, so a
-    # hand-edited manifest fails here, before anything is written.
+    # Every argument of the subcommand's parser must be recorded with a value
+    # the parser could have produced, so a hand-edited manifest fails here,
+    # before anything is written.
     (subparsers,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
     for action in subparsers.choices[sub]._actions:
-        if action.dest not in args and action.dest != "help":
-            flag = (action.option_strings or [action.dest])[0]
+        if action.dest == "help":
+            continue
+        flag = (action.option_strings or [action.dest])[0]
+        if action.dest not in args:
             raise UsageError(f"manifest args lack {flag}")
+        value = args[action.dest]
+        kind = bool if action.nargs == 0 else action.type or str
+        if value is None and action.default is None and not action.required:
+            continue
+        if type(value) is not kind or action.choices and value not in action.choices:
+            raise UsageError(f"manifest gives {flag} the invalid value {value!r}")
     return _DISPATCH[sub](argparse.Namespace(**{**args, "subcommand": sub}))
 
 
@@ -540,18 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (
-        UsageError,
-        TrnError,
-        InvalidSizeError,
-        InvalidResiduesError,
-        InvalidLabelError,
-        UseAnnealInsteadError,
-        json.JSONDecodeError,
-        FileNotFoundError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (UsageError, ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
 
 from .exact import (
+    ExactResult,
     PowerPath,
     SolveBudget,
     _greedy_mask,
@@ -220,16 +221,17 @@ class AnnealChain:
     Build a chain fresh with ``AnnealChain(n, k, cfg, budget)`` or from a
     checkpoint with ``AnnealChain.from_state``; ``run`` drives it and yields
     its records. A record is emitted whenever the current tournament changes
-    (the start, an accepted move or a reheat) to one whose pp is below every
-    pp recorded so far, so recorded pp strictly drops. Each exact solve runs
-    at twice the given budget; a solve that still exhausts it is kept as a
-    flagged lower bound. The objective caches ``(pp, bound)`` by the labeled
-    rows, so a relabeling gets its own solve and a resumed chain, whose cache
-    starts empty, gets the bounds the uninterrupted chain got. Fingerprints
-    are computed for records only, and a record's witness comes from a solve
-    of the record's own tournament. State (rng word, matrix, temperature,
-    bookkeeping) round-trips through ``state_dict``/``from_state`` for
-    bit-exact resume.
+    (the start, an accepted move or a reheat) to one whose solve finished
+    within the budget and whose pp is below every pp recorded so far, so
+    recorded pp strictly drops and is always exact. Each exact solve runs at
+    twice the given budget; a solve that still exhausts it may make its
+    tournament current, scored by its lower bound, but never makes a record.
+    The objective caches each solve's ``ExactResult`` by the labeled rows, so
+    every distinct rows is solved once, a record takes its witness from that
+    solve, and a resumed chain, whose cache starts empty, gets the results
+    the uninterrupted chain got. Fingerprints are computed for records only.
+    State (rng word, matrix, temperature, bookkeeping) round-trips through
+    ``state_dict``/``from_state`` for bit-exact resume.
     """
 
     def __init__(
@@ -252,7 +254,7 @@ class AnnealChain:
         self.temperature = cfg.initial_temperature
         self.iteration = 0
         self.best_pp = n + 1
-        self._cache: dict[tuple[int, ...], tuple[int, bool]] = {}
+        self._cache: dict[tuple[int, ...], ExactResult] = {}
 
     @classmethod
     def from_state(
@@ -279,31 +281,29 @@ class AnnealChain:
         chain.temperature = float.fromhex(state["temperature"])
         chain.iteration = state["iteration"]
         chain.cur_pp = state["cur_pp"]
-        chain.cur_bound = state["cur_bound"]
         chain.best_pp = state["best_pp"]
         return chain
 
-    def _objective(self, t: Tournament) -> tuple[int, bool]:
-        hit = self._cache.get(t.rows)
-        if hit is None:
-            res = longest_power_path_exact(t, self.k, self.budget)
-            hit = self._cache[t.rows] = (len(res.path), not res.optimal)
-        return hit
+    def _objective(self, t: Tournament) -> ExactResult:
+        res = self._cache.get(t.rows)
+        if res is None:
+            res = self._cache[t.rows] = longest_power_path_exact(t, self.k, self.budget)
+        return res
 
-    def _move_to(self, t: Tournament, pp: int, bound: bool) -> list[SearchRecord]:
-        """Make t current; a record when its pp is a new minimum."""
-        self.t, self.cur_pp, self.cur_bound = t, pp, bound
-        if pp >= self.best_pp:
+    def _move_to(self, t: Tournament, res: ExactResult) -> list[SearchRecord]:
+        """Make t current; a record when its solve is exact and its pp is a
+        new minimum."""
+        self.t, self.cur_pp = t, len(res.path)
+        if not res.optimal or self.cur_pp >= self.best_pp:
             return []
-        self.best_pp = pp
-        res = longest_power_path_exact(t, self.k, self.budget)
+        self.best_pp = self.cur_pp
         return [
             SearchRecord(
                 n=self.n,
                 k=self.k,
                 fingerprint=canonical_fingerprint(t),
-                pp=len(res.path),
-                bound_flag=not res.optimal,
+                pp=self.cur_pp,
+                bound_flag=False,
                 witness=res.path,
                 seed=self.cfg.seed,
                 method="anneal",
@@ -320,26 +320,27 @@ class AnnealChain:
         for _ in range(cfg.moves_per_step):
             i, j = self.pairs[self.rng.randrange(len(self.pairs))]
             cand = flip_edge(self.t, i, j)
-            new_pp, new_bound = self._objective(cand)
-            delta = new_pp - self.cur_pp
+            res = self._objective(cand)
+            delta = len(res.path) - self.cur_pp
             if delta <= 0 or self.rng.random() < math.exp(-delta / self.temperature):
-                out += self._move_to(cand, new_pp, new_bound)
+                out += self._move_to(cand, res)
         self.iteration += 1
         self.temperature *= cfg.cooling_rate
         if self.temperature < cfg.initial_temperature * 1e-6:
             # Freeze point: reheat and restart from a fresh random tournament.
             self.temperature = cfg.initial_temperature
             t = random_tournament(self.n, self.rng.next_u64())
-            out += self._move_to(t, *self._objective(t))
+            out += self._move_to(t, self._objective(t))
         return out
 
     def run(self, steps: Optional[int] = None) -> Iterator[SearchRecord]:
         """Records of the next ``steps`` iterations (all remaining ones when
         None), never past ``cfg.iterations``; a fresh chain first draws its
-        start tournament, whose record therefore always comes first."""
+        start tournament, whose record comes first when its solve finishes
+        within the budget."""
         if self.t is None:
             t = random_tournament(self.n, derive_seed(self.cfg.seed, "anneal-init"))
-            yield from self._move_to(t, *self._objective(t))
+            yield from self._move_to(t, self._objective(t))
         end = self.cfg.iterations
         if steps is not None:
             end = min(end, self.iteration + steps)
@@ -366,7 +367,6 @@ class AnnealChain:
             "temperature": self.temperature.hex(),
             "iteration": self.iteration,
             "cur_pp": self.cur_pp,
-            "cur_bound": self.cur_bound,
             "best_pp": self.best_pp,
         }
 
@@ -379,7 +379,7 @@ def anneal_min_pp(
 ) -> Iterator[SearchRecord]:
     """Stream of new-minimum records from one seeded annealing chain.
 
-    The initial tournament's record is always emitted first; zero iterations
-    therefore yields exactly that record.
+    The initial tournament's record comes first when its solve finishes
+    within the budget; zero iterations then yield exactly that record.
     """
     return AnnealChain(n, k, cfg, budget).run()

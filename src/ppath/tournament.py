@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .rng import Rng, derive_seed, stream_word
+from .rng import Rng, derive_seed
 
 
 class InvalidSizeError(ValueError):
@@ -199,28 +199,18 @@ def rotational(n: int, residues: Iterable[int]) -> Tournament:
     return _unchecked(tuple(rows))
 
 
-def _random_rows_pure(n: int, base: int) -> tuple[int, ...]:
-    npairs = n * (n - 1) // 2
-    nwords = (npairs + 63) // 64
-    big = 0
-    for w in range(nwords - 1, -1, -1):
-        big = (big << 64) | stream_word(base, w)
-    rows = [0] * n
-    pos = 0
-    for i in range(n):
-        span = n - 1 - i
-        fwd = (big >> pos) & ((1 << span) - 1)
-        rows[i] |= fwd << (i + 1)
-        back = ~fwd & ((1 << span) - 1)
-        while back:
-            b = back & -back
-            rows[i + b.bit_length()] |= 1 << i
-            back ^= b
-        pos += span
-    return tuple(rows)
+def random_tournament(n: int, seed: int) -> Tournament:
+    """Uniform random tournament; bit for pair p is independent of draw order.
 
-
-def _random_rows_numpy(n: int, base: int) -> tuple[int, ...]:
+    The orientation of the p-th unordered pair (pairs (i,j), i<j, in
+    lexicographic order) is bit p%64 of the stream word floor(p/64) of the
+    stream derived from (seed, n), i -> j when the bit is set; numpy computes
+    all the ``rng.stream_word`` words at once. Same (n, seed) always yields
+    the identical matrix.
+    """
+    if n < 1:
+        raise InvalidSizeError("n must be >= 1")
+    base = derive_seed(seed, "tournament", n)
     npairs = n * (n - 1) // 2
     nwords = (npairs + 63) // 64
     gamma = np.uint64(0x9E3779B97F4A7C15)
@@ -234,22 +224,7 @@ def _random_rows_numpy(n: int, base: int) -> tuple[int, ...]:
     # Boolean-mask assignment fills the upper triangle in row-major pair order.
     mat[~np.tri(n, dtype=bool)] = bits
     mat += np.tril(1 - mat.T, -1)
-    return _matrix_to_rows(mat)
-
-
-def random_tournament(n: int, seed: int) -> Tournament:
-    """Uniform random tournament; bit for pair p is independent of draw order.
-
-    The orientation of the p-th unordered pair (pairs (i,j), i<j, in
-    lexicographic order) is bit p%64 of the stream word floor(p/64) of the
-    stream derived from (seed, n). Same (n, seed) always yields the identical
-    matrix, on either assembly path.
-    """
-    if n < 1:
-        raise InvalidSizeError("n must be >= 1")
-    base = derive_seed(seed, "tournament", n)
-    rows = _random_rows_numpy(n, base) if n >= 64 else _random_rows_pure(n, base)
-    return _unchecked(rows)
+    return _unchecked(_matrix_to_rows(mat))
 
 
 def common_out_neighborhood(t: Tournament, s: VertexSet) -> VertexSet:

@@ -1,12 +1,20 @@
+import math
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ppath.exact import longest_power_path_exact  # noqa: E402
-from ppath.search import AnnealChain, canonical_fingerprint  # noqa: E402
-from ppath.tournament import Tournament  # noqa: E402
+from ppath.rng import derive_seed, stream_word  # noqa: E402
+from ppath.search import (  # noqa: E402
+    AnnealChain,
+    SearchRecord,
+    canonical_fingerprint,
+    flip_edge,
+)
+from ppath.tournament import Tournament, random_tournament  # noqa: E402
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CALIBRATION = Path(__file__).resolve().parents[1] / "calibration"
@@ -100,23 +108,95 @@ def reference_greedy_mask(t: Tournament, mask: int, k: int, rng) -> tuple[int, .
         used |= 1 << v
 
 
-def reference_objective(chain: AnnealChain, t: Tournament) -> tuple[int, bool]:
-    """The anneal objective as first written: ``(pp, bound)`` cached by
-    canonical fingerprint, so an isomorph reuses a relabeling's solve. Kept
-    as the reference the rows-keyed ``AnnealChain._objective`` must match on
-    unbudgeted chains, record for record."""
-    fp = canonical_fingerprint(t)
-    hit = chain._cache.get(fp)
-    if hit is None:
-        res = longest_power_path_exact(t, chain.k, chain.budget)
-        hit = chain._cache[fp] = (len(res.path), not res.optimal)
-    return hit
+class ReferenceChain(AnnealChain):
+    """The chain as written before its objective cached whole results: the
+    objective caches ``(pp, bound)`` by rows, and ``_move_to`` solves a
+    record's tournament a second time for its witness and takes any new
+    minimum, a budget-tripped lower bound too. Kept as the reference the
+    ``ExactResult``-caching ``AnnealChain`` must match on unbudgeted chains,
+    record for record; ``step`` and ``run`` differ from ``AnnealChain``'s
+    only in passing ``(pp, bound)`` instead of the result."""
+
+    def _objective(self, t: Tournament) -> tuple[int, bool]:
+        hit = self._cache.get(t.rows)
+        if hit is None:
+            res = longest_power_path_exact(t, self.k, self.budget)
+            hit = self._cache[t.rows] = (len(res.path), not res.optimal)
+        return hit
+
+    def _move_to(self, t: Tournament, pp: int, bound: bool) -> list[SearchRecord]:
+        self.t, self.cur_pp, self.cur_bound = t, pp, bound
+        if pp >= self.best_pp:
+            return []
+        self.best_pp = pp
+        res = longest_power_path_exact(t, self.k, self.budget)
+        return [
+            SearchRecord(
+                n=self.n,
+                k=self.k,
+                fingerprint=canonical_fingerprint(t),
+                pp=len(res.path),
+                bound_flag=not res.optimal,
+                witness=res.path,
+                seed=self.cfg.seed,
+                method="anneal",
+                iteration=self.iteration,
+                tournament=t,
+            )
+        ]
+
+    def step(self) -> list[SearchRecord]:
+        cfg = self.cfg
+        out: list[SearchRecord] = []
+        for _ in range(cfg.moves_per_step):
+            i, j = self.pairs[self.rng.randrange(len(self.pairs))]
+            cand = flip_edge(self.t, i, j)
+            new_pp, new_bound = self._objective(cand)
+            delta = new_pp - self.cur_pp
+            if delta <= 0 or self.rng.random() < math.exp(-delta / self.temperature):
+                out += self._move_to(cand, new_pp, new_bound)
+        self.iteration += 1
+        self.temperature *= cfg.cooling_rate
+        if self.temperature < cfg.initial_temperature * 1e-6:
+            self.temperature = cfg.initial_temperature
+            t = random_tournament(self.n, self.rng.next_u64())
+            out += self._move_to(t, *self._objective(t))
+        return out
+
+    def run(self, steps: Optional[int] = None) -> Iterator[SearchRecord]:
+        if self.t is None:
+            t = random_tournament(self.n, derive_seed(self.cfg.seed, "anneal-init"))
+            yield from self._move_to(t, *self._objective(t))
+        end = self.cfg.iterations
+        if steps is not None:
+            end = min(end, self.iteration + steps)
+        while self.iteration < end:
+            yield from self.step()
 
 
-class ReferenceObjectiveChain(AnnealChain):
-    """An ``AnnealChain`` whose objective is ``reference_objective``."""
-
-    _objective = reference_objective
+def reference_random_rows(n: int, base: int) -> tuple[int, ...]:
+    """Random-tournament rows assembled pair by pair in pure Python, as
+    ``random_tournament`` once did for n < 64. Kept as the reference its
+    numpy assembly must match: bit p of the stream words orients the p-th
+    pair (i, j), i < j, in lexicographic order, as i -> j when set."""
+    npairs = n * (n - 1) // 2
+    nwords = (npairs + 63) // 64
+    big = 0
+    for w in range(nwords - 1, -1, -1):
+        big = (big << 64) | stream_word(base, w)
+    rows = [0] * n
+    pos = 0
+    for i in range(n):
+        span = n - 1 - i
+        fwd = (big >> pos) & ((1 << span) - 1)
+        rows[i] |= fwd << (i + 1)
+        back = ~fwd & ((1 << span) - 1)
+        while back:
+            b = back & -back
+            rows[i + b.bit_length()] |= 1 << i
+            back ^= b
+        pos += span
+    return tuple(rows)
 
 
 def reference_refinement_classes(t: Tournament) -> list[list[int]]:

@@ -115,6 +115,19 @@ class TestFind:
             rec = json.loads(line)
             assert set(rec) == {"node", "route", "len"}
 
+    @pytest.mark.parametrize("out, trace", [("w.json", "nodir/tr.jsonl"),
+                                            ("nodir/w.json", "tr.jsonl")])
+    def test_missing_output_directory_writes_nothing(self, tmp_path, monkeypatch,
+                                                     capsys, out, trace):
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(40, 2), trn)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run(["find", "--trace", trace, "--out", out, trn]) == 2
+        assert "error: no directory nodir" in capsys.readouterr().err
+        assert list(work.iterdir()) == []
+
     def test_finder_never_beats_exact_k1(self, tmp_path, capsys):
         trn = tmp_path / "t12.trn"
         save_trn(random_tournament(12, 8), trn)
@@ -343,11 +356,28 @@ class TestReplay:
 
     def test_malformed_manifest_is_usage_error(self, tmp_path, capsys):
         man = tmp_path / "m.json"
+
+        def parsed(argv, **changed):
+            # A manifest of the parsed argv, with values the parser could not
+            # have produced put in.
+            args = vars(ppath.cli.build_parser().parse_args([str(a) for a in argv]))
+            return {"subcommand": args.pop("subcommand"), "args": {**args, **changed}}
+
+        gen = ["gen", "--type", "transitive", "--n", 5, "--out", tmp_path / "x.trn"]
+        search = ["search", "--mode", "enumerate", "--n", 3, "--out-dir", tmp_path / "s"]
         for manifest, message in [
             ({"subcommand": "gen", "args": {"type": "transitive"}},
              "error: manifest args lack --n"),
             ([{"subcommand": "gen"}], "error: manifest is not a JSON object"),
             ({"subcommand": "gen"}, "error: "),
+            (parsed(gen, n="5"), "error: manifest gives --n the invalid value '5'"),
+            (parsed(gen, n=True), "error: manifest gives --n the invalid value True"),
+            (parsed(gen, n=None), "error: manifest gives --n the invalid value None"),
+            (parsed(gen, type="bogus"),
+             "error: manifest gives --type the invalid value 'bogus'"),
+            (parsed(search, mode="bogus"),
+             "error: manifest gives --mode the invalid value 'bogus'"),
+            (parsed(search, temp=1), "error: manifest gives --temp the invalid value 1"),
         ]:
             man.write_text(json.dumps(manifest))
             assert run(["replay", man]) == 2

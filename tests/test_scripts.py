@@ -8,7 +8,15 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("name, entry", [("run_calibration", "growth_pilot"),
@@ -16,10 +24,17 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 def test_script_imports(name, entry):
     # Import only: running them rewrites the committed calibration/ and
     # tests/golden/ files.
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(getattr(module, entry))
+    assert callable(getattr(_load(SCRIPTS / f"{name}.py"), entry))
+
+
+def test_benchmark_trace_targets_resolve():
+    # The benchmark's tracer wraps these entry points by name and skips a
+    # missing one, so a rename in ppath must fail here instead.
+    for mod_name, path, _ in _load(ROOT / "perfbench" / "tracer.py").TARGETS:
+        owner = importlib.import_module(mod_name)
+        for part in path.split("."):
+            owner = getattr(owner, part, None)
+            assert owner is not None, f"{mod_name}.{path}"
 
 
 def test_route_census_runs():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     GOLDEN,
-    ReferenceObjectiveChain,
+    ReferenceChain,
     blowup,
     reference_refinement_classes,
     relabel,
@@ -152,7 +152,7 @@ class TestAnneal:
         for r in recs:
             assert r.tournament is not None
             assert verify_power_path(r.tournament, r.witness)[0]
-            assert len(r.witness) == r.pp or r.bound_flag
+            assert len(r.witness) == r.pp and not r.bound_flag
 
     def test_triangle_found_fast_any_seed(self):
         for seed in range(8):
@@ -168,29 +168,85 @@ class TestAnneal:
     def test_budget_bound_flag(self):
         # The chain resumes on the 18-vertex blow-up of the n = 6 minimizer
         # (pp = 16 < n), so every proposal is a pp < n instance that the
-        # 100-state proposal solves cannot settle.
+        # 100-state proposal solves cannot settle. A lower bound is no
+        # record and leaves the chain's minimum where it was.
         cfg = AnnealConfig(iterations=2, moves_per_step=2, seed=1)
         budget = SolveBudget(max_states=50)
         chain = AnnealChain(18, 2, cfg, budget)
         list(chain.run(0))
         start = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
         state = {**chain.state_dict(), "rows": [f"{r:x}" for r in start.rows],
-                 "cur_pp": 16, "cur_bound": False, "best_pp": 19}
-        recs = list(AnnealChain.from_state(18, 2, cfg, budget, state).run())
-        assert recs and all(r.bound_flag for r in recs)
-        for r in recs:
-            assert verify_power_path(r.tournament, r.witness)[0]
+                 "cur_pp": 16, "best_pp": 19}
+        resumed = AnnealChain.from_state(18, 2, cfg, budget, state)
+        assert list(resumed.run()) == []
+        assert resumed.best_pp == 19
+        assert resumed._cache and not any(res.optimal for res in resumed._cache.values())
+
+    def test_records_are_exact_under_tripping_budgets(self):
+        # Every solve of this chain trips its cap, so none of its lower
+        # bounds (7 among them, on a tournament whose pp is 10) is a record.
+        chain = AnnealChain(10, 2, AnnealConfig(iterations=2, moves_per_step=2, seed=2),
+                            SolveBudget(max_states=10))
+        assert list(chain.run()) == [] and chain.best_pp == 11
+        assert not any(res.optimal for res in chain._cache.values())
+        got = {}
+        for seed in range(4):
+            for states in (10, 30, 100):
+                cfg = AnnealConfig(iterations=20, moves_per_step=4, seed=seed)
+                recs = list(anneal_min_pp(10, 2, cfg, SolveBudget(max_states=states)))
+                for r in recs:
+                    assert not r.bound_flag and len(r.witness) == r.pp
+                    assert r.pp == len(longest_power_path_exact(r.tournament, 2).path)
+                    assert verify_power_path(r.tournament, r.witness)[0]
+                got[seed, states] = [(r.iteration, r.pp) for r in recs]
+        assert got == {
+            (0, 10): [(13, 10)], (0, 30): [(10, 10)], (0, 100): [(0, 10)],
+            (1, 10): [], (1, 30): [(0, 10)], (1, 100): [(0, 10)],
+            (2, 10): [], (2, 30): [], (2, 100): [(0, 10)],
+            (3, 10): [], (3, 30): [(11, 10)], (3, 100): [(1, 10)],
+        }
+
+    def test_one_solve_per_distinct_rows(self, monkeypatch):
+        calls = []
+
+        def counting(t, k, budget=None, **kwargs):
+            calls.append(t.rows)
+            return longest_power_path_exact(t, k, budget, **kwargs)
+
+        monkeypatch.setattr(search, "longest_power_path_exact", counting)
+
+        class WatchedChain(AnnealChain):
+            def _move_to(self, t, res):
+                before = len(calls)
+                out = super()._move_to(t, res)
+                assert len(calls) == before
+                return out
+
+        # Cooling 0.5 reheats every 20 iterations, so starts and reheats
+        # are covered as well as accepted flips.
+        cfg = AnnealConfig(iterations=60, initial_temperature=0.8,
+                           cooling_rate=0.5, moves_per_step=6, seed=40)
+        chain = WatchedChain(7, 2, cfg)
+        recs = list(chain.run())
+        assert recs and len(calls) == len(set(calls)) == len(chain._cache)
+        assert set(calls) == set(chain._cache)
+        assert len(calls) < 1 + cfg.iterations * cfg.moves_per_step
 
     def test_chain_state_roundtrip(self):
         cfg = AnnealConfig(iterations=60, moves_per_step=4, seed=13)
         a = AnnealChain(6, 2, cfg)
         head = list(a.run(30))
         snapshot = a.state_dict()
+        assert "cur_bound" not in snapshot
         tail_a = list(a.run(30))
         b = AnnealChain.from_state(6, 2, cfg, None, json.loads(json.dumps(snapshot)))
         tail_b = list(b.run(30))
         assert tail_a == tail_b
         assert head + tail_b == list(anneal_min_pp(6, 2, cfg))
+        # A checkpoint written when the state carried ``cur_bound`` resumes
+        # the same.
+        old = {**json.loads(json.dumps(snapshot)), "cur_bound": False}
+        assert list(AnnealChain.from_state(6, 2, cfg, None, old).run(30)) == tail_a
         with pytest.raises(ValueError, match="does not match"):
             AnnealChain.from_state(7, 2, cfg, None, snapshot)
         with pytest.raises(ValueError):
@@ -220,8 +276,8 @@ class TestAnneal:
                 AnnealChain.from_state(6, 2, other, budget, snapshot)
         # A checkpoint that predates the stored config cannot be checked.
         legacy = {key: snapshot[key] for key in ("n", "k", "rng", "rows", "temperature",
-                                                 "iteration", "cur_pp", "cur_bound",
-                                                 "best_pp")}
+                                                 "iteration", "cur_pp", "best_pp")}
+        legacy["cur_bound"] = False
         with pytest.raises(ValueError, match="iterations"):
             AnnealChain.from_state(6, 2, cfg, SolveBudget(max_states=500), legacy)
 
@@ -246,9 +302,10 @@ class TestAnneal:
             for r in recs:
                 assert verify_power_path(r.tournament, r.witness)[0], (seed, r.iteration)
 
-    def test_rows_cache_matches_fingerprint_cache(self):
-        # Unbudgeted solves are exact, so an isomorph's cached pp equals its
-        # own; cooling 0.5 reheats at iteration 20.
+    def test_matches_reference_chain(self):
+        # Unbudgeted solves are exact, so caching the whole result gives the
+        # records of the chain that cached (pp, bound) and solved each record
+        # twice; cooling 0.5 reheats at iteration 20.
         def fields(r):
             return (r.iteration, r.pp, r.bound_flag, r.fingerprint, r.witness,
                     r.tournament.rows)
@@ -259,23 +316,24 @@ class TestAnneal:
                     cfg = AnnealConfig(iterations=30, initial_temperature=temperature,
                                        cooling_rate=cooling, moves_per_step=6, seed=seed)
                     got = [fields(r) for r in AnnealChain(n, 2, cfg).run()]
-                    want = [fields(r) for r in ReferenceObjectiveChain(n, 2, cfg).run()]
+                    want = [fields(r) for r in ReferenceChain(n, 2, cfg).run()]
                     assert got == want, (n, cooling, seed)
 
     def test_budgeted_resume_matches_uninterrupted_run(self):
         # Proposal solves trip their 30-state cap, and a resumed chain starts
-        # with an empty cache. At seeds 0 and 1 a proposal after the resume
-        # point relabels one solved before it, so a fingerprint-keyed cache
-        # would hand it another bound than the uninterrupted chain used.
+        # with an empty cache. The cache is keyed by rows, so a proposal after
+        # the resume point that relabels one solved before it gets its own
+        # solve in both runs.
         budget = SolveBudget(max_states=15)
         for seed in range(4):
             cfg = AnnealConfig(iterations=30, moves_per_step=6, seed=seed)
-            whole = list(AnnealChain(8, 2, cfg, budget).run())
+            full = AnnealChain(8, 2, cfg, budget)
+            whole = list(full.run())
             chain = AnnealChain(8, 2, cfg, budget)
             head = list(chain.run(15))
             state = json.loads(json.dumps(chain.state_dict()))
             tail = list(AnnealChain.from_state(8, 2, cfg, budget, state).run())
-            assert any(r.bound_flag for r in whole)
+            assert any(not res.optimal for res in full._cache.values())
             assert head + tail == whole, seed
 
     def test_fingerprint_computed_once_per_record(self, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
     EmptySetError,
@@ -12,8 +13,6 @@ from ppath.tournament import (
     InvalidSizeError,
     Tournament,
     VertexSet,
-    _random_rows_numpy,
-    _random_rows_pure,
     bipartite_pair,
     common_out_neighborhood,
     directed_density,
@@ -87,9 +86,9 @@ class TestRandomTournament:
         assert random_tournament(8, 42).rows != random_tournament(8, 43).rows
 
     def test_assembly_paths_agree(self):
-        for n in (2, 17, 63, 64, 65, 129, 2048):
+        for n in (1, 2, 5, 10, 17, 63, 64, 65, 129, 2048):
             base = derive_seed(5, "tournament", n)
-            assert _random_rows_pure(n, base) == _random_rows_numpy(n, base)
+            assert random_tournament(n, 5).rows == reference_random_rows(n, base)
 
     def test_mean_out_degree_monte_carlo(self):
         # Degree-sum forces the per-instance mean; the Monte-Carlo mean over
