@@ -4,10 +4,10 @@ Every subcommand that writes files also writes a RunManifest JSON
 (resolved flags, seed, tool version, input hashes, output list), as
 ``<output>.manifest.json`` or, for search, ``<out-dir>/manifest.json``;
 ``ppath replay manifest.json`` re-executes the recorded run, reproducing the
-outputs byte-for-byte (the table command's wall-clock millis column is the
-documented exception). Exit codes: 0 ok, 1 verification failure, 2
-usage/format error (a malformed replay manifest too), 3 budget exhausted,
-70 an emitted witness failed self-verification.
+outputs byte-for-byte: no output depends on the clock. Exit codes: 0 ok, 1
+verification failure, 2 usage/format error (a malformed replay manifest or
+checkpoint too), 3 budget exhausted, 70 an emitted witness failed
+self-verification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -51,7 +50,7 @@ EXIT_INTERNAL = 70
 MAX_EXACT_N = 18
 
 _SEARCH_CSV_HEADER = "n,k,fingerprint,pp,bound_flag,method,seed,witness_file"
-_TABLE_CSV_HEADER = "n,seed,method,length,millis"
+_TABLE_CSV_HEADER = "n,seed,method,length"
 
 
 class UsageError(Exception):
@@ -169,11 +168,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
     exceeded = False
     if ns.exact:
-        budget = SolveBudget(
-            max_states=ns.budget_states,
-            max_millis=ns.budget_ms,
-        )
-        res = longest_power_path_exact(t, ns.k, budget)
+        res = longest_power_path_exact(t, ns.k, SolveBudget(ns.budget_states))
         path = res.path
         exceeded = not res.optimal
         method = "exact"
@@ -301,9 +296,14 @@ def cmd_search(ns: argparse.Namespace) -> int:
         ]
         chain, prior_rows = None, []
         if ns.resume:
-            # A checkpoint of another n, k, config or budget raises
-            # ValueError, a usage error, before any output exists.
+            # A malformed checkpoint, or one of another n, k, config or
+            # budget, is a usage error before any output exists.
             ck = json.loads(Path(ns.resume).read_text())
+            if not (isinstance(ck, dict) and isinstance(ck.get("state"), dict)
+                    and isinstance(ck.get("rows"), list)
+                    and all(type(r) is str for r in ck["rows"])):
+                raise UsageError("checkpoint is not a JSON object with a state "
+                                 "object and a rows list of strings")
             chain = AnnealChain.from_state(ns.n, ns.k, cfgs[0], budget, ck["state"])
             prior_rows = ck["rows"]
         elif ns.chains == 1:
@@ -380,7 +380,6 @@ def _table_cell(args: tuple) -> str:
     n, trial, method, k, base_seed = args
     cell_seed = derive_seed(base_seed, "table", n, trial)
     t = random_tournament(n, cell_seed)
-    t0 = time.perf_counter()
     if method == "exact":
         res = longest_power_path_exact(t, k)
         length = len(res.path)
@@ -388,8 +387,7 @@ def _table_cell(args: tuple) -> str:
         length = len(greedy_power_path(t, k, seed=cell_seed))
     else:
         length = len(find_kth_power_path(t, k, seed=cell_seed))
-    millis = int(round((time.perf_counter() - t0) * 1000))
-    return f"{n},{cell_seed},{method},{length},{millis}"
+    return f"{n},{cell_seed},{method},{length}"
 
 
 def cmd_table(ns: argparse.Namespace) -> int:
@@ -469,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--exact", action="store_true")
     mx.add_argument("--greedy", action="store_true")
     s.add_argument("-k", type=int, default=2)
-    s.add_argument("--budget-ms", type=int, default=None, dest="budget_ms")
     s.add_argument("--budget-states", type=int, default=1_000_000, dest="budget_states")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)

@@ -281,9 +281,7 @@ def _find(
         return finish("greedy", hamiltonian_path_insertion(t))
     if m <= DEFAULT_EXACT_THRESHOLD:
         sub, labels = induced(t, VertexSet(mask, t.n))
-        res = longest_power_path_exact(
-            sub, k, SolveBudget(max_states=DEFAULT_EXACT_STATES, max_millis=None)
-        )
+        res = longest_power_path_exact(sub, k, SolveBudget(DEFAULT_EXACT_STATES))
         return finish(
             "base", PowerPath(k, tuple(labels[v] for v in res.path.vertices))
         )

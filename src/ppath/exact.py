@@ -16,7 +16,6 @@ vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,16 +44,14 @@ class PowerPath:
 
 @dataclass(frozen=True)
 class SolveBudget:
-    """Caps for the exact search. max_millis=None means no wall-clock cap."""
+    """State cap for the exact search; it counts states, not time, so a
+    search that trips it returns the same witness on every run."""
 
     max_states: int = 1_000_000
-    max_millis: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_states < 1:
             raise ValueError("max_states must be positive")
-        if self.max_millis is not None and self.max_millis < 1:
-            raise ValueError("max_millis must be positive when set")
 
 
 DEFAULT_BUDGET = SolveBudget()
@@ -123,9 +120,9 @@ def longest_power_path_exact(
     and a memo hit skips only the completions of a state that a lex-smaller
     prefix with the same (used set, tail) already expanded. A state enters
     the memo when its subtree is finished; the state cap is checked after the
-    memo lookup, before a new state is expanded, so results are reproducible
-    whenever max_millis is None. When the budget trips the best prefix so far
-    is returned with optimal=False.
+    memo lookup, before a new state is expanded, so the result, a tripped one
+    included, depends only on t, k, the budget and ``target``. When the
+    budget trips the best prefix so far is returned with optimal=False.
 
     The first n-vertex prefix ends the walk. A state is pruned (it enters the
     memo unexpanded, and counts in ``states``) when its prefix length plus
@@ -150,11 +147,6 @@ def longest_power_path_exact(
     rows = t.rows
     full = (1 << n) - 1
     shift = max(7, n.bit_length())
-    deadline = (
-        time.monotonic() + budget.max_millis / 1000.0
-        if budget.max_millis is not None
-        else None
-    )
     max_states = budget.max_states
     memo: set[int] = set()
     best: tuple[int, ...] = ()
@@ -183,11 +175,7 @@ def longest_power_path_exact(
                 prefix.pop()
                 used ^= b
                 continue
-            if len(memo) >= max_states or (
-                deadline is not None
-                and len(memo) % 1024 == 0
-                and time.monotonic() > deadline
-            ):
+            if len(memo) >= max_states:
                 return ExactResult(PowerPath(k, best), False, len(memo))
             free = full & ~used
             nxt = free

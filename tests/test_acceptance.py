@@ -356,15 +356,11 @@ def test_criterion_09_empirical_growth():
 
 
 def test_criterion_10_manifest_replay(tmp_path):
-    """Re-executing recorded manifests reproduces artifacts byte-for-byte
-    (the table CSV is compared with its wall-clock millis column masked)."""
+    """Re-executing recorded manifests reproduces artifacts byte-for-byte,
+    the table CSV included."""
 
     def snapshot(paths):
         return {p: p.read_bytes() for p in paths}
-
-    def strip_millis(data: bytes) -> bytes:
-        lines = data.decode().splitlines()
-        return "\n".join(",".join(ln.split(",")[:4]) for ln in lines).encode()
 
     ok = True
     details = []
@@ -383,24 +379,20 @@ def test_criterion_10_manifest_replay(tmp_path):
                      "exact", "--out", str(tmp_path / "tab.csv")]) == 0
 
     replays = [
-        (tmp_path / "r.trn.manifest.json", [trn], False),
+        (tmp_path / "r.trn.manifest.json", [trn]),
         (tmp_path / "r.trn.witness.json.manifest.json",
-         [tmp_path / "r.trn.witness.json"], False),
+         [tmp_path / "r.trn.witness.json"]),
         (tmp_path / "enum" / "manifest.json",
-         sorted((tmp_path / "enum").glob("w_*")) + [tmp_path / "enum" / "results.csv"],
-         False),
+         sorted((tmp_path / "enum").glob("w_*")) + [tmp_path / "enum" / "results.csv"]),
         (tmp_path / "ann" / "manifest.json",
-         sorted((tmp_path / "ann").glob("w_*")) + [tmp_path / "ann" / "results.csv"],
-         False),
-        (tmp_path / "tab.csv.manifest.json", [tmp_path / "tab.csv"], True),
+         sorted((tmp_path / "ann").glob("w_*")) + [tmp_path / "ann" / "results.csv"]),
+        (tmp_path / "tab.csv.manifest.json", [tmp_path / "tab.csv"]),
     ]
-    for manifest, outputs, masked in replays:
+    for manifest, outputs in replays:
         before = snapshot(outputs)
         assert cli_main(["replay", str(manifest)]) == 0
         for p, prev in before.items():
-            now = p.read_bytes()
-            same = strip_millis(now) == strip_millis(prev) if masked else now == prev
-            if not same:
+            if p.read_bytes() != prev:
                 ok = False
                 details.append(p.name)
     _report(10, ok, "manifest replay reproducibility",

@@ -89,6 +89,22 @@ class TestSolve:
         data = json.loads((tmp_path / "b18.trn.witness.json").read_text())
         assert data["vertices"]
 
+    def test_tripped_budget_writes_the_same_bytes(self, tmp_path):
+        trn = tmp_path / "b18.trn"
+        save_trn(blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows), trn)
+        outs = [tmp_path / "w1.json", tmp_path / "w2.json"]
+        for out in outs:
+            assert run(["solve", "--exact", "-k", 2, "--budget-states", 2000,
+                        "--out", out, trn]) == 3
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_budget_ms_is_not_a_flag(self, tmp_path, capsys):
+        trn = tmp_path / "b18.trn"
+        save_trn(blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows), trn)
+        assert run(["solve", "--exact", "-k", 2, "--budget-ms", 3, trn]) == 2
+        assert "unrecognized arguments: --budget-ms" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [trn]
+
     def test_malformed_input_exits_2(self, tmp_path):
         bad = tmp_path / "bad.trn"
         bad.write_bytes(b"TRN 1\n2\n-1\n1-\n")
@@ -259,6 +275,24 @@ class TestSearch:
         assert "does not match this chain: seed " in capsys.readouterr().err
         assert (part / "results.csv").read_bytes() == before
 
+    def test_malformed_checkpoint_is_usage_error(self, tmp_path, capsys):
+        part, resumed = tmp_path / "part", tmp_path / "resumed"
+        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120]
+        assert run(base + ["--stop-after", 2, "--out-dir", part]) == 3
+        ck = json.loads((part / "checkpoint.json").read_text())
+        capsys.readouterr()
+        bad = tmp_path / "bad.json"
+        for checkpoint, message in [
+            ([ck], "error: checkpoint is not a JSON object with a state object"),
+            ({**ck, "state": {**ck["state"], "temperature": 5}},
+             "error: checkpoint gives temperature the invalid value 5"),
+            ({**ck, "rows": 7}, "error: checkpoint is not a JSON object with a state"),
+        ]:
+            bad.write_text(json.dumps(checkpoint))
+            assert run(base + ["--resume", bad, "--out-dir", resumed]) == 2
+            assert message in capsys.readouterr().err
+            assert not resumed.exists()
+
     def test_checkpoint_every_resumes_a_killed_run(self, tmp_path, monkeypatch):
         full, part = tmp_path / "full", tmp_path / "part"
         base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120,
@@ -313,17 +347,17 @@ class TestTable:
         assert run(["table", "--n-list", "4,6,8", "--trials", 3,
                     "--method", "exact", "--out", out]) == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,seed,method,length,millis"
+        assert lines[0] == "n,seed,method,length"
         assert len(lines) == 10
         for line in lines[1:]:
-            n, _, method, length, _ = line.split(",")
+            n, _, method, length = line.split(",")
             assert method == "exact" and int(length) <= int(n)
 
     def test_zero_trials_header_only(self, tmp_path):
         out = tmp_path / "tab.csv"
         assert run(["table", "--n-list", "4,6", "--trials", 0,
                     "--method", "greedy", "--out", out]) == 0
-        assert out.read_text() == "n,seed,method,length,millis\n"
+        assert out.read_text() == "n,seed,method,length\n"
 
     def test_exact_beyond_oracle_limit_rejected(self, tmp_path):
         assert run(["table", "--n-list", "4,24", "--trials", 1,
@@ -409,16 +443,33 @@ class TestReplay:
 
     def test_table_replay_rows_identical(self, tmp_path):
         out = tmp_path / "tab.csv"
-
-        def without_millis(path, data):
-            if path != out:
-                return data
-            return [line.rsplit(b",", 1)[0] for line in data.splitlines()]
-
         self._assert_replay_reproduces(
             tmp_path, ["table", "--n-list", "6,200", "--trials", 2, "--method", "find",
                        "--out", out],
-            tmp_path / "tab.csv.manifest.json", mask=without_millis)
+            tmp_path / "tab.csv.manifest.json")
+
+    def test_manifest_with_budget_ms_replays_byte_identical(self, tmp_path):
+        # solve manifests written while solve had --budget-ms record it; with
+        # null, the run they record is the states-only run of today.
+        trn, out = tmp_path / "t.trn", tmp_path / "w.json"
+        save_trn(random_tournament(10, 1), trn)
+        assert run(["solve", "--exact", "-k", 2, "--out", out, trn]) == 0
+        witness = out.read_bytes()
+        out.unlink()
+        manifest = tmp_path / "w.json.manifest.json"
+        old = (
+            '{\n "args": {\n  "budget_ms": null,\n  "budget_states": 1000000,\n'
+            '  "exact": true,\n  "greedy": false,\n'
+            f'  "input": "{trn}",\n  "k": 2,\n  "out": "{out}",\n  "seed": 0\n }},\n'
+            f' "input_hashes": {{\n  "{trn}": '
+            f'"{hashlib.sha256(trn.read_bytes()).hexdigest()}"\n }},\n'
+            f' "outputs": [\n  "{out}"\n ],\n "seed": 0,\n "subcommand": "solve",\n'
+            ' "tool": "ppath",\n "version": "0.1.0"\n}\n'
+        ).encode()
+        manifest.write_bytes(old)
+        assert run(["replay", manifest]) == 0
+        assert manifest.read_bytes() == old
+        assert out.read_bytes() == witness
 
     def test_search_enumerate_replay_byte_identical(self, tmp_path):
         d = tmp_path / "s"
@@ -443,7 +494,7 @@ class TestManifests:
         assert run(["solve", "--exact", "-k", 2, "--out", out, trn]) == 0
         assert json.loads((tmp_path / "w.json.manifest.json").read_text()) == {
             "subcommand": "solve",
-            "args": {"exact": True, "greedy": False, "k": 2, "budget_ms": None,
+            "args": {"exact": True, "greedy": False, "k": 2,
                      "budget_states": 1_000_000, "seed": 0, "out": str(out),
                      "input": str(trn)},
             "seed": 0,
@@ -527,9 +578,7 @@ def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
         out = tmp_path / f"tab{workers}.csv"
         assert run(["table", "--n-list", "4,6", "--trials", 3,
                     "--method", "greedy", "--out", out]) == 0
-        rows[workers] = [
-            line.rsplit(",", 1)[0] for line in out.read_text().splitlines()
-        ]
+        rows[workers] = out.read_bytes()
     assert rows["1"] == rows["3"]
 
 

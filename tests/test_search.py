@@ -14,7 +14,7 @@ from conftest import (
 )
 from ppath import search
 from ppath.exact import SolveBudget, longest_power_path_exact, verify_power_path
-from ppath.rng import Rng
+from ppath.rng import Rng, derive_seed
 from ppath.search import (
     AnnealChain,
     AnnealConfig,
@@ -200,11 +200,28 @@ class TestAnneal:
                     assert verify_power_path(r.tournament, r.witness)[0]
                 got[seed, states] = [(r.iteration, r.pp) for r in recs]
         assert got == {
-            (0, 10): [(13, 10)], (0, 30): [(10, 10)], (0, 100): [(0, 10)],
-            (1, 10): [], (1, 30): [(0, 10)], (1, 100): [(0, 10)],
-            (2, 10): [], (2, 30): [], (2, 100): [(0, 10)],
-            (3, 10): [], (3, 30): [(11, 10)], (3, 100): [(1, 10)],
+            (0, 10): [(15, 10)], (0, 30): [(14, 10)], (0, 100): [(0, 10)],
+            (1, 10): [(3, 10)], (1, 30): [(0, 10)], (1, 100): [(0, 10)],
+            (2, 10): [], (2, 30): [(3, 10)], (2, 100): [(0, 10)],
+            (3, 10): [], (3, 30): [(3, 10)], (3, 100): [(1, 10)],
         }
+
+    def test_tripped_moves_are_rejected(self):
+        # A move whose solve trips its cap is rejected, so a chain walks only
+        # onto tournaments it solved: it ends on a tripped one only when its
+        # start tripped and it never left the start (20 iterations do not
+        # reach a reheat).
+        ended_tripped = []
+        for states in (10, 30):
+            for seed in range(4):
+                cfg = AnnealConfig(iterations=20, moves_per_step=4, seed=seed)
+                chain = AnnealChain(10, 2, cfg, SolveBudget(max_states=states))
+                list(chain.run())
+                if not chain._cache[chain.t.rows].optimal:
+                    start = random_tournament(10, derive_seed(seed, "anneal-init"))
+                    assert chain.t.rows == start.rows
+                    ended_tripped.append((states, seed))
+        assert ended_tripped == [(10, 2), (10, 3)]
 
     def test_one_solve_per_distinct_rows(self, monkeypatch):
         calls = []
@@ -243,10 +260,11 @@ class TestAnneal:
         tail_b = list(b.run(30))
         assert tail_a == tail_b
         assert head + tail_b == list(anneal_min_pp(6, 2, cfg))
-        # A checkpoint written when the state carried ``cur_bound`` resumes
-        # the same.
-        old = {**json.loads(json.dumps(snapshot)), "cur_bound": False}
-        assert list(AnnealChain.from_state(6, 2, cfg, None, old).run(30)) == tail_a
+        # A checkpoint written when the state carried ``cur_bound``, or the
+        # budget's ``max_millis``, resumes the same.
+        for extra in ({"cur_bound": False}, {"max_millis": None}):
+            old = {**json.loads(json.dumps(snapshot)), **extra}
+            assert list(AnnealChain.from_state(6, 2, cfg, None, old).run(30)) == tail_a
         with pytest.raises(ValueError, match="does not match"):
             AnnealChain.from_state(7, 2, cfg, None, snapshot)
         with pytest.raises(ValueError):
@@ -266,7 +284,6 @@ class TestAnneal:
             (AnnealConfig(iterations=20, cooling_rate=0.9, moves_per_step=4, seed=13),
              SolveBudget(max_states=500), "cooling_rate"),
             (cfg, SolveBudget(max_states=600), "max_states"),
-            (cfg, SolveBudget(max_states=500, max_millis=10), "max_millis"),
         ]:
             if field is None:
                 resumed = AnnealChain.from_state(6, 2, other, budget, snapshot)
