@@ -1,13 +1,13 @@
 """Command-line harness: gen / solve / find / verify / search / table / replay.
 
-Every subcommand that writes files also writes a RunManifest JSON
+Every subcommand that writes files also writes a run manifest
 (resolved flags, seed, tool version, input hashes, output list), as
 ``<output>.manifest.json`` or, for search, ``<out-dir>/manifest.json``;
-``ppath replay manifest.json`` re-executes the recorded run, reproducing the
-outputs byte-for-byte: no output depends on the clock. Exit codes: 0 ok, 1
-verification failure, 2 usage/format error (a malformed replay manifest or
-checkpoint too), 3 budget exhausted, 70 an emitted witness failed
-self-verification.
+``ppath replay manifest.json`` re-executes the recorded run on its recorded
+input bytes, reproducing the outputs byte-for-byte: no output depends on the
+clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error (a
+malformed replay manifest, a changed replay input or a malformed checkpoint
+too), 3 budget exhausted, 70 an emitted witness failed self-verification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -90,32 +89,25 @@ def _map(fn, jobs: list) -> list:
     return [fn(j) for j in jobs]
 
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    args: dict
-    seed: int
-    tool: str = "ppath"
-    version: str = __version__
-    input_hashes: dict = field(default_factory=dict)
-    outputs: list = field(default_factory=list)
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n").encode()
 
 
 def _write_manifest(path: Path, ns: argparse.Namespace, outputs: list, inputs=()) -> None:
     """Record the run of ``ns`` (its parsed flags, for replay) at ``path``."""
-    manifest = RunManifest(
-        subcommand=ns.subcommand,
-        args={key: value for key, value in vars(ns).items() if key != "subcommand"},
-        seed=ns.seed,
-        input_hashes={name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                      for name in inputs},
-        outputs=[str(out) for out in outputs],
-    )
-    path.write_bytes(_json_bytes(asdict(manifest)))
+    path.write_bytes(_json_bytes({
+        "subcommand": ns.subcommand,
+        "args": {key: value for key, value in vars(ns).items() if key != "subcommand"},
+        "seed": ns.seed,
+        "tool": "ppath",
+        "version": __version__,
+        "input_hashes": {name: _sha256(name) for name in inputs},
+        "outputs": [str(out) for out in outputs],
+    }))
+
+
+def _sha256(name: str) -> str:
+    return hashlib.sha256(Path(name).read_bytes()).hexdigest()
 
 
 def _write_witness(t: Tournament, witness: PowerPath, out: Path) -> None:
@@ -232,32 +224,35 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # search
 
 
-def _record_to_row(rec: SearchRecord, witness_file: str) -> str:
-    return (
-        f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},"
-        f"{int(rec.bound_flag)},{rec.method},{rec.seed},{witness_file}"
-    )
-
-
-def _emit_record_files(out_dir: Path, tag: str, rec: SearchRecord) -> str:
-    wit_json = out_dir / f"w_{tag}.json"
-    _write_witness(rec.tournament, rec.witness, wit_json)
-    save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
-    return wit_json.name
-
-
 def _record_tag(chain_id: int, rec: SearchRecord) -> str:
     # A chain emits a record only when its best pp strictly drops, so the pp
     # makes the tag unique even for several records of one iteration.
     return f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}"
 
 
-def _run_anneal_chain(args: tuple) -> tuple[int, list]:
-    """Worker: one fresh chain run to its last iteration; returns
-    (chain_id, (tag, record) specs)."""
+def _run_anneal_chain(args: tuple) -> list:
+    """Worker: one fresh chain run to its last iteration; returns its
+    (tag, record) pairs."""
     chain_id, n, k, cfg, budget = args
     chain = AnnealChain(n, k, cfg, budget)
-    return chain_id, [(_record_tag(chain_id, rec), rec) for rec in chain.run()]
+    return [(_record_tag(chain_id, rec), rec) for rec in chain.run()]
+
+
+def _chain_segments(chain: AnnealChain, ns: argparse.Namespace):
+    """Batches of one chain run here, in segments that end at every multiple
+    of --checkpoint-every and at the --stop-after point: each segment's
+    (tag, record) pairs, with the chain's state when a checkpoint is due
+    after it, or None."""
+    end = ns.iters if ns.stop_after is None else min(ns.iters, chain.iteration + ns.stop_after)
+    every = ns.checkpoint_every
+    while True:
+        steps = end - chain.iteration
+        if every:
+            steps = min(steps, every - chain.iteration % every)
+        specs = [(_record_tag(0, rec), rec) for rec in chain.run(steps)]
+        yield specs, chain.state_dict() if every or chain.iteration < ns.iters else None
+        if chain.iteration >= end:
+            return
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
@@ -282,6 +277,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
         raise UsageError("--checkpoint-every must be >= 0")
     elif ns.stop_after is not None and ns.stop_after < 0:
         raise UsageError("--stop-after must be >= 0")
+    chain, prior_rows = None, []
     if ns.mode == "anneal":
         budget = SolveBudget(max_states=ns.budget_states)
         cfgs = [
@@ -294,7 +290,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
             )
             for c in range(ns.chains)
         ]
-        chain, prior_rows = None, []
         if ns.resume:
             # A malformed checkpoint, or one of another n, k, config or
             # budget, is a usage error before any output exists.
@@ -308,68 +303,46 @@ def cmd_search(ns: argparse.Namespace) -> int:
             prior_rows = ck["rows"]
         elif ns.chains == 1:
             chain = AnnealChain(ns.n, ns.k, cfgs[0], budget)
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "results.csv"
+    # Each mode gives batches of (tag, record) pairs, each with the
+    # checkpoint state due after it or None; the loop below writes them all.
     if ns.mode == "enumerate":
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
-        res = longest_power_path_exact(witness_t, ns.k)
         rec = SearchRecord(
             n=ns.n,
             k=ns.k,
             fingerprint=canonical_fingerprint(witness_t),
             pp=mn,
             bound_flag=False,
-            witness=res.path,
+            witness=longest_power_path_exact(witness_t, ns.k).path,
             seed=ns.seed,
             method="enumeration",
             tournament=witness_t,
         )
-        name = _emit_record_files(out_dir, "enum", rec)
-        _write_csv(csv_path, _SEARCH_CSV_HEADER, [_record_to_row(rec, name)])
-        _write_manifest(out_dir / "manifest.json", ns, [csv_path])
-        print(f"min_pp={mn} count={count}")
-        return EXIT_OK
-
-    if chain is None:
+        batches = [([("enum", rec)], None)]
+    elif chain is None:
         results = _map(_run_anneal_chain,
                        [(c, ns.n, ns.k, cfg, budget) for c, cfg in enumerate(cfgs)])
-        rows = [
-            _record_to_row(rec, _emit_record_files(out_dir, tag, rec))
-            for _, specs in sorted(results)
-            for tag, rec in specs
-        ]
-        _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
-        _write_manifest(out_dir / "manifest.json", ns, [csv_path])
-        return _report_search(rows, stopped=False)
-
-    # One chain: it runs here, in segments that end at every multiple of
-    # --checkpoint-every and at the --stop-after point; each segment's
-    # records, the CSV so far and a checkpoint go to disk before the next.
+        batches = [([spec for specs in results for spec in specs], None)]
+    else:
+        batches = _chain_segments(chain, ns)
+    out_dir = Path(ns.out_dir)
+    csv_path = out_dir / "results.csv"
     rows = list(prior_rows)
-    end = ns.iters if ns.stop_after is None else min(ns.iters, chain.iteration + ns.stop_after)
-    every = ns.checkpoint_every
-    while True:
-        steps = end - chain.iteration
-        if every:
-            steps = min(steps, every - chain.iteration % every)
-        for rec in chain.run(steps):
-            rows.append(_record_to_row(rec, _emit_record_files(out_dir, _record_tag(0, rec), rec)))
+    for specs, state in batches:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for tag, rec in specs:
+            _write_witness(rec.tournament, rec.witness, out_dir / f"w_{tag}.json")
+            save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
+            rows.append(f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},{int(rec.bound_flag)},"
+                        f"{rec.method},{rec.seed},w_{tag}.json")
         _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
-        stopped = chain.iteration < ns.iters
-        if every or stopped:
-            ck = {"state": chain.state_dict(), "rows": rows}
-            (out_dir / "checkpoint.json").write_bytes(_json_bytes(ck))
-        if chain.iteration >= end:
-            break
+        if state is not None:
+            (out_dir / "checkpoint.json").write_bytes(_json_bytes({"state": state, "rows": rows}))
     _write_manifest(out_dir / "manifest.json", ns, [csv_path])
-    return _report_search(rows, stopped)
-
-
-def _report_search(rows: list[str], stopped: bool) -> int:
     best = min((int(r.split(",")[3]) for r in rows), default=-1)
-    print(f"records={len(rows)} best_pp={best}")
-    return EXIT_BUDGET if stopped else EXIT_OK
+    print(f"min_pp={mn} count={count}" if ns.mode == "enumerate"
+          else f"records={len(rows)} best_pp={best}")
+    return EXIT_BUDGET if state is not None and state["iteration"] < ns.iters else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +414,13 @@ def cmd_replay(ns: argparse.Namespace) -> int:
             continue
         if type(value) is not kind or action.choices and value not in action.choices:
             raise UsageError(f"manifest gives {flag} the invalid value {value!r}")
+    # A run replayed on other input bytes would overwrite its record.
+    hashes = manifest.get("input_hashes")
+    if not isinstance(hashes, dict) or any(type(h) is not str for h in hashes.values()):
+        raise UsageError("manifest input_hashes is not a JSON object of strings")
+    for name, digest in hashes.items():
+        if not Path(name).is_file() or _sha256(name) != digest:
+            raise UsageError(f"input {name} changed since the manifest was written")
     return _DISPATCH[sub](argparse.Namespace(**{**args, "subcommand": sub}))
 
 

@@ -232,8 +232,9 @@ class AnnealChain:
     (the start, an accepted move or a reheat) to one whose solve finished
     within the budget and whose pp is below every pp recorded so far, so
     recorded pp strictly drops and is always exact. Each exact solve runs at
-    twice the given budget; a move whose solve still exhausts it is rejected,
-    and an unsolved start or reheat tournament never makes a record.
+    twice the given budget; a move whose solve still exhausts it is rejected.
+    An unsolved start or reheat tournament never makes a record, and its pp
+    counts as n + 1, so the chain takes the first solved flip away from it.
     The objective caches each solve's ``ExactResult`` by the labeled rows, so
     every distinct rows is solved once, a record takes its witness from that
     solve, and a resumed chain, whose cache starts empty, gets the results
@@ -305,9 +306,10 @@ class AnnealChain:
 
     def _move_to(self, t: Tournament, res: ExactResult) -> list[SearchRecord]:
         """Make t current; a record when its solve is exact and its pp is a
-        new minimum."""
-        self.t, self.cur_pp = t, len(res.path)
-        if not res.optimal or self.cur_pp >= self.best_pp:
+        new minimum. An unsolved t's pp is unknown, so it counts as n + 1:
+        never a record, and every solved flip away from it is accepted."""
+        self.t, self.cur_pp = t, len(res.path) if res.optimal else self.n + 1
+        if self.cur_pp >= self.best_pp:
             return []
         self.best_pp = self.cur_pp
         return [

@@ -368,7 +368,9 @@ def test_criterion_10_manifest_replay(tmp_path):
     trn = tmp_path / "r.trn"
     assert cli_main(["gen", "--type", "random", "--n", "12", "--seed", "3",
                      "--out", str(trn)]) == 0
-    assert cli_main(["solve", "--exact", "-k", "2", str(trn)]) == 0
+    # solve and find share the default witness path, so solve gets its own.
+    assert cli_main(["solve", "--exact", "-k", "2", "--out", str(tmp_path / "s.json"),
+                     str(trn)]) == 0
     assert cli_main(["find", "-k", "2", "--seed", "1", "--trace",
                      str(tmp_path / "tr.jsonl"), str(trn)]) == 0
     assert cli_main(["search", "--mode", "enumerate", "--n", "3", "-k", "2",
@@ -380,8 +382,9 @@ def test_criterion_10_manifest_replay(tmp_path):
 
     replays = [
         (tmp_path / "r.trn.manifest.json", [trn]),
+        (tmp_path / "s.json.manifest.json", [tmp_path / "s.json"]),
         (tmp_path / "r.trn.witness.json.manifest.json",
-         [tmp_path / "r.trn.witness.json"]),
+         [tmp_path / "r.trn.witness.json", tmp_path / "tr.jsonl"]),
         (tmp_path / "enum" / "manifest.json",
          sorted((tmp_path / "enum").glob("w_*")) + [tmp_path / "enum" / "results.csv"]),
         (tmp_path / "ann" / "manifest.json",

@@ -315,6 +315,22 @@ class TestSearch:
         assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
         assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
 
+    @pytest.mark.parametrize("mode, target, name", [
+        (["enumerate"], ppath.cli, "enumerate_min_pp"),
+        (["anneal", "--chains", 2], AnnealChain, "run"),
+    ], ids=["enumerate", "two-chains"])
+    def test_failed_run_creates_no_out_dir(self, tmp_path, monkeypatch, mode, target, name):
+        # --out-dir is made by the first write, so a run that raises before
+        # it has records leaves none.
+        def killed(*args, **kwargs):
+            raise RuntimeError("killed")
+
+        monkeypatch.setenv("PPATH_THREADS", "1")
+        monkeypatch.setattr(target, name, killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            run(["search", "--mode", *mode, "--n", 5, "--out-dir", tmp_path / "s"])
+        assert not (tmp_path / "s").exists()
+
     def test_stop_after_reaching_last_iteration_is_complete(self, tmp_path):
         full, stopped = tmp_path / "full", tmp_path / "stopped"
         base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 40]
@@ -389,16 +405,21 @@ class TestReplay:
         assert run(["replay", man]) == 2
 
     def test_malformed_manifest_is_usage_error(self, tmp_path, capsys):
-        man = tmp_path / "m.json"
+        man, trn = tmp_path / "m.json", tmp_path / "t.trn"
+        save_trn(transitive(4), trn)
+        digest = hashlib.sha256(trn.read_bytes()).hexdigest()
 
-        def parsed(argv, **changed):
+        def parsed(argv, hashes=None, **changed):
             # A manifest of the parsed argv, with values the parser could not
             # have produced put in.
             args = vars(ppath.cli.build_parser().parse_args([str(a) for a in argv]))
-            return {"subcommand": args.pop("subcommand"), "args": {**args, **changed}}
+            return {"subcommand": args.pop("subcommand"), "args": {**args, **changed},
+                    "input_hashes": hashes}
 
         gen = ["gen", "--type", "transitive", "--n", 5, "--out", tmp_path / "x.trn"]
         search = ["search", "--mode", "enumerate", "--n", 3, "--out-dir", tmp_path / "s"]
+        solve = ["solve", "--exact", "--out", tmp_path / "w.json", trn]
+        gone = tmp_path / "gone.trn"
         for manifest, message in [
             ({"subcommand": "gen", "args": {"type": "transitive"}},
              "error: manifest args lack --n"),
@@ -412,11 +433,29 @@ class TestReplay:
             (parsed(search, mode="bogus"),
              "error: manifest gives --mode the invalid value 'bogus'"),
             (parsed(search, temp=1), "error: manifest gives --temp the invalid value 1"),
+            (parsed(gen), "error: manifest input_hashes is not a JSON object of strings"),
+            (parsed(solve, [digest]), "error: manifest input_hashes is not a JSON object"),
+            (parsed(solve, {str(trn): 5}), "error: manifest input_hashes is not a JSON"),
+            (parsed(solve, {str(trn): "0" * 64}),
+             f"error: input {trn} changed since the manifest was written"),
+            (parsed(solve, {str(trn): digest, str(gone): digest}),
+             f"error: input {gone} changed since the manifest was written"),
         ]:
             man.write_text(json.dumps(manifest))
             assert run(["replay", man]) == 2
             assert message in capsys.readouterr().err
-            assert list(tmp_path.iterdir()) == [man]
+            assert sorted(tmp_path.iterdir()) == [man, trn]
+
+    def test_replay_on_changed_input_writes_nothing(self, tmp_path, capsys):
+        trn, out = tmp_path / "r.trn", tmp_path / "r.trn.witness.json"
+        assert run(["gen", "--type", "random", "--n", 12, "--seed", 3, "--out", trn]) == 0
+        assert run(["solve", "--exact", trn]) == 0
+        witness = out.read_bytes()
+        assert run(["gen", "--type", "random", "--n", 12, "--seed", 4, "--out", trn]) == 0
+        capsys.readouterr()
+        assert run(["replay", tmp_path / "r.trn.witness.json.manifest.json"]) == 2
+        assert f"error: input {trn} changed since" in capsys.readouterr().err
+        assert out.read_bytes() == witness
 
     def _assert_replay_reproduces(self, tmp_path, argv, manifest, inputs=(),
                                   mask=lambda path, data: data):

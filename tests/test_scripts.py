@@ -2,6 +2,7 @@
 library signature change must not break them silently."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,13 @@ def test_script_imports(name, entry):
     # Import only: running them rewrites the committed calibration/ and
     # tests/golden/ files.
     assert callable(getattr(_load(SCRIPTS / f"{name}.py"), entry))
+
+
+def test_cli_outputs_match_goldens(tmp_path, monkeypatch):
+    # The CLI commands that make_goldens.py pins write the same bytes.
+    monkeypatch.chdir(tmp_path)
+    pinned = json.loads((ROOT / "tests" / "golden" / "cli_outputs.json").read_text())
+    assert _load(SCRIPTS / "make_goldens.py").cli_output_hashes() == pinned
 
 
 def test_benchmark_trace_targets_resolve():
