@@ -39,6 +39,7 @@ CLI_COMMANDS = [
     ["table", "--n-list", "6,40", "--trials", "2", "--method", "find", "--out", "find.csv"],
     ["table", "--n-list", "4,6", "--trials", "2", "--method", "exact", "--out", "exact.csv"],
     ["search", "--mode", "enumerate", "--n", "5", "--out-dir", "enum"],
+    ["search", "--mode", "enumerate", "--n", "7", "--out-dir", "enum7"],
     ["search", "--mode", "anneal", "--n", "6", "--seed", "4", "--iters", "40",
      "--checkpoint-every", "15", "--out-dir", "one"],
     ["search", "--mode", "anneal", "--n", "6", "--seed", "3", "--iters", "30",

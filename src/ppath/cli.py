@@ -32,6 +32,7 @@ from .exact import (
 )
 from .rng import derive_seed
 from .search import (
+    _ENUMERATION_MAX_N,
     AnnealChain,
     AnnealConfig,
     SearchRecord,
@@ -261,8 +262,9 @@ def cmd_search(ns: argparse.Namespace) -> int:
     if ns.mode == "enumerate":
         if ns.n < 1:
             raise UsageError("--n must be >= 1")
-        if ns.n > 7:
-            raise UsageError("enumeration is limited to n <= 7; use --mode anneal")
+        if ns.n > _ENUMERATION_MAX_N:
+            raise UsageError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
+                             "use --mode anneal")
     elif ns.n < 2:
         raise UsageError("--n must be >= 2 for --mode anneal")
     elif ns.chains < 1:

@@ -1,14 +1,17 @@
 """Empirical attack on the minimum of pp over all n-vertex tournaments.
 
-Exhaustive enumeration is exact up to n = 7 (2^21 orientation matrices);
-larger n uses seeded simulated annealing over single-edge flips with the
-exact solver as the objective. Results are SearchRecord rows; every record's
-witness verifies, and enumeration records carry the exact value.
+Exhaustive enumeration is exact up to n = 7: it builds the isomorphism
+classes of tournaments with pp <= x one vertex at a time and counts their
+labeled copies. Larger n uses seeded simulated annealing over single-edge
+flips with the exact solver as the objective. Results are SearchRecord rows;
+every record's witness verifies, and enumeration records carry the exact
+value.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from typing import Iterator, Optional
@@ -17,13 +20,13 @@ from .exact import (
     ExactResult,
     PowerPath,
     SolveBudget,
-    _greedy_mask,
     longest_power_path_exact,
 )
 from .rng import Rng, derive_seed
 from .tournament import Tournament, _unchecked, random_tournament
 
 _CANONICAL_MAX_N = 10
+_ENUMERATION_MAX_N = 7
 _ENUMERATION_BUDGET = SolveBudget(max_states=5_000_000)
 
 
@@ -132,49 +135,79 @@ def canonical_fingerprint(t: Tournament) -> str:
     return "r" + hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def certify(x: int, k: int, n_max: int) -> list[list[Tournament]]:
+    """Class representatives of the m-vertex tournaments with pp <= x, one
+    level for each m = 1..n_max, stopping after the first empty level.
+
+    Level m extends each representative of level m - 1 by a new vertex in
+    all 2^(m-1) ways. An extension is kept when its solve with
+    ``target = x + 1`` finds at most x vertices, and only the first
+    representative of each ``_canonical_bits`` class is kept. pp <= x is
+    hereditary (a path power of a subtournament is one of the whole), so
+    deleting the last vertex of an m-vertex tournament with pp <= x leaves
+    a copy of a level m - 1 representative, and the extensions reach every
+    class.
+    """
+    levels: list[list[Tournament]] = []
+    level = [_unchecked(())]
+    for m in range(n_max):
+        classes: dict[int, Tournament] = {}
+        for t in level:
+            for outs in range(1 << m):
+                rows = tuple(r | (~outs >> i & 1) << m for i, r in enumerate(t.rows))
+                ext = _unchecked(rows + (outs,))
+                res = longest_power_path_exact(ext, k, _ENUMERATION_BUDGET, target=x + 1)
+                if not res.optimal:
+                    raise RuntimeError("enumeration budget too small for exactness")
+                if len(res.path) <= x:
+                    classes.setdefault(_canonical_bits(ext), ext)
+        level = list(classes.values())
+        levels.append(level)
+        if not level:
+            break
+    return levels
+
+
 def enumerate_min_pp(n: int, k: int) -> tuple[int, Tournament, int]:
     """Exact minimum of the longest k-power over ALL labeled tournaments on n
     vertices, with the first minimizing tournament (in orientation-code
     order) and the count of labeled minimizers.
 
-    Tournaments whose greedy witness already exceeds the running minimum are
-    skipped without running the exact solver; greedy <= exact keeps the
-    minimum, witness and count exact. The prune pays for itself: at n = 6 it
-    leaves 10,104 of 32,768 tournaments to solve, and solving all of them
-    takes 30-40% longer (CPython 3.11, Xeon VM). The solve of a survivor only
-    decides whether its pp is at most the running minimum: it stops at a
-    prefix one vertex longer (``target``), which changes neither minimum nor
-    count.
+    The minimum is the least x for which ``certify(x, k, n)`` reaches a
+    nonempty level n. Each class representative of that level is then
+    relabeled by all n! permutations: the distinct orientation codes of a
+    class are its n!/|Aut| labeled copies, and classes share no code, so
+    the count is their number and the witness decodes the least code. Both
+    are the same whichever representative a class keeps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > 7:
-        raise UseAnnealInsteadError("enumeration beyond n = 7 is infeasible")
+    if n > _ENUMERATION_MAX_N:
+        raise UseAnnealInsteadError(
+            f"enumeration beyond n = {_ENUMERATION_MAX_N} is infeasible")
+    for x in range(1, n + 1):
+        reps = certify(x, k, n)[-1]
+        if reps:
+            break
+    # Code bit p, for the p-th pair (i, j) with i < j, is set when i -> j.
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    npairs = len(pairs)
-    cur_min = n + 1
-    witness: Optional[Tournament] = None
-    count = 0
-    for code in range(1 << npairs):
-        rows = [0] * n
-        for p, (i, j) in enumerate(pairs):
-            if (code >> p) & 1:
-                rows[i] |= 1 << j
-            else:
-                rows[j] |= 1 << i
-        t = _unchecked(tuple(rows))
-        if len(_greedy_mask(t, t.full_mask, k, Rng(0))) > cur_min:
-            continue
-        res = longest_power_path_exact(t, k, _ENUMERATION_BUDGET, target=cur_min + 1)
-        if not res.optimal:
-            raise RuntimeError("enumeration budget too small for exactness")
-        got = len(res.path)
-        if got < cur_min:
-            cur_min, witness, count = got, t, 1
-        elif got == cur_min:
-            count += 1
-    assert witness is not None
-    return cur_min, witness, count
+    bit = [[0] * n for _ in range(n)]
+    for p, (i, j) in enumerate(pairs):
+        bit[i][j] = 1 << p
+    count, least = 0, 1 << len(pairs)
+    for t in reps:
+        arcs = [(a, b) for a in range(n) for b in range(n) if t.rows[a] >> b & 1]
+        codes = {sum(bit[perm[a]][perm[b]] for a, b in arcs)
+                 for perm in itertools.permutations(range(n))}
+        count += len(codes)
+        least = min(least, *codes)
+    rows = [0] * n
+    for p, (i, j) in enumerate(pairs):
+        if least >> p & 1:
+            rows[i] |= 1 << j
+        else:
+            rows[j] |= 1 << i
+    return x, _unchecked(tuple(rows)), count
 
 
 @dataclass(frozen=True)

@@ -205,9 +205,14 @@ class TestSearch:
         assert (tmp_path / "s" / "w_enum.trn").exists()
 
     def test_enumerate_large_n_rejected(self, tmp_path):
-        assert run(["search", "--mode", "enumerate", "--n", 9,
+        assert run(["search", "--mode", "enumerate", "--n", 8,
                     "--out-dir", tmp_path / "s"]) == 2
         assert not (tmp_path / "s").exists()
+
+    def test_enumerate_seven(self, tmp_path, capsys):
+        assert run(["search", "--mode", "enumerate", "--n", 7,
+                    "--out-dir", tmp_path / "s"]) == 0
+        assert "min_pp=5 count=5600" in capsys.readouterr().out
 
     def test_enumerate_empty_n_rejected(self, tmp_path, capsys):
         assert run(["search", "--mode", "enumerate", "--n", 0,

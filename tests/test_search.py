@@ -100,10 +100,10 @@ class TestEnumerate:
         assert canonical_fingerprint(wit) == canonical_fingerprint(rotational(3, {1}))
 
     def test_matches_unpruned_enumeration_n4(self):
-        # Independent route: exact solver on every orientation, no greedy skip.
+        # Independent route: the exact solver on every labeled orientation.
         for n in (4, 5):
             pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-            best, count, first = n + 1, 0, None
+            tournaments = []
             for code in range(1 << len(pairs)):
                 rows = [0] * n
                 for p, (i, j) in enumerate(pairs):
@@ -111,15 +111,18 @@ class TestEnumerate:
                         rows[i] |= 1 << j
                     else:
                         rows[j] |= 1 << i
-                t = Tournament.from_rows(rows)
-                got = len(longest_power_path_exact(t, 2).path)
-                if got < best:
-                    best, count, first = got, 1, t
-                elif got == best:
-                    count += 1
-            mn, wit, cnt = enumerate_min_pp(n, 2)
-            assert (mn, cnt) == (best, count)
-            assert wit.rows == first.rows
+                tournaments.append(Tournament.from_rows(rows))
+            for k in (1, 2, 3):
+                best, count, first = n + 1, 0, None
+                for t in tournaments:
+                    got = len(longest_power_path_exact(t, k).path)
+                    if got < best:
+                        best, count, first = got, 1, t
+                    elif got == best:
+                        count += 1
+                mn, wit, cnt = enumerate_min_pp(n, k)
+                assert (mn, cnt) == (best, count)
+                assert wit.rows == first.rows
 
     def test_golden_n6(self):
         golden = json.loads((GOLDEN / "min_pp_n6.json").read_text())
@@ -127,10 +130,36 @@ class TestEnumerate:
         assert mn == golden["min_pp"] and cnt == golden["count"]
         assert write_trn(wit) == (GOLDEN / golden["witness_file"]).read_bytes()
         assert len(longest_power_path_exact(load_trn(GOLDEN / golden["witness_file"]), 2).path) == mn
+        # n = 7 as the labeled loop over all 2^21 orientations found it.
+        for k, pinned in [(2, (5, 5600, (46, 8, 2, 4, 15, 30, 63))),
+                          (3, (3, 240, (100, 81, 74, 35, 13, 22, 56)))]:
+            mn, wit, cnt = enumerate_min_pp(7, k)
+            assert (mn, cnt, wit.rows) == pinned
 
     def test_large_n_rejected(self):
         with pytest.raises(UseAnnealInsteadError):
             enumerate_min_pp(8, 2)
+
+
+class TestCertify:
+    @pytest.mark.parametrize("x, n_max, sizes", [
+        (3, 8, [1, 1, 2, 2, 0]),
+        (4, 7, [1, 1, 2, 4, 5, 1, 0]),
+        (5, 8, [1, 1, 2, 4, 12, 19, 6, 0]),
+        # Every class (A000568): the dedup keeps exactly one per class.
+        (7, 7, [1, 1, 2, 4, 12, 56, 456]),
+    ])
+    def test_level_sizes(self, x, n_max, sizes):
+        levels = search.certify(x, 2, n_max)
+        assert [len(level) for level in levels] == sizes
+        for m, level in enumerate(levels, 1):
+            for t in level:
+                assert t.n == m and len(longest_power_path_exact(t, 2).path) <= x
+
+    def test_tripped_solve_raises(self, monkeypatch):
+        monkeypatch.setattr(search, "_ENUMERATION_BUDGET", SolveBudget(max_states=1))
+        with pytest.raises(RuntimeError, match="budget too small"):
+            search.certify(5, 2, 6)
 
 
 class TestAnneal:
