@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .driver import find_kth_power_path
-from .engine import RegularityParams
 from .exact import (
     PowerPath,
     SolveBudget,
@@ -184,11 +183,8 @@ def cmd_find(ns: argparse.Namespace) -> int:
     for path in (out, ns.trace):
         if path and not Path(path).parent.is_dir():
             raise UsageError(f"no directory {Path(path).parent} for {path}")
-    params = RegularityParams(
-        eps=ns.eps, delta=ns.delta, parts=ns.parts, samples=ns.samples
-    )
     trace: Optional[list] = [] if ns.trace else None
-    path = find_kth_power_path(t, ns.k, params, seed=ns.seed, trace=trace)
+    path = find_kth_power_path(t, ns.k, seed=ns.seed, trace=trace)
     _write_witness(t, path, out)
     outputs = [out]
     if ns.trace:
@@ -454,12 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("input")
 
-    f = sub.add_parser("find", help="route-machinery k-power finder")
+    f = sub.add_parser("find", help="k-power finder: exact up to 16 vertices, greedy above")
     f.add_argument("-k", type=int, default=2)
-    f.add_argument("--eps", type=float, default=0.01)
-    f.add_argument("--delta", type=float, default=0.1)
-    f.add_argument("--parts", type=int, default=8)
-    f.add_argument("--samples", type=int, default=8)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--trace", default=None)
     f.add_argument("--out", default=None)

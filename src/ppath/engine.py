@@ -10,7 +10,6 @@ arithmetic, never by float equality.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -402,9 +401,3 @@ def _truncate_verified(t: Tournament, k: int, flat: tuple[int, ...]) -> PowerPat
         if ok:
             return path
         flat = flat[: violation[1]]
-
-
-def weak_count_threshold(params: RegularityParams, num_parts: int) -> int:
-    """Integer count for the weak-vertex rule 2*sqrt(eps)*l', with a 1e-9
-    absolute tolerance applied before rounding up."""
-    return max(1, math.ceil(2.0 * math.sqrt(params.eps) * num_parts - 1e-9))

@@ -173,28 +173,33 @@ def enumerate_min_pp(n: int, k: int) -> tuple[int, Tournament, int]:
     vertices, with the first minimizing tournament (in orientation-code
     order) and the count of labeled minimizers.
 
-    The minimum is the least x for which ``certify(x, k, n)`` reaches a
-    nonempty level n. Each class representative of that level is then
-    relabeled by all n! permutations: the distinct orientation codes of a
-    class are its n!/|Aut| labeled copies, and classes share no code, so
-    the count is their number and the witness decodes the least code. Both
-    are the same whichever representative a class keeps.
+    The minimum is the least x < n for which ``certify(x, k, n)`` reaches a
+    nonempty level n, and n when there is none. Each class representative
+    of that level is then relabeled by all n! permutations: the distinct
+    orientation codes of a class are its n!/|Aut| labeled copies, and
+    classes share no code, so the count is their number and the witness
+    decodes the least code. Both are the same whichever representative a
+    class keeps.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _ENUMERATION_MAX_N:
         raise UseAnnealInsteadError(
             f"enumeration beyond n = {_ENUMERATION_MAX_N} is infeasible")
-    for x in range(1, n + 1):
+    for x in range(1, n):
         reps = certify(x, k, n)[-1]
         if reps:
             break
+    else:
+        # pp <= n always holds, so every labeled tournament is a minimizer
+        # and code 0 is the least: no level n need be built or relabeled.
+        x, reps = n, []
     # Code bit p, for the p-th pair (i, j) with i < j, is set when i -> j.
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     bit = [[0] * n for _ in range(n)]
     for p, (i, j) in enumerate(pairs):
         bit[i][j] = 1 << p
-    count, least = 0, 1 << len(pairs)
+    count, least = (0, 1 << len(pairs)) if reps else (1 << len(pairs), 0)
     for t in reps:
         arcs = [(a, b) for a in range(n) for b in range(n) if t.rows[a] >> b & 1]
         codes = {sum(bit[perm[a]][perm[b]] for a, b in arcs)

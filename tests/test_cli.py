@@ -515,6 +515,31 @@ class TestReplay:
         assert manifest.read_bytes() == old
         assert out.read_bytes() == witness
 
+    def test_find_manifest_with_probe_flags_replays_byte_identical(self, tmp_path):
+        # find manifests written while find had the probe flags record them;
+        # the run they record at these values is the finder of today.
+        trn, out, trace = tmp_path / "t.trn", tmp_path / "w.json", tmp_path / "tr.jsonl"
+        save_trn(random_tournament(40, 3), trn)
+        assert run(["find", "-k", 2, "--seed", 1, "--trace", trace, "--out", out, trn]) == 0
+        witness, lines = out.read_bytes(), trace.read_bytes()
+        out.unlink()
+        trace.unlink()
+        manifest = tmp_path / "w.json.manifest.json"
+        old = (
+            '{\n "args": {\n  "delta": 0.1,\n  "eps": 0.01,\n'
+            f'  "input": "{trn}",\n  "k": 2,\n  "out": "{out}",\n'
+            f'  "parts": 8,\n  "samples": 8,\n  "seed": 1,\n  "trace": "{trace}"\n }},\n'
+            f' "input_hashes": {{\n  "{trn}": '
+            f'"{hashlib.sha256(trn.read_bytes()).hexdigest()}"\n }},\n'
+            f' "outputs": [\n  "{out}",\n  "{trace}"\n ],\n "seed": 1,\n'
+            ' "subcommand": "find",\n "tool": "ppath",\n "version": "0.1.0"\n}\n'
+        ).encode()
+        manifest.write_bytes(old)
+        assert run(["replay", manifest]) == 0
+        assert manifest.read_bytes() == old
+        assert out.read_bytes() == witness
+        assert trace.read_bytes() == lines
+
     def test_search_enumerate_replay_byte_identical(self, tmp_path):
         d = tmp_path / "s"
         self._assert_replay_reproduces(
@@ -555,8 +580,8 @@ class TestManifests:
         wit = tmp_path / "t.trn.witness.json"
         assert json.loads((tmp_path / "t.trn.witness.json.manifest.json").read_text()) == {
             "subcommand": "find",
-            "args": {"k": 3, "eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8,
-                     "seed": 4, "trace": str(trace), "out": None, "input": str(trn)},
+            "args": {"k": 3, "seed": 4, "trace": str(trace), "out": None,
+                     "input": str(trn)},
             "seed": 4,
             "tool": "ppath",
             "version": "0.1.0",
@@ -664,14 +689,10 @@ class TestEdgeCases:
         assert "--n must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "s1").exists()
 
-    def test_find_with_custom_probe_flags(self, tmp_path, capsys):
-        trn = tmp_path / "r.trn"
-        save_trn(random_tournament(200, 4), trn)
-        assert run(["find", "-k", 2, "--eps", 0.05, "--delta", 0.3,
-                    "--parts", 4, "--samples", 4, "--seed", 2, trn]) == 0
-        assert "verified=true" in capsys.readouterr().out
-
     def test_find_rejects_bad_probe_params(self, tmp_path):
+        # The finder has no probe, so the old probe flags are usage errors.
         trn = tmp_path / "r.trn"
         save_trn(random_tournament(40, 4), trn)
-        assert run(["find", "-k", 2, "--eps", 0.5, "--delta", 0.1, trn]) == 2
+        before = sorted(tmp_path.iterdir())
+        assert run(["find", "-k", 2, "--eps", 0.05, trn]) == 2
+        assert sorted(tmp_path.iterdir()) == before

@@ -16,7 +16,6 @@ from ppath.engine import (
     order_or_long_path,
     random_oriented_graph,
     sampled_regular,
-    weak_count_threshold,
 )
 from ppath.exact import PowerPath, verify_power_path
 from ppath.tournament import (
@@ -276,11 +275,6 @@ class TestChains:
         t, pair = _complete_pair(4)
         with pytest.raises(ValueError):
             chain_power_path(t, pair, 2, DEFAULT_PARAMS, start_side="c")
-
-
-def test_weak_count_threshold_rounding():
-    assert weak_count_threshold(RegularityParams(eps=0.01, delta=0.1), 8) == 2
-    assert weak_count_threshold(RegularityParams(eps=0.25, delta=0.5), 8) == 8
 
 
 class TestChainTotality:

@@ -131,7 +131,8 @@ class TestEnumerate:
         assert write_trn(wit) == (GOLDEN / golden["witness_file"]).read_bytes()
         assert len(longest_power_path_exact(load_trn(GOLDEN / golden["witness_file"]), 2).path) == mn
         # n = 7 as the labeled loop over all 2^21 orientations found it.
-        for k, pinned in [(2, (5, 5600, (46, 8, 2, 4, 15, 30, 63))),
+        for k, pinned in [(1, (7, 2**21, (0, 1, 3, 7, 15, 31, 63))),
+                          (2, (5, 5600, (46, 8, 2, 4, 15, 30, 63))),
                           (3, (3, 240, (100, 81, 74, 35, 13, 22, 56)))]:
             mn, wit, cnt = enumerate_min_pp(7, k)
             assert (mn, cnt, wit.rows) == pinned
