@@ -689,6 +689,19 @@ class TestEdgeCases:
         assert "--n must be >= 2" in capsys.readouterr().err
         assert not (tmp_path / "s1").exists()
 
+    def test_find_with_custom_probe_flags(self, tmp_path, capsys):
+        # The full old probe flag set is refused before anything is written;
+        # the same run without it finds and verifies a path.
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(200, 4), trn)
+        before = sorted(tmp_path.iterdir())
+        assert run(["find", "-k", 2, "--eps", 0.05, "--delta", 0.3,
+                    "--parts", 4, "--samples", 4, "--seed", 2, trn]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        capsys.readouterr()
+        assert run(["find", "-k", 2, "--seed", 2, trn]) == 0
+        assert "verified=true" in capsys.readouterr().out
+
     def test_find_rejects_bad_probe_params(self, tmp_path):
         # The finder has no probe, so the old probe flags are usage errors.
         trn = tmp_path / "r.trn"
