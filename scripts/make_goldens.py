@@ -44,6 +44,8 @@ CLI_COMMANDS = [
      "--checkpoint-every", "15", "--out-dir", "one"],
     ["search", "--mode", "anneal", "--n", "6", "--seed", "3", "--iters", "30",
      "--chains", "2", "--out-dir", "two"],
+    ["search", "--mode", "anneal", "--n", "10", "--iters", "30", "--seed", "3",
+     "--out-dir", "anneal10"],
 ]
 
 

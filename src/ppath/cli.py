@@ -6,8 +6,10 @@ Every subcommand that writes files also writes a run manifest
 ``ppath replay manifest.json`` re-executes the recorded run on its recorded
 input bytes, reproducing the outputs byte-for-byte: no output depends on the
 clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error (a
-malformed replay manifest, a changed replay input or a malformed checkpoint
-too), 3 budget exhausted, 70 an emitted witness failed self-verification.
+malformed replay manifest, one that records a flag this version no longer has
+at other than its old default, a changed replay input or a malformed
+checkpoint too), 3 budget exhausted, 70 an emitted witness failed
+self-verification.
 """
 
 from __future__ import annotations
@@ -386,6 +388,14 @@ def cmd_table(ns: argparse.Namespace) -> int:
 # replay
 
 
+# Flags a subcommand no longer has, each with the old default, at which the
+# run a manifest records is the run of this version.
+_REMOVED_FLAGS = {
+    "find": {"eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8},
+    "solve": {"budget_ms": None},
+}
+
+
 def cmd_replay(ns: argparse.Namespace) -> int:
     manifest = json.loads(Path(ns.manifest).read_text())
     if not isinstance(manifest, dict):
@@ -412,6 +422,17 @@ def cmd_replay(ns: argparse.Namespace) -> int:
             continue
         if type(value) is not kind or action.choices and value not in action.choices:
             raise UsageError(f"manifest gives {flag} the invalid value {value!r}")
+    # Any other recorded flag must hold its old default, or the run recorded
+    # is not the run this version would make.
+    dests = {action.dest for action in subparsers.choices[sub]._actions}
+    removed = _REMOVED_FLAGS.get(sub, {})
+    for key, value in args.items():
+        if key not in dests and (
+            key not in removed or (type(value), value) != (type(removed[key]), removed[key])
+        ):
+            raise UsageError(
+                f"manifest records --{key.replace('_', '-')} {json.dumps(value)}, "
+                "which this version no longer has")
     # A run replayed on other input bytes would overwrite its record.
     hashes = manifest.get("input_hashes")
     if not isinstance(hashes, dict) or any(type(h) is not str for h in hashes.values()):

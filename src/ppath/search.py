@@ -277,6 +277,12 @@ class AnnealChain:
     every distinct rows is solved once, a record takes its witness from that
     solve, and a resumed chain, whose cache starts empty, gets the results
     the uninterrupted chain got. Fingerprints are computed for records only.
+    A flip of two vertices more than k apart in the current tournament's
+    spanning witness keeps that witness, so its pp is n and it is accepted
+    without a solve, when the budget cannot trip: when it is at least the
+    walk's Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states (23,050 at n = 10,
+    k = 2). The chain's decisions, records and rng draws are those of the
+    chain that solves every flip.
     State (rng word, matrix, temperature, bookkeeping) round-trips through
     ``state_dict``/``from_state`` for bit-exact resume.
     """
@@ -301,6 +307,13 @@ class AnnealChain:
         self.iteration = 0
         self.best_pp = n + 1
         self._cache: dict[tuple[int, ...], ExactResult] = {}
+        # Every solve is exact when the budget covers all the walk's
+        # (used set, tail) states.
+        self._never_trips = self.budget.max_states >= sum(
+            math.comb(n, m) * math.perm(m, min(k, m)) for m in range(1, n + 1))
+        # The current tournament's solve while its witness spans and flips
+        # that keep that witness may reuse it.
+        self._span: Optional[ExactResult] = None
 
     @classmethod
     def from_state(
@@ -347,6 +360,7 @@ class AnnealChain:
         new minimum. An unsolved t's pp is unknown, so it counts as n + 1:
         never a record, and every solved flip away from it is accepted."""
         self.t, self.cur_pp = t, len(res.path) if res.optimal else self.n + 1
+        self._span = res if self._never_trips and self.cur_pp == self.n else None
         if self.cur_pp >= self.best_pp:
             return []
         self.best_pp = self.cur_pp
@@ -373,7 +387,13 @@ class AnnealChain:
         for _ in range(cfg.moves_per_step):
             i, j = self.pairs[self.rng.randrange(len(self.pairs))]
             cand = flip_edge(self.t, i, j)
-            res = self._objective(cand)
+            span = self._span
+            if span is not None and abs(
+                span.path.vertices.index(i) - span.path.vertices.index(j)
+            ) > self.k:
+                res = span  # its witness is a spanning one of cand too
+            else:
+                res = self._objective(cand)
             delta = len(res.path) - self.cur_pp
             if res.optimal and (
                 delta <= 0 or self.rng.random() < math.exp(-delta / self.temperature)

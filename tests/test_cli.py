@@ -540,6 +540,36 @@ class TestReplay:
         assert out.read_bytes() == witness
         assert trace.read_bytes() == lines
 
+    def test_manifest_with_removed_flag_values_is_refused(self, tmp_path, capsys):
+        # A removed flag recorded at another value than its old default, or
+        # a flag the subcommand never had, names a run this version cannot
+        # make: replay writes nothing, where it would overwrite the recorded
+        # witness with another one.
+        trn, out = tmp_path / "r.trn", tmp_path / "w.json"
+        assert run(["gen", "--type", "random", "--n", 17, "--seed", 11, "--out", trn]) == 0
+        assert run(["find", "-k", 3, "--seed", 11, "--out", out, trn]) == 0
+        assert run(["solve", "--exact", "--out", tmp_path / "s.json", trn]) == 0
+        find_man = json.loads((tmp_path / "w.json.manifest.json").read_text())
+        solve_man = json.loads((tmp_path / "s.json.manifest.json").read_text())
+        probe = {"eps": 0.1, "delta": 0.5, "parts": 4, "samples": 4}
+        files = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        man = tmp_path / "edited.json"
+        for manifest, removed, message in [
+            (find_man, probe, "--delta 0.5"),
+            (find_man, {"eps": 0.01, "delta": 0.1, "parts": 8, "samples": 4}, "--samples 4"),
+            (find_man, {"parts": 8.0}, "--parts 8.0"),
+            (find_man, {"budget_ms": None}, "--budget-ms null"),
+            (solve_man, {"budget_ms": 3}, "--budget-ms 3"),
+            (solve_man, {"eps": 0.01}, "--eps 0.01"),
+        ]:
+            man.write_text(json.dumps({**manifest, "args": {**manifest["args"], **removed}},
+                                      sort_keys=True))
+            capsys.readouterr()
+            assert run(["replay", man]) == 2
+            assert (f"error: manifest records {message}, which this version no longer has"
+                    in capsys.readouterr().err)
+            assert {p: p.read_bytes() for p in tmp_path.iterdir() if p != man} == files
+
     def test_search_enumerate_replay_byte_identical(self, tmp_path):
         d = tmp_path / "s"
         self._assert_replay_reproduces(

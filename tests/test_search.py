@@ -281,6 +281,69 @@ class TestAnneal:
         assert set(calls) == set(chain._cache)
         assert len(calls) < 1 + cfg.iterations * cfg.moves_per_step
 
+    def test_spanning_flips_skip_the_solve(self):
+        # A move that asked no solve of its tournament took the current
+        # spanning witness; the flip kept it valid and pp is n. The chain
+        # with the skip turned off makes the same records and ends in the
+        # same state, rng word included.
+        class WatchedChain(AnnealChain):
+            asked = None
+            skipped = 0
+
+            def _objective(self, t):
+                self.asked = t.rows
+                return super()._objective(t)
+
+            def _move_to(self, t, res):
+                if self.asked != t.rows:
+                    self.skipped += 1
+                    check = longest_power_path_exact(t, self.k, self.budget)
+                    assert check.optimal and len(check.path) == self.n
+                    assert verify_power_path(t, res.path)[0]
+                self.asked = None
+                return super()._move_to(t, res)
+
+        skipped = {}
+        for n in range(6, 11):
+            for k in (2, 3):
+                for seed in range(2):
+                    cfg = AnnealConfig(iterations=30, initial_temperature=0.8,
+                                       cooling_rate=0.95, moves_per_step=6, seed=seed)
+                    chain = WatchedChain(n, k, cfg)
+                    plain = AnnealChain(n, k, cfg)
+                    plain._never_trips = False
+                    assert list(chain.run()) == list(plain.run()), (n, k, seed)
+                    assert chain.state_dict() == plain.state_dict()
+                    skipped[n, k] = skipped.get((n, k), 0) + chain.skipped
+        # pp = n is rare at k = 3, so the skip fires there only now and then.
+        assert all(skipped[n, 2] for n in range(6, 11))
+        assert sum(skipped[n, 3] for n in range(6, 11))
+
+    @pytest.mark.parametrize("budget, solves", [(None, 125), (SolveBudget(max_states=30), 178)])
+    def test_solver_calls_pinned(self, monkeypatch, budget, solves):
+        # The chain that solves every flip makes 175 and 178 solver calls.
+        # Under 30 states (60 after doubling, against the walk's 23,050
+        # states) a solve can trip, so every proposal is solved as before.
+        calls, proposals = [], []
+
+        def counting(t, k, budget=None, **kwargs):
+            calls.append(t.rows)
+            return longest_power_path_exact(t, k, budget, **kwargs)
+
+        def flipping(t, i, j):
+            proposals.append(flip_edge(t, i, j))
+            return proposals[-1]
+
+        monkeypatch.setattr(search, "longest_power_path_exact", counting)
+        monkeypatch.setattr(search, "flip_edge", flipping)
+        cfg = AnnealConfig(iterations=30, initial_temperature=0.8,
+                           cooling_rate=0.95, moves_per_step=6, seed=0)
+        chain = AnnealChain(10, 2, cfg, budget)
+        list(chain.run())
+        assert len(calls) == solves
+        assert chain._never_trips is (budget is None)
+        assert all(t.rows in chain._cache for t in proposals) is (budget is not None)
+
     def test_chain_state_roundtrip(self):
         cfg = AnnealConfig(iterations=60, moves_per_step=4, seed=13)
         a = AnnealChain(6, 2, cfg)
