@@ -3,25 +3,7 @@ extremal search, and a reproducible CLI harness."""
 
 __version__ = "0.1.0"
 
-from .driver import (
-    ClusterDigraph,
-    build_cluster_digraph,
-    concatenate_along_cluster_path,
-    find_kth_power_path,
-)
-from .engine import (
-    GoodPair,
-    OrderingCertificate,
-    OrientedGraph,
-    RegularityParams,
-    chain_power_path,
-    find_good_pair,
-    good_pair_threshold,
-    is_good_pair,
-    order_or_long_path,
-    random_oriented_graph,
-    sampled_regular,
-)
+from .driver import find_kth_power_path
 from .exact import (
     BudgetExceededError,
     ExactResult,
@@ -43,14 +25,9 @@ from .search import (
     flip_edge,
 )
 from .tournament import (
-    BipartitePair,
     Tournament,
     VertexSet,
-    bipartite_pair,
-    common_out_neighborhood,
-    directed_density,
     induced,
-    random_split,
     random_tournament,
     rotational,
     transitive,
@@ -59,47 +36,28 @@ from .trn import load_trn, read_trn, save_trn, write_trn
 
 __all__ = [
     "AnnealConfig",
-    "BipartitePair",
     "BudgetExceededError",
-    "ClusterDigraph",
     "ExactResult",
-    "GoodPair",
-    "OrderingCertificate",
-    "OrientedGraph",
     "PowerPath",
-    "RegularityParams",
     "SearchRecord",
     "SolveBudget",
     "Tournament",
     "UseAnnealInsteadError",
     "VertexSet",
     "anneal_min_pp",
-    "bipartite_pair",
-    "build_cluster_digraph",
     "canonical_fingerprint",
-    "chain_power_path",
-    "common_out_neighborhood",
-    "concatenate_along_cluster_path",
-    "directed_density",
     "enumerate_min_pp",
-    "find_good_pair",
     "find_kth_power_path",
     "flip_edge",
-    "good_pair_threshold",
     "greedy_power_path",
     "hamiltonian_path_insertion",
     "induced",
-    "is_good_pair",
     "load_trn",
     "longest_power_path_exact",
-    "order_or_long_path",
     "pp_value",
-    "random_oriented_graph",
-    "random_split",
     "random_tournament",
     "read_trn",
     "rotational",
-    "sampled_regular",
     "save_trn",
     "transitive",
     "verify_power_path",

@@ -3,33 +3,14 @@ import hashlib
 import pytest
 
 import ppath.driver
-from ppath.driver import (
-    ClusterDigraph,
-    build_cluster_digraph,
-    concatenate_along_cluster_path,
-    find_kth_power_path,
-)
-from ppath.engine import DEFAULT_PARAMS, RegularityParams
+from ppath.driver import find_kth_power_path
 from ppath.exact import (
-    PowerPath,
     greedy_power_path,
     hamiltonian_path_insertion,
     longest_power_path_exact,
     verify_power_path,
 )
-from ppath.tournament import (
-    Tournament,
-    VertexSet,
-    induced,
-    random_tournament,
-    transitive,
-)
-
-
-def exact_subfinder(t, vs):
-    sub, labels = induced(t, vs)
-    res = longest_power_path_exact(sub, 2)
-    return PowerPath(2, tuple(labels[v] for v in res.path.vertices))
+from ppath.tournament import Tournament, random_tournament, transitive
 
 
 def blowup_triangle(m):
@@ -48,111 +29,10 @@ def blowup_triangle(m):
     return Tournament.from_rows(rows)
 
 
-def consecutive_parts(n, count):
-    size = n // count
-    return [
-        VertexSet.from_iterable(range(i * size, (i + 1) * size), n)
-        for i in range(count)
-    ]
-
-
-class TestClusterDigraph:
-    def test_transitive_three_parts(self):
-        params = RegularityParams(eps=0.2, delta=0.3, parts=3, samples=4)
-        cd = build_cluster_digraph(transitive(9), consecutive_parts(9, 3), params)
-        assert set(cd.arcs) == {(0, 1), (1, 2), (0, 2)}
-        assert cd.mid_pairs == ()
-
-    def test_blowup_is_directed_triangle(self):
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        bt = blowup_triangle(20)
-        cd = build_cluster_digraph(bt, consecutive_parts(60, 3), params)
-        assert set(cd.arcs) == {(0, 1), (1, 2), (2, 0)}
-
-    def test_balanced_densities_give_mid_pairs_only(self):
-        params = RegularityParams(eps=0.2, delta=0.45, parts=4, samples=8)
-        t = random_tournament(400, 17)
-        cd = build_cluster_digraph(t, consecutive_parts(400, 4), params)
-        assert cd.arcs == frozenset()
-        assert len(cd.mid_pairs) == 6
-
-    def test_rejects_overlapping_parts(self):
-        t = transitive(6)
-        a = VertexSet.from_iterable({0, 1}, 6)
-        with pytest.raises(ValueError):
-            build_cluster_digraph(t, [a, a], DEFAULT_PARAMS)
-
-    def test_one_arc_per_pair_invariant(self):
-        with pytest.raises(ValueError):
-            ClusterDigraph(
-                tuple(consecutive_parts(4, 2)), frozenset({(0, 1), (1, 0)}), ()
-            )
-
-
-class TestConcatenate:
-    def test_transitive_thirty_full_join(self):
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        t = transitive(30)
-        cd = build_cluster_digraph(t, consecutive_parts(30, 3), params)
-        out = concatenate_along_cluster_path(t, cd, [0, 1, 2], params, exact_subfinder)
-        assert len(out) == 30 and verify_power_path(t, out)[0]
-
-    def test_single_part_reduces_to_subfinder(self):
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        t = transitive(30)
-        cd = build_cluster_digraph(t, consecutive_parts(30, 3), params)
-        direct = exact_subfinder(t, cd.parts[1])
-        out = concatenate_along_cluster_path(t, cd, [1], params, exact_subfinder)
-        assert out == direct
-
-    def test_blowup_reaches_forty(self):
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        bt = blowup_triangle(20)
-        cd = build_cluster_digraph(bt, consecutive_parts(60, 3), params)
-        out = concatenate_along_cluster_path(bt, cd, [0, 1, 2], params, exact_subfinder)
-        assert len(out) >= 40 and verify_power_path(bt, out)[0]
-
-    def test_empty_trimmed_part_is_skipped_with_trace(self):
-        # A -> B, A -> C, C -> B complete; declared arcs force the path
-        # A,B,C although B sends nothing into C, so B trims to nothing.
-        m = 5
-        n = 3 * m
-        rows = [0] * n
-        for c in range(3):
-            for i in range(m):
-                v = c * m + i
-                for j in range(i + 1, m):
-                    rows[v] |= 1 << (c * m + j)
-        for a in range(m):
-            for x in range(m, 3 * m):
-                rows[a] |= 1 << x  # A beats B and C
-        for cc in range(2 * m, 3 * m):
-            for bb in range(m, 2 * m):
-                rows[cc] |= 1 << bb  # C beats B
-        t = Tournament.from_rows(rows)
-        parts = consecutive_parts(n, 3)
-        cd = ClusterDigraph(tuple(parts), frozenset({(0, 1), (1, 2)}), ())
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=4)
-        trace = []
-        out = concatenate_along_cluster_path(t, cd, [0, 1, 2], params,
-                                             exact_subfinder, trace=trace)
-        assert any(ev.get("event") == "empty_trimmed_part" for ev in trace)
-        assert verify_power_path(t, out)[0]
-        assert len(out) == 2 * m  # A block then C block
-
-    def test_invalid_part_path_rejected(self):
-        params = RegularityParams(eps=0.05, delta=0.2, parts=3, samples=6)
-        t = transitive(30)
-        cd = build_cluster_digraph(t, consecutive_parts(30, 3), params)
-        with pytest.raises(ValueError):
-            concatenate_along_cluster_path(t, cd, [2, 0], params, exact_subfinder)
-        with pytest.raises(ValueError):
-            concatenate_along_cluster_path(t, cd, [0, 1, 0], params, exact_subfinder)
-
-
 class TestSplitAndJoin:
-    """Inputs the finder once sent down its split-and-join route; it must
-    still return verified, full-length witnesses on them."""
+    """Inputs above the exact threshold, which the finder gives to the
+    greedy: its witnesses must verify, and on transitive hosts span every
+    vertex."""
 
     def test_transitive_full_length(self):
         out = find_kth_power_path(transitive(64), 2, seed=0)
@@ -165,21 +45,14 @@ class TestSplitAndJoin:
             assert verify_power_path(t, out)[0], seed
 
     def test_small_instance_depth_zero_falls_back(self):
-        # Above the exact threshold the finder's one node is the greedy.
+        # n = 40 is above the exact threshold, so the trace's one record is
+        # the greedy's.
         t = random_tournament(40, 2)
         trace = []
         out = find_kth_power_path(t, 2, seed=2, trace=trace)
         assert verify_power_path(t, out)[0]
         assert len(out) >= 2
         assert [rec["route"] for rec in trace] == ["greedy"]
-
-    def test_total_even_when_cluster_digraph_has_long_path(self):
-        # A 3-part blow-up probes to a directed triangle; the finder must
-        # still return a verified witness on it.
-        bt = blowup_triangle(20)
-        out = find_kth_power_path(bt, 2, seed=1)
-        assert verify_power_path(bt, out)[0]
-        assert len(out) >= 2
 
 
 class TestFindSquarePath:
@@ -207,11 +80,12 @@ class TestFindSquarePath:
 
     def test_trace_record_shape(self):
         t = random_tournament(300, 5)
-        trace = []
-        find_kth_power_path(t, 2, seed=7, trace=trace)
-        (rec,) = trace
-        assert set(rec) == {"node", "route", "len"}
-        assert rec["route"] in {"base", "greedy"}
+        for k, route in ((1, "insertion"), (2, "greedy")):
+            trace = []
+            path = find_kth_power_path(t, k, seed=7, trace=trace)
+            (rec,) = trace
+            assert set(rec) == {"node", "route", "len"}
+            assert rec["route"] == route and rec["len"] == len(path)
 
     def test_output_never_beats_oracle_lowered_base(self, monkeypatch):
         # Lowering the exact threshold sends n = 14 to the greedy.
