@@ -1,21 +1,21 @@
-"""Constructive machinery for long path powers.
+"""Good pairs and alternating chains inside a bipartite pair.
 
-Pieces: the ordering/long-path dichotomy for oriented graphs, good-pair and
-good-tuple detection inside dense bipartite pairs, a sampling-based
-regularity probe, and the alternating chain construction that flattens a
-sequence of good tuples into a verified path power. All operations are pure
-given (inputs, params, seed); thresholds are compared in exact rational
-arithmetic, never by float equality.
+The remaining pieces of the paper's construction: good-pair and good-tuple
+detection inside dense bipartite pairs, and the alternating chain
+construction that flattens a sequence of good tuples into a verified path
+power. No command runs them; the acceptance suite and the calibration
+pilots check them. All operations are pure functions of their inputs;
+thresholds are compared in exact rational arithmetic, never by float
+equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .exact import PowerPath, verify_power_path
-from .rng import Rng, derive_seed
 from .tournament import BipartitePair, Tournament, VertexSet
 
 # Cap on full k-tuples examined per good-tuple search (k >= 3 only).
@@ -31,130 +31,19 @@ def _ceil_frac(q: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class OrientedGraph:
-    """Digraph with no loops and at most one direction per vertex pair."""
-
-    n: int
-    rows: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n != len(self.rows):
-            raise ValueError("row count disagrees with n")
-        for i, r in enumerate(self.rows):
-            if r < 0 or r >> self.n:
-                raise ValueError(f"row {i} has bits outside 0..{self.n - 1}")
-            if (r >> i) & 1:
-                raise ValueError(f"self-loop at vertex {i}")
-        for i, r in enumerate(self.rows):
-            m = r
-            while m:
-                b = m & -m
-                j = b.bit_length() - 1
-                m ^= b
-                if (self.rows[j] >> i) & 1:
-                    raise ValueError(f"pair ({i},{j}) oriented both ways")
-
-
-def random_oriented_graph(n: int, edge_prob: float, seed: int) -> OrientedGraph:
-    """Each unordered pair carries an edge with probability edge_prob, fair
-    coin orientation; fully determined by (n, edge_prob, seed)."""
-    rng = Rng(derive_seed(seed, "oriented", n))
-    rows = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                if rng.next_u64() & 1:
-                    rows[i] |= 1 << j
-                else:
-                    rows[j] |= 1 << i
-    return OrientedGraph(n, tuple(rows))
-
-
-@dataclass(frozen=True)
-class OrderingCertificate:
-    """Vertex order in which everyone has <= k-1 in-neighbors placed later."""
-
-    order: tuple[int, ...]
-    k: int
-
-
-def order_or_long_path(
-    g: Union[Tournament, OrientedGraph], k: int
-) -> Union[OrderingCertificate, PowerPath]:
-    """Either peel an ordering with back-in-degree <= k-1 at every position,
-    or produce a directed path with at least k edges.
-
-    Peeling removes the smallest-label vertex of current in-degree <= k-1.
-    If at some point every remaining vertex has in-degree >= k, a backward
-    greedy walk inside the remainder yields the path: while the walk spans
-    fewer than k edges its head still has an unvisited in-neighbor, so a
-    stall certifies >= k edges. Total on every input.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = g.n
-    rows = g.rows
-    in_rows = [0] * n
-    for i, r in enumerate(rows):
-        m = r
-        while m:
-            b = m & -m
-            in_rows[b.bit_length() - 1] |= 1 << i
-            m ^= b
-    remaining = (1 << n) - 1
-    order: list[int] = []
-    while remaining:
-        peeled = -1
-        m = remaining
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            if (in_rows[v] & remaining).bit_count() <= k - 1:
-                peeled = v
-                break
-        if peeled >= 0:
-            order.append(peeled)
-            remaining &= ~(1 << peeled)
-            continue
-        head = (remaining & -remaining).bit_length() - 1
-        walk = [head]
-        on_path = 1 << head
-        while True:
-            preds = in_rows[walk[0]] & remaining & ~on_path
-            if not preds:
-                break
-            u = (preds & -preds).bit_length() - 1
-            walk.insert(0, u)
-            on_path |= 1 << u
-        return PowerPath(1, tuple(walk))
-    return OrderingCertificate(tuple(order), k)
-
-
-@dataclass(frozen=True)
 class RegularityParams:
-    """Tolerances for the probe machinery: 0 < eps < delta <= 1/2."""
+    """Tolerances of the good-pair threshold: 0 < eps < delta <= 1/2."""
 
     eps: float = 0.01
     delta: float = 0.1
-    parts: int = 8
-    samples: int = 8
 
     def __post_init__(self) -> None:
         if not 0 < self.eps < self.delta <= 0.5:
             raise ValueError("need 0 < eps < delta <= 1/2")
-        if self.parts < 2:
-            raise ValueError("parts must be >= 2")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
 
     @property
     def eps_f(self) -> Fraction:
         return Fraction(self.eps)
-
-    @property
-    def delta_f(self) -> Fraction:
-        return Fraction(self.delta)
 
 
 DEFAULT_PARAMS = RegularityParams()
@@ -213,46 +102,6 @@ def find_good_pair(
         return None
     x, y = got
     return GoodPair(x, y, pair, (t.rows[x] & t.rows[y] & pair.b.mask).bit_count())
-
-
-def sampled_regular(
-    t: Tournament,
-    pair: BipartitePair,
-    params: RegularityParams,
-    seed: int = 0,
-) -> tuple[bool, Optional[tuple[VertexSet, VertexSet]]]:
-    """Probe regularity by sampling sub-pairs of sizes ceil(eps|A|), ceil(eps|B|).
-
-    Regular iff every sampled sub-density lies in [d - eps, d + eps] (exact
-    rational comparison against the pair's measured density); otherwise the
-    first violating sub-pair is returned as a checkable witness. Verdicts are
-    a pure function of (pair, params, seed).
-    """
-    na, nb = len(pair.a), len(pair.b)
-    if na == 0 or nb == 0:
-        raise ValueError("both sides must be nonempty")
-    eps_f = params.eps_f
-    sa = _ceil_frac(eps_f * na)
-    sb = _ceil_frac(eps_f * nb)
-    rng = Rng(derive_seed(seed, "regular"))
-    a_members = pair.a.members()
-    b_members = pair.b.members()
-    rows = t.rows
-    d = pair.d_ab
-    for _ in range(params.samples):
-        sub_a = rng.sample(a_members, sa)
-        sub_b = rng.sample(b_members, sb)
-        bmask = 0
-        for v in sub_b:
-            bmask |= 1 << v
-        edges = sum((rows[x] & bmask).bit_count() for x in sub_a)
-        dd = Fraction(edges, sa * sb)
-        if dd < d - eps_f or dd > d + eps_f:
-            return False, (
-                VertexSet.from_iterable(sub_a, t.n),
-                VertexSet.from_iterable(sub_b, t.n),
-            )
-    return True, None
 
 
 def _iter_bits(mask: int) -> list[int]:

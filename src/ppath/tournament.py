@@ -1,4 +1,5 @@
-"""Tournament representation, generators and induced subtournaments.
+"""Tournament representation, generators, induced subtournaments and the
+exact densities of a bipartite pair.
 
 A tournament on n vertices is stored as n row bitsets: bit j of ``rows[i]``
 is 1 exactly when the edge i->j is present. Vertex labels are 0-based.
@@ -9,11 +10,12 @@ function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .rng import derive_seed
+from .rng import Rng, derive_seed
 
 
 class InvalidSizeError(ValueError):
@@ -26,6 +28,10 @@ class InvalidResiduesError(ValueError):
 
 class EmptySetError(ValueError):
     """Operation requires a nonempty vertex set."""
+
+
+class InvalidPairError(ValueError):
+    """Sides of a bipartite pair overlap or are empty."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,14 @@ class VertexSet:
 
     def __contains__(self, v: int) -> bool:
         return 0 <= v < self.host_n and bool((self.mask >> v) & 1)
+
+    def _check_host(self, other: "VertexSet") -> None:
+        if self.host_n != other.host_n:
+            raise ValueError("vertex sets live in different hosts")
+
+    def isdisjoint(self, other: "VertexSet") -> bool:
+        self._check_host(other)
+        return not (self.mask & other.mask)
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -202,6 +216,37 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return _unchecked(_matrix_to_rows(mat))
 
 
+def directed_density(t: Tournament, a: VertexSet, b: VertexSet) -> Fraction:
+    """Exact fraction of ordered cross pairs (x in a, y in b) with x -> y."""
+    if len(a) == 0 or len(b) == 0:
+        raise InvalidPairError("both sides must be nonempty")
+    if not a.isdisjoint(b):
+        raise InvalidPairError("sides overlap")
+    edges = sum((t.rows[x] & b.mask).bit_count() for x in a)
+    return Fraction(edges, len(a) * len(b))
+
+
+@dataclass(frozen=True)
+class BipartitePair:
+    """Two disjoint vertex sets with their exact cross densities."""
+
+    a: VertexSet
+    b: VertexSet
+    d_ab: Fraction
+    d_ba: Fraction
+
+    def __post_init__(self) -> None:
+        if not self.a.isdisjoint(self.b):
+            raise InvalidPairError("sides overlap")
+        if len(self.a) and len(self.b) and self.d_ab + self.d_ba != 1:
+            raise InvalidPairError("cross densities must sum to 1")
+
+
+def bipartite_pair(t: Tournament, a: VertexSet, b: VertexSet) -> BipartitePair:
+    d_ab = directed_density(t, a, b)
+    return BipartitePair(a, b, d_ab, 1 - d_ab)
+
+
 def induced(t: Tournament, s: VertexSet) -> tuple[Tournament, tuple[int, ...]]:
     """Subtournament on s with labels compressed to 0..|s|-1.
 
@@ -221,3 +266,13 @@ def induced(t: Tournament, s: VertexSet) -> tuple[Tournament, tuple[int, ...]]:
         rows.append(r)
     return _unchecked(tuple(rows)), labels
 
+
+def random_split(t: Tournament, seed: int) -> tuple[VertexSet, VertexSet]:
+    """Seeded balanced bipartition of the vertex set (sizes differ by <= 1)."""
+    labels = list(range(t.n))
+    Rng(derive_seed(seed, "split")).shuffle(labels)
+    half = t.n // 2
+    return (
+        VertexSet.from_iterable(labels[:half], t.n),
+        VertexSet.from_iterable(labels[half:], t.n),
+    )

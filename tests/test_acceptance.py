@@ -5,26 +5,36 @@ lines; the suite is also part of the default ``pytest`` run. Thresholds are
 pinned here from the statement of each criterion; the committed files under
 calibration/ document the pilot runs that fixed the empirical ones.
 
-Criteria 03 (ordering dichotomy), 04 (good-pair counting), 05 (chain
-construction) and 07 (concatenation route) are retired, not renumbered:
-they checked the regularity construction, which no command runs and which
-left the package with them. The remaining numbers keep their meaning.
+Criteria 03 (ordering dichotomy) and 07 (concatenation route) are retired,
+not renumbered: they checked pieces of the regularity construction that no
+command ran and that left the package with them. The remaining numbers keep
+their meaning.
 """
 
 import json
 import statistics
 import time
+from fractions import Fraction
 
 from conftest import CALIBRATION, GOLDEN
 from ppath.cli import main as cli_main
 from ppath.driver import find_kth_power_path
+from ppath.engine import DEFAULT_PARAMS, chain_power_path, is_good_pair
 from ppath.exact import (
     hamiltonian_path_insertion,
     longest_power_path_exact,
     verify_power_path,
 )
 from ppath.search import AnnealConfig, anneal_min_pp, enumerate_min_pp
-from ppath.tournament import Tournament, random_tournament, rotational, transitive
+from ppath.tournament import (
+    Tournament,
+    VertexSet,
+    bipartite_pair,
+    random_split,
+    random_tournament,
+    rotational,
+    transitive,
+)
 from ppath.trn import write_trn
 
 
@@ -111,6 +121,79 @@ def test_criterion_02_hamiltonian_path_law():
     ok = bad == 0
     _report(2, ok, "Hamiltonian-path law (exhaustive n=7 + sampled)",
             f"violations={bad}, {time.perf_counter() - t0:.0f}s")
+    assert ok
+
+
+def test_criterion_04_good_pair_counting():
+    """Non-good pair fraction inside A stays within 10*eps for 20 seeded
+    600-vertex orientations split in half, eps = 0.01.
+
+    The threshold count is derived here from first principles (exact rational
+    ceiling of (d^2 - 10 eps)|B|), independent of the package's helper; the
+    public predicate is cross-checked on a slice of pairs.
+    """
+    eps = Fraction(DEFAULT_PARAMS.eps)
+    bound = 10 * DEFAULT_PARAMS.eps
+    worst = 0.0
+    ok = True
+    for seed in range(20):
+        t = random_tournament(600, seed)
+        a = VertexSet.from_iterable(range(300), 600)
+        b = VertexSet.from_iterable(range(300, 600), 600)
+        pair = bipartite_pair(t, a, b)
+        threshold = (pair.d_ab**2 - 10 * eps) * 300
+        need = max(0, -((-threshold.numerator) // threshold.denominator))
+        members = a.members()
+        bad = 0
+        for i, x in enumerate(members):
+            rx = t.rows[x]
+            for y in members[i + 1 :]:
+                if (rx & t.rows[y] & b.mask).bit_count() < need:
+                    bad += 1
+        frac = bad / (300 * 299 / 2)
+        worst = max(worst, frac)
+        ok = ok and frac <= bound
+        # Tie the raw count to the public predicate on a slice of pairs.
+        for x in members[:3]:
+            for y in members[3:6]:
+                naive = (t.rows[x] & t.rows[y] & b.mask).bit_count() >= need
+                assert is_good_pair(t, pair, x, y, DEFAULT_PARAMS) == naive
+    pilot = json.loads((CALIBRATION / "goodpair_pilot.json").read_text())
+    ok = ok and pilot["max_fraction"] <= bound
+    _report(4, ok, "good-pair counting bound", f"worst={worst:.2e} <= {bound}")
+    assert ok
+
+
+def test_criterion_05_chain_construction():
+    """Chains: parity-split transitive hosts reach >= n; random 1000-vertex
+    hosts with random balanced splits reach >= 50 in >= 95 of 100 trials."""
+    t0 = time.perf_counter()
+    ok = True
+    parity_lens = {}
+    for half in (10, 50, 100):
+        t = transitive(2 * half)
+        a = VertexSet.from_iterable(range(0, 2 * half, 2), 2 * half)
+        b = VertexSet.from_iterable(range(1, 2 * half, 2), 2 * half)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
+        parity_lens[half] = len(ch)
+        ok = ok and verify_power_path(t, ch)[0] and len(ch) >= half
+    successes = 0
+    for seed in range(100):
+        t = random_tournament(1000, seed)
+        a, b = random_split(t, seed)
+        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
+        if verify_power_path(t, ch)[0] and len(ch) >= 50:
+            successes += 1
+    elapsed = time.perf_counter() - t0
+    pilot = json.loads((CALIBRATION / "chain_calibration.json").read_text())
+    ok = (
+        ok
+        and successes >= 95
+        and elapsed < 30.0
+        and pilot["successes_at_threshold"] == successes
+    )
+    _report(5, ok, "chain construction lengths",
+            f"parity={parity_lens}, random {successes}/100, {elapsed:.1f}s")
     assert ok
 
 

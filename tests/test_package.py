@@ -1,14 +1,13 @@
 import ppath
 
-# Exports that left with the regularity construction and the cluster-digraph
-# helpers; none of them may come back as a stale entry.
+# Exports that left with the cluster digraph, the regularity probe, the
+# ordering dichotomy and the common out-neighborhood; none of them may come
+# back as a stale entry.
 REMOVED = {
-    "BipartitePair", "ClusterDigraph", "GoodPair", "OrderingCertificate",
-    "OrientedGraph", "RegularityParams", "bipartite_pair",
-    "build_cluster_digraph", "chain_power_path", "common_out_neighborhood",
-    "concatenate_along_cluster_path", "directed_density", "find_good_pair",
-    "good_pair_threshold", "is_good_pair", "order_or_long_path",
-    "random_oriented_graph", "random_split", "sampled_regular",
+    "ClusterDigraph", "OrderingCertificate", "OrientedGraph",
+    "build_cluster_digraph", "common_out_neighborhood",
+    "concatenate_along_cluster_path", "order_or_long_path",
+    "random_oriented_graph", "sampled_regular",
 }
 
 

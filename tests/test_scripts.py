@@ -37,13 +37,12 @@ def test_benchmark_trace_targets_resolve():
     # The benchmark's tracer wraps these entry points by name and skips a
     # missing one, a module that no longer imports included, so a rename in
     # ppath must fail here instead. The names below went with the finder's
-    # structural recursion and the regularity library (ppath.engine); the
-    # tracer still names them until the benchmark drops them.
+    # structural recursion and the cluster digraph; the tracer still names
+    # them until the benchmark drops them.
     gone = {"ppath.driver.order_or_long_path", "ppath.driver.chain_power_path",
             "ppath.driver._split_join_core", "ppath.driver.build_cluster_digraph",
             "ppath.driver.sampled_regular",
-            "ppath.driver.concatenate_along_cluster_path",
-            "ppath.engine.verify_power_path"}
+            "ppath.driver.concatenate_along_cluster_path"}
     missing = set()
     for mod_name, path, _ in _load(ROOT / "perfbench" / "tracer.py").TARGETS:
         try:
