@@ -2,10 +2,8 @@
 """Pilot runs that fix the empirical acceptance thresholds.
 
 Each pilot writes a JSON manifest under calibration/ behind a criterion of
-tests/test_acceptance.py: ``goodpair_pilot`` the non-good pair fractions
-(criterion 04), ``chain_pilot`` the chain lengths (05), ``growth_pilot``
-the finder's median lengths (09) and ``anneal_pilot`` the anneal's hit
-rate (08).
+tests/test_acceptance.py: ``growth_pilot`` the finder's median lengths (09)
+and ``anneal_pilot`` the anneal's hit rate (08).
 Re-running reproduces the files byte-for-byte (all seeds fixed):
 
     python3 scripts/run_calibration.py
@@ -19,16 +17,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ppath.driver import find_kth_power_path
-from ppath.engine import DEFAULT_PARAMS, chain_power_path, good_pair_threshold
-from ppath.exact import verify_power_path
 from ppath.search import AnnealConfig, anneal_min_pp
-from ppath.tournament import (
-    VertexSet,
-    bipartite_pair,
-    random_split,
-    random_tournament,
-    transitive,
-)
+from ppath.tournament import random_tournament
 
 OUT = Path(__file__).resolve().parents[1] / "calibration"
 
@@ -37,70 +27,6 @@ def _write(name: str, payload: dict) -> None:
     OUT.mkdir(parents=True, exist_ok=True)
     (OUT / name).write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote calibration/{name}")
-
-
-def goodpair_pilot() -> None:
-    """Fraction of non-good pairs inside A for random 300+300 orientations."""
-    fractions = []
-    for seed in range(20):
-        t = random_tournament(600, seed)
-        a = VertexSet.from_iterable(range(300), 600)
-        b = VertexSet.from_iterable(range(300, 600), 600)
-        pair = bipartite_pair(t, a, b)
-        need = good_pair_threshold(pair, DEFAULT_PARAMS)
-        bad = 0
-        members = a.members()
-        for i, x in enumerate(members):
-            rx = t.rows[x]
-            for y in members[i + 1 :]:
-                if (rx & t.rows[y] & b.mask).bit_count() < need:
-                    bad += 1
-        fractions.append(bad / (300 * 299 / 2))
-    _write(
-        "goodpair_pilot.json",
-        {
-            "sides": 300,
-            "eps": DEFAULT_PARAMS.eps,
-            "bound_asserted": 10 * DEFAULT_PARAMS.eps,
-            "seeds": list(range(20)),
-            "non_good_fractions": fractions,
-            "max_fraction": max(fractions),
-        },
-    )
-
-
-def chain_pilot() -> None:
-    """Chain lengths on parity-split transitive hosts and random 1000-vertex
-    hosts with random balanced splits; fixes the 50-vertex / 95% bar."""
-    parity = {}
-    for half in (10, 50, 100):
-        t = transitive(2 * half)
-        a = VertexSet.from_iterable(range(0, 2 * half, 2), 2 * half)
-        b = VertexSet.from_iterable(range(1, 2 * half, 2), 2 * half)
-        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
-        assert verify_power_path(t, ch)[0]
-        parity[str(half)] = len(ch)
-    lengths = []
-    for seed in range(100):
-        t = random_tournament(1000, seed)
-        a, b = random_split(t, seed)
-        ch = chain_power_path(t, bipartite_pair(t, a, b), 2, DEFAULT_PARAMS)
-        assert verify_power_path(t, ch)[0]
-        lengths.append(len(ch))
-    successes = sum(1 for x in lengths if x >= 50)
-    _write(
-        "chain_calibration.json",
-        {
-            "parity_transitive_lengths": parity,
-            "random_n": 1000,
-            "seeds": "0..99",
-            "lengths": lengths,
-            "min_length": min(lengths),
-            "threshold_vertices": 50,
-            "successes_at_threshold": successes,
-            "success_bar_asserted": 95,
-        },
-    )
 
 
 def growth_pilot() -> None:
@@ -149,7 +75,5 @@ def anneal_pilot() -> None:
 
 
 if __name__ == "__main__":
-    goodpair_pilot()
-    chain_pilot()
     growth_pilot()
     anneal_pilot()

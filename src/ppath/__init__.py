@@ -4,14 +4,6 @@ extremal search, and a reproducible CLI harness."""
 __version__ = "0.1.0"
 
 from .driver import find_kth_power_path
-from .engine import (
-    GoodPair,
-    RegularityParams,
-    chain_power_path,
-    find_good_pair,
-    good_pair_threshold,
-    is_good_pair,
-)
 from .exact import (
     BudgetExceededError,
     ExactResult,
@@ -33,13 +25,9 @@ from .search import (
     flip_edge,
 )
 from .tournament import (
-    BipartitePair,
     Tournament,
     VertexSet,
-    bipartite_pair,
-    directed_density,
     induced,
-    random_split,
     random_tournament,
     rotational,
     transitive,
@@ -48,35 +36,25 @@ from .trn import load_trn, read_trn, save_trn, write_trn
 
 __all__ = [
     "AnnealConfig",
-    "BipartitePair",
     "BudgetExceededError",
     "ExactResult",
-    "GoodPair",
     "PowerPath",
-    "RegularityParams",
     "SearchRecord",
     "SolveBudget",
     "Tournament",
     "UseAnnealInsteadError",
     "VertexSet",
     "anneal_min_pp",
-    "bipartite_pair",
     "canonical_fingerprint",
-    "chain_power_path",
-    "directed_density",
     "enumerate_min_pp",
-    "find_good_pair",
     "find_kth_power_path",
     "flip_edge",
-    "good_pair_threshold",
     "greedy_power_path",
     "hamiltonian_path_insertion",
     "induced",
-    "is_good_pair",
     "load_trn",
     "longest_power_path_exact",
     "pp_value",
-    "random_split",
     "random_tournament",
     "read_trn",
     "rotational",

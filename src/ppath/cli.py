@@ -125,7 +125,13 @@ def _write_csv(path: Path, header: str, rows: list[str]) -> None:
 
 def _read_witness(path: Path) -> PowerPath:
     data = json.loads(path.read_text())
-    return PowerPath(int(data["k"]), tuple(int(v) for v in data["vertices"]))
+    # type() rather than isinstance(): JSON true/false load as bool, an int.
+    if not (isinstance(data, dict) and type(data.get("k")) is int
+            and isinstance(data.get("vertices"), list)
+            and all(type(v) is int for v in data["vertices"])):
+        raise UsageError("witness is not a JSON object with an integer k and "
+                         "a list of integer vertices")
+    return PowerPath(data["k"], tuple(data["vertices"]))
 
 
 # ---------------------------------------------------------------------------

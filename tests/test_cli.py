@@ -179,12 +179,27 @@ class TestVerify:
         assert run(["verify", trn, wit]) == 1
         assert "duplicate" in capsys.readouterr().out
 
-    def test_malformed_witness_exits_2(self, tmp_path):
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[]",
+        "null",
+        '{"k": 2, "vertices": 5}',
+        '{"k": 2, "vertices": [0.9, 1.2]}',
+        '{"k": 2, "vertices": [true, 1]}',
+        '{"k": 2, "vertices": ["0", "1"]}',
+        '{"k": 2.0, "vertices": [0, 1]}',
+        '{"k": true, "vertices": [0, 1]}',
+    ], ids=["not-json", "list", "null", "vertices-int", "float-vertices",
+            "bool-vertex", "string-vertices", "float-k", "bool-k"])
+    def test_malformed_witness_exits_2(self, tmp_path, capsys, text):
         trn = tmp_path / "t.trn"
         save_trn(transitive(5), trn)
         wit = tmp_path / "w.json"
-        wit.write_text("{not json")
+        wit.write_text(text)
         assert run(["verify", trn, wit]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_out_of_range_label_exits_2(self, tmp_path):
         trn = tmp_path / "t.trn"

@@ -18,12 +18,20 @@ def _load(path: Path):
     return module
 
 
-@pytest.mark.parametrize("name, entry", [("run_calibration", "growth_pilot"),
-                                         ("make_goldens", "main")])
+@pytest.mark.parametrize("name, entry", [("make_goldens", "main")])
 def test_script_imports(name, entry):
-    # Import only: running them rewrites the committed calibration/ and
-    # tests/golden/ files.
+    # Import only: running it rewrites the committed tests/golden/ files.
     assert callable(getattr(_load(SCRIPTS / f"{name}.py"), entry))
+
+
+def test_calibration_pilots_reproduce_files(tmp_path, monkeypatch):
+    # run_calibration.py writes the committed calibration/ files byte for byte.
+    module = _load(SCRIPTS / "run_calibration.py")
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.growth_pilot()
+    module.anneal_pilot()
+    for name in ("growth_pilot.json", "anneal_pilot.json"):
+        assert (tmp_path / name).read_bytes() == (ROOT / "calibration" / name).read_bytes()
 
 
 def test_cli_outputs_match_goldens(tmp_path, monkeypatch):
@@ -37,12 +45,13 @@ def test_benchmark_trace_targets_resolve():
     # The benchmark's tracer wraps these entry points by name and skips a
     # missing one, a module that no longer imports included, so a rename in
     # ppath must fail here instead. The names below went with the finder's
-    # structural recursion and the cluster digraph; the tracer still names
-    # them until the benchmark drops them.
+    # structural recursion, the cluster digraph and the ppath.engine module;
+    # the tracer still names them until the benchmark drops them.
     gone = {"ppath.driver.order_or_long_path", "ppath.driver.chain_power_path",
             "ppath.driver._split_join_core", "ppath.driver.build_cluster_digraph",
             "ppath.driver.sampled_regular",
-            "ppath.driver.concatenate_along_cluster_path"}
+            "ppath.driver.concatenate_along_cluster_path",
+            "ppath.engine.verify_power_path"}
     missing = set()
     for mod_name, path, _ in _load(ROOT / "perfbench" / "tracer.py").TARGETS:
         try:

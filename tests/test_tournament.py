@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +6,10 @@ from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
     EmptySetError,
-    InvalidPairError,
     InvalidResiduesError,
     InvalidSizeError,
     Tournament,
     VertexSet,
-    bipartite_pair,
-    directed_density,
     induced,
     random_tournament,
     rotational,
@@ -152,42 +147,6 @@ class TestSetOperations:
         assert 1 in a and 5 not in a and 6 not in a
         with pytest.raises(ValueError):
             VertexSet.from_iterable({9}, 6)
-
-
-class TestDensity:
-    def test_transitive_halves(self):
-        t = transitive(6)
-        a = VertexSet.from_iterable({0, 1, 2}, 6)
-        b = VertexSet.from_iterable({3, 4, 5}, 6)
-        assert directed_density(t, a, b) == 1
-        assert directed_density(t, b, a) == 0
-
-    def test_triangle_split(self):
-        t = rotational(3, {1})
-        a = VertexSet.from_iterable({0}, 3)
-        b = VertexSet.from_iterable({1, 2}, 3)
-        assert directed_density(t, a, b) == Fraction(1, 2)
-
-    def test_errors(self):
-        t = transitive(4)
-        overlapping = VertexSet.from_iterable({0, 1}, 4)
-        with pytest.raises(InvalidPairError):
-            directed_density(t, overlapping, VertexSet.from_iterable({1, 2}, 4))
-        with pytest.raises(InvalidPairError):
-            directed_density(t, overlapping, VertexSet(0, 4))
-
-    @given(tournaments, st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_densities_sum_to_one_exactly(self, t, seed):
-        if t.n < 2:
-            return
-        from ppath.tournament import random_split
-
-        a, b = random_split(t, seed)
-        if len(a) == 0 or len(b) == 0:
-            return
-        pair = bipartite_pair(t, a, b)
-        assert pair.d_ab + pair.d_ba == 1
 
 
 class TestInduced:
