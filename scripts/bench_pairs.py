@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of the benchmark, summarised as BENCH_*.json.
+
+Each side is a checkout of the repository; each run is that checkout's own
+``perfbench/run.py``, unedited, for the ``run_seconds`` its ``BENCHMARK.json``
+sets. Pair p of a seed runs the parent first when p is even and the change
+first when it is odd. For example, from the change's checkout:
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \\
+        --workload find_large --seeds 1 7 --pairs 10 --traced-runs 2 \\
+        --out BENCH_x.json
+
+The output keeps the layout of ``BENCH_pr16.json``: per workload and seed,
+for each end-to-end metric, each side's inclusive quartiles and runs,
+``change_wins`` (pairs the change is better in the metric's direction) and
+``ties``, with ``all_same_as_pinned``, ``failed`` (failed ops over all runs)
+and ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
+side on the first seed, under ``traced.<workload>``. A workload already in
+the output file is replaced; the others are kept, so one file can gather
+several invocations.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+RUN_TIMEOUT_S = 600
+SIDES = ("parent", "change")
+METHOD = (
+    "Alternating pairs per workload and seed, parent and change each run from "
+    "its own checkout; the parent runs first in even pairs (0-based), the "
+    "change first in odd ones. Times are the benchmark's scaled seconds. q1/q3 "
+    "are inclusive quartiles. change_wins counts pairs in which the change is "
+    "better in the metric's direction; ties count for neither."
+)
+_MACHINE = re.compile(r"^machine: nproc=(\S+) cpu=(.*) python=(\S+) numpy=(\S+)$")
+_PINNED = re.compile(r" same as pinned: (.*)$")
+_FAILED_FRAC = re.compile(r"^failed_frac=([0-9.]+)")
+
+
+def parse_run(stdout: str) -> dict:
+    """One run's record from the text ``perfbench/run.py`` prints."""
+    lines = stdout.strip().splitlines()
+    last = json.loads(lines[-1])
+    run = {
+        "metrics": {k: v["value"] for k, v in last["metrics"].items()},
+        "units": {k: v["unit"] for k, v in last["metrics"].items()},
+        "failed": last["failed"],
+        "same_as_pinned": None,
+        "failed_frac": None,
+        "machine": None,
+    }
+    for line in lines[:-1]:
+        if m := _MACHINE.match(line):
+            run["machine"] = {"cpu": m[2], "vcpus": int(m[1]), "python": m[3], "numpy": m[4]}
+        elif m := _PINNED.search(line):
+            run["same_as_pinned"] = {"yes": True, "NO": False}.get(m[1])
+        elif m := _FAILED_FRAC.match(line):
+            run["failed_frac"] = float(m[1])
+    return run
+
+
+def _rounded(x):
+    return round(x, 6) if isinstance(x, float) else x
+
+
+def _side(values: list) -> dict:
+    q1, median, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"q1": _rounded(q1), "median": _rounded(median), "q3": _rounded(q3),
+            "runs": [_rounded(v) for v in values]}
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
+    """Summary of (parent run, change run) pairs of one workload and seed.
+
+    ``better`` maps each metric to "lower" or "higher"; runs are records as
+    ``parse_run`` returns them.
+    """
+    runs = [r for pair in pairs for r in pair]
+    metrics = {}
+    for name, unit in pairs[0][0]["units"].items():
+        parent = [p["metrics"][name] for p, _ in pairs]
+        change = [c["metrics"][name] for _, c in pairs]
+        sign = 1 if better[name] == "higher" else -1
+        metrics[name] = {
+            "unit": unit,
+            "better": better[name],
+            "parent": _side(parent),
+            "change": _side(change),
+            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "ties": sum(c == p for p, c in zip(parent, change)),
+        }
+    return {
+        "pairs": len(pairs),
+        "all_same_as_pinned": all(r["same_as_pinned"] is True for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "max_failed_frac": max((r["failed_frac"] or 0.0) for r in runs),
+        "metrics": metrics,
+    }
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stdout + proc.stderr)
+        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}")
+    return parse_run(proc.stdout)
+
+
+def run_pairs(checkouts: dict, workload: str, seed: int, seconds: float, trace: int,
+              count: int) -> list[tuple[dict, dict]]:
+    """``count`` alternating pairs; the parent runs first in even pairs."""
+    key = "trace.run_s" if trace else "run_s"
+    pairs = []
+    for p in range(count):
+        order = SIDES if p % 2 == 0 else SIDES[::-1]
+        done = {side: run_bench(checkouts[side], workload, seed, seconds, trace)
+                for side in order}
+        times = " ".join(f"{side} {key}={done[side]['metrics'][key]:.4f}" for side in SIDES)
+        print(f"{workload} seed {seed} pair {p + 1}/{count}: {times}", file=sys.stderr)
+        pairs.append((done["parent"], done["change"]))
+    return pairs
+
+
+def _git_rev(checkout: Path):
+    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
+                          capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="change checkout")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--traced-runs", type=int, default=0)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    if args.pairs < 1 or args.traced_runs < 0:
+        ap.error("--pairs must be >= 1 and --traced-runs >= 0")
+    checkouts = {"parent": args.parent, "change": args.change}
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+
+    out = json.loads(args.out.read_text()) if args.out.exists() else {}
+    out.setdefault("parent", _git_rev(args.parent))
+    out["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
+                      f"--seconds {seconds:g} --trace 0")
+    out["method"] = METHOD
+    seeds = {}
+    for seed in args.seeds:
+        pairs = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
+        out["machine"] = pairs[0][0]["machine"]
+        seeds[f"seed{seed}"] = summarize(pairs, better)
+    out.setdefault("workloads", {})[args.workload] = seeds
+    if args.traced_runs:
+        seed = args.seeds[0]
+        pairs = run_pairs(checkouts, args.workload, seed, seconds, 1, args.traced_runs)
+        out.setdefault("traced", {})[args.workload] = {
+            "command": f"python3 perfbench/run.py --workload {args.workload} --seed {seed} "
+                       f"--seconds {seconds:g} --trace 1",
+            "note": "Per-layer values of the fastest traced pass of each run, "
+                    "runs in the order made.",
+            **{side: [pair[i]["metrics"] for pair in pairs] for i, side in enumerate(SIDES)},
+        }
+    args.out.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,7 +8,8 @@ input bytes, reproducing the outputs byte-for-byte: no output depends on the
 clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error (a
 malformed replay manifest, one that records a flag this version no longer has
 at other than its old default, a changed replay input or a malformed
-checkpoint too), 3 budget exhausted, 70 an emitted witness failed
+checkpoint too, and any file that cannot be read or written: missing, a
+directory, no permission), 3 budget exhausted, 70 an emitted witness failed
 self-verification.
 """
 
@@ -541,7 +542,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (UsageError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

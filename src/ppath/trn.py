@@ -7,6 +7,13 @@ whitespace anywhere.
 
 The codec is vectorised: it maps the n x (n+1) byte grid of the body to and
 from the 0/1 adjacency matrix in numpy, and checks orientation once per load.
+Neither step takes a strided transpose of the n x n matrix. The decode
+subtracts '0' from every cell, then checks only that each off-diagonal cell
+is 0 or 1 and each diagonal byte is '-'; a body that fails goes to a per-cell
+classifier, which names the first bad cell. The orientation check adds the
+matrix to its transpose copied in slabs of rows
+(``tournament._first_misoriented``).
+
 Defects raise MalformedHeader (first or count line), NonSquareMatrix (row
 count, row length, final newline), BadDiagonal ('-' off the diagonal or a
 digit on it), TrnError (any other character) or OrientationViolation (a pair
@@ -82,9 +89,12 @@ def read_trn(data: bytes) -> Tournament:
         i = next(i for i, line in enumerate(lines) if len(line) != n)
         raise NonSquareMatrix(f"row {i} has {len(lines[i])} chars, expected {n}")
     grid = np.frombuffer(data, np.uint8, offset=body).reshape(n, n + 1)
-    mat = _CELL[grid[:, :n]]
-    np.fill_diagonal(mat, _DIAGONAL[mat.diagonal()])
-    if mat.max() > 1:
+    mat = grid[:, :n] - ord("0")
+    np.fill_diagonal(mat, 0)
+    if mat.max() > 1 or not (grid.diagonal() == ord("-")).all():
+        # Some cell is invalid: classify them all to name the first.
+        mat = _CELL[grid[:, :n]]
+        np.fill_diagonal(mat, _DIAGONAL[mat.diagonal()])
         i, j = divmod(int(np.argmax(mat > 1)), n)
         if mat[i, j] == 2:
             raise BadDiagonal(f"'-' off the diagonal at ({i},{j})")

@@ -708,6 +708,23 @@ def test_anneal_worker_fanout_is_byte_deterministic(tmp_path, monkeypatch):
 
 
 class TestEdgeCases:
+    @pytest.mark.parametrize("argv", [
+        ["find", "-k", 2, "{dir}"],
+        ["solve", "--exact", "-k", 2, "{dir}"],
+        ["verify", "{dir}", "{wit}"],
+        ["verify", "{trn}", "{dir}"],
+    ], ids=["find-input", "solve-input", "verify-input", "verify-witness"])
+    def test_directory_as_input_is_usage_error(self, tmp_path, capsys, argv):
+        trn = tmp_path / "t.trn"
+        save_trn(transitive(5), trn)
+        wit = tmp_path / "w.json"
+        wit.write_text(json.dumps({"k": 2, "vertices": [0, 1, 2, 3, 4]}))
+        paths = {"dir": tmp_path, "trn": trn, "wit": wit}
+        assert run([str(a).format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_gen_rotational_single_vertex(self, tmp_path):
         out = tmp_path / "one.trn"
         assert run(["gen", "--type", "rotational", "--n", 1, "--residues", "",

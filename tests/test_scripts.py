@@ -65,3 +65,74 @@ def test_benchmark_trace_targets_resolve():
                 missing.add(f"{mod_name}.{path}")
                 break
     assert missing == gone
+
+
+def _bench_stdout(run_s, same=True, failed=0):
+    # The text perfbench/run.py prints, cut to the lines bench_pairs.py reads.
+    return "\n".join([
+        "workload=find_large seed=1 trace=0 seconds=30",
+        "machine: nproc=2 cpu=Intel(R) Xeon(R) Processor python=3.11.7 numpy=2.4.6",
+        f"output sha256=ab12 same as pinned: {'yes' if same else 'NO'}",
+        f"failed_frac={failed / 10:.4f} ({failed} of 10 ops)",
+        json.dumps({"correct": not failed, "attempted": 10, "failed": failed, "metrics": {
+            "run_s": {"value": run_s, "unit": "s"},
+            "witness_vertices": {"value": 2047, "unit": "count"}}}),
+    ]) + "\n"
+
+
+def test_bench_pairs_summary_on_fabricated_runs():
+    module = _load(SCRIPTS / "bench_pairs.py")
+    run = module.parse_run(_bench_stdout(0.16))
+    assert run["metrics"] == {"run_s": 0.16, "witness_vertices": 2047}
+    assert run["machine"] == {"cpu": "Intel(R) Xeon(R) Processor", "vcpus": 2,
+                              "python": "3.11.7", "numpy": "2.4.6"}
+    assert run["same_as_pinned"] is True and run["failed_frac"] == 0.0
+
+    parent = [0.16, 0.15, 0.17, 0.16]
+    change = [0.10, 0.16, 0.11, 0.16]
+    pairs = [(module.parse_run(_bench_stdout(p)), module.parse_run(_bench_stdout(c)))
+             for p, c in zip(parent, change)]
+    better = {"run_s": "lower", "witness_vertices": "higher"}
+    summary = module.summarize(pairs, better)
+    run_s = summary["metrics"]["run_s"]
+    assert run_s["parent"] == {"q1": 0.1575, "median": 0.16, "q3": 0.1625, "runs": parent}
+    assert run_s["change"]["median"] == 0.135
+    assert (run_s["change_wins"], run_s["ties"]) == (2, 1)
+    wv = summary["metrics"]["witness_vertices"]
+    assert (wv["change_wins"], wv["ties"], wv["better"]) == (0, 4, "higher")
+    assert summary["pairs"] == 4 and summary["all_same_as_pinned"] is True
+    assert summary["failed"] == 0 and summary["max_failed_frac"] == 0.0
+
+    pairs[2] = (pairs[2][0], module.parse_run(_bench_stdout(0.11, same=False, failed=2)))
+    summary = module.summarize(pairs, better)
+    assert summary["all_same_as_pinned"] is False
+    assert summary["failed"] == 2 and summary["max_failed_frac"] == 0.2
+
+
+def test_bench_pairs_alternates_sides(tmp_path):
+    # Each side's checkout holds a stand-in perfbench/run.py that logs its
+    # side and prints fabricated results, so no benchmark runs here.
+    log = tmp_path / "order.log"
+    for side, run_s in (("parent", 0.16), ("change", 0.10)):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 30,
+            "end_to_end": [{"name": "run_s", "better": "lower"},
+                           {"name": "witness_vertices", "better": "higher"}]}))
+        (checkout / "perfbench" / "run.py").write_text(
+            f"import sys\nopen({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
+            f"print({_bench_stdout(run_s)!r}, end='')\n")
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"workloads": {"solve_exact": {"seed1": {}}}}))
+    module = _load(SCRIPTS / "bench_pairs.py")
+    assert module.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                        "--workload", "find_large", "--seeds", "1", "7", "--pairs", "3",
+                        "--out", str(out)]) == 0
+    sides = log.read_text().split()[::2]
+    assert sides == ["parent", "change", "change", "parent", "parent", "change"] * 2
+    bench = json.loads(out.read_text())
+    assert set(bench["workloads"]) == {"solve_exact", "find_large"}
+    assert set(bench["workloads"]["find_large"]) == {"seed1", "seed7"}
+    assert bench["workloads"]["find_large"]["seed7"]["metrics"]["run_s"]["change_wins"] == 3
+    assert bench["machine"]["vcpus"] == 2

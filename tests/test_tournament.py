@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,16 +6,23 @@ from hypothesis import strategies as st
 from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
+    _SLAB,
     EmptySetError,
     InvalidResiduesError,
     InvalidSizeError,
     Tournament,
     VertexSet,
+    _first_misoriented,
+    _rows_to_matrix,
+    _transposed,
     induced,
     random_tournament,
     rotational,
     transitive,
 )
+
+# Sizes on both sides of one and two slab boundaries, and the benchmark's n.
+SLAB_SIZES = (_SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 1, 2048)
 
 tournaments = st.builds(
     random_tournament,
@@ -138,6 +146,43 @@ class TestInvariants:
         rows[60] |= 1 << 30
         with pytest.raises(ValueError, match=r"pair \(30,60\) is not oriented exactly once"):
             Tournament.from_rows(rows)  # both ways, n > 64
+
+
+def naive_first_misoriented(mat):
+    bad = (mat + mat.T) != 1
+    hits = [(i, j) for i, j in np.argwhere(bad) if i < j]
+    return (int(hits[0][0]), int(hits[0][1])) if hits else None
+
+
+class TestSlabTranspose:
+    @pytest.mark.parametrize("shape", [(s, s) for s in SLAB_SIZES] + [(_SLAB + 1, 3)])
+    def test_transposed_equals_transpose(self, shape):
+        mat = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
+        out = _transposed(mat)
+        assert out.flags.c_contiguous and np.array_equal(out, mat.T)
+
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_first_misoriented_matches_naive_reference(self, n):
+        clean = _rows_to_matrix(random_tournament(n, 3).rows)
+        assert _first_misoriented(clean) is None
+        last = n - 1
+        planted = [
+            [(last - 1, last)],  # the last pair, in the last slab
+            [(0, last)],  # a first-slab row against a last-slab column
+            [(last - 1, last), (_SLAB - 2, _SLAB - 1)],
+            [(_SLAB // 2, last), (_SLAB - 1, _SLAB // 2 + _SLAB)],
+        ]
+        rng = np.random.default_rng(n)
+        for count in (1, 2, 3, 1, 2, 3):
+            planted.append([tuple(sorted(rng.choice(n, 2, replace=False))) for _ in range(count)])
+        for trial, pairs in enumerate(planted):
+            mat = clean.copy()
+            pairs = [(i, j) for i, j in pairs if j < n]
+            for k, (i, j) in enumerate(pairs):
+                mat[i, j] = mat[j, i] = (trial + k) % 2  # both ways or neither way
+            before = mat.copy()
+            assert _first_misoriented(mat) == naive_first_misoriented(mat) == min(pairs)
+            assert np.array_equal(mat, before)
 
 
 class TestSetOperations:

@@ -87,3 +87,31 @@ def test_bad_diagonal():
 def test_stray_character():
     with pytest.raises(TrnError):
         read_trn(b"TRN 1\n2\n-x\n0-\n")
+
+
+def _with_cells(data, n, cells):
+    """``data`` with cell (i, j) of its n x n body set to byte ``b``."""
+    out = bytearray(data)
+    body = len(data) - n * (n + 1)
+    for (i, j), b in cells.items():
+        out[body + i * (n + 1) + j] = b
+    return bytes(out)
+
+
+@pytest.mark.parametrize("cells, cls, message", [
+    ({(2040, 2046): ord("-")}, BadDiagonal, "'-' off the diagonal at (2040,2046)"),
+    ({(2047, 2047): ord("1")}, BadDiagonal, "diagonal (2047,2047) must be '-'"),
+    ({(2046, 1990): ord("x")}, TrnError, "invalid character 'x' at (2046,1990)"),
+    ({(1990, 2046): ord("1"), (2046, 1990): ord("1")}, OrientationViolation,
+     "pair (1990,2046) oriented both ways"),
+    ({(3, 2045): ord("0"), (2045, 3): ord("0")}, OrientationViolation,
+     "pair (3,2045) oriented neither way"),
+], ids=["dash-off-diagonal", "digit-on-diagonal", "stray-byte", "both-ways", "neither-way"])
+def test_defect_in_last_slab_at_2048(cells, cls, message):
+    # Past the first slabs of the blocked transpose, a defect is still found
+    # and named exactly.
+    n = 2048
+    data = _with_cells(write_trn(random_tournament(n, 7)), n, cells)
+    with pytest.raises(TrnError) as info:
+        read_trn(data)
+    assert type(info.value) is cls and str(info.value) == message
