@@ -8,16 +8,19 @@ first when it is odd. For example, from the change's checkout:
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload find_large --seeds 1 7 --pairs 10 --traced-runs 2 \\
-        --out BENCH_x.json
+        --claim find_large/run_s --out BENCH_x.json
 
-The output keeps the layout of ``BENCH_pr16.json``: per workload and seed,
+The output keeps the layout of ``BENCH_pr16.json``. ``parent`` and
+``change`` name each side's commit (``git describe --always --dirty``, so a
+checkout with uncommitted edits reads ``<commit>-dirty``), and ``claimed``
+holds the workload and metric of ``--claim``. Per workload and seed,
 for each end-to-end metric, each side's inclusive quartiles and runs,
 ``change_wins`` (pairs the change is better in the metric's direction) and
 ``ties``, with ``all_same_as_pinned``, ``failed`` (failed ops over all runs)
 and ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
 side on the first seed, under ``traced.<workload>``. A workload already in
 the output file is replaced; the others are kept, so one file can gather
-several invocations.
+several invocations of the same two commits.
 """
 
 from __future__ import annotations
@@ -134,8 +137,8 @@ def run_pairs(checkouts: dict, workload: str, seed: int, seconds: float, trace: 
 
 
 def _git_rev(checkout: Path):
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
-                          capture_output=True, text=True)
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                           "--abbrev=7"], capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
@@ -147,6 +150,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--traced-runs", type=int, default=0)
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="the end-to-end metric the change claims to improve, and where")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     if args.pairs < 1 or args.traced_runs < 0:
@@ -155,9 +160,19 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in [w["name"] for w in bench["workloads"]] or metric not in better:
+            ap.error(f"--claim {args.claim} names no workload/end-to-end metric of BENCHMARK.json")
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
-    out.setdefault("parent", _git_rev(args.parent))
+    for side, checkout in checkouts.items():
+        rev = _git_rev(checkout)
+        if out.get(side, rev) != rev:
+            ap.error(f"{args.out} holds runs of {side} {out[side]}, not of {rev}")
+        out[side] = rev
+    if args.claim is not None:
+        out["claimed"] = {"workload": workload, "metric": metric}
     out["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {seconds:g} --trace 0")
     out["method"] = METHOD

@@ -12,6 +12,9 @@ spanning prefix, and skips a state whose unused reachable vertices cannot
 make a prefix longer than the best one so far. A ``target`` makes it a
 decision procedure: the walk also stops at the first prefix of ``target``
 vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
+Each expanded prefix keeps on its stack frame the memo-key bits of its last
+k - 1 labels and the AND of their rows, so trying a child costs a few
+big-int operations whatever k is.
 """
 
 from __future__ import annotations
@@ -147,43 +150,48 @@ def longest_power_path_exact(
     rows = t.rows
     full = (1 << n) - 1
     shift = max(7, n.bit_length())
+    # A state's key is the bit 1, its tail's labels in ``shift`` bits each,
+    # and the used set in the low n bits. An expanded prefix keeps ``base``,
+    # the key bits of its last k - 1 labels, and ``w``, the AND of their rows,
+    # so a child v costs ``base | v << n | used`` and ``w & rows[v] & ~used``.
+    top = 1 << shift * (k - 1)
+    mask = top - 1
+    high = shift + n
     max_states = budget.max_states
     memo: set[int] = set()
+    states = 0
     best: tuple[int, ...] = ()
+    best_len = 0
     prefix: list[int] = []
+    depth = 0
     used = 0
     # The empty prefix is the root: every vertex extends it, and it is no state.
-    cand = full
+    cand = w = full
+    base = 1 << high
     key = 0
-    stack: list[tuple[int, int]] = []
+    stack: list[tuple[int, int, int, int]] = []
     while True:
         if cand:
             b = cand & -cand
             cand ^= b
-            prefix.append(b.bit_length() - 1)
-            used |= b
-            if len(prefix) > len(best):
-                best = tuple(prefix)
-                if len(best) == goal:
-                    return ExactResult(PowerPath(k, best), True, len(memo))
-            tail = prefix[-k:]
-            child = 1
-            for u in tail:
-                child = (child << shift) | u
-            child = child << n | used
+            v = b.bit_length() - 1
+            d = depth + 1
+            child_used = used | b
+            if d > best_len:
+                best = (*prefix, v)
+                best_len = d
+                if d == goal:
+                    return ExactResult(PowerPath(k, best), True, states)
+            child = base | v << n | child_used
             if child in memo:
-                prefix.pop()
-                used ^= b
                 continue
-            if len(memo) >= max_states:
-                return ExactResult(PowerPath(k, best), False, len(memo))
-            free = full & ~used
-            nxt = free
-            for u in tail:
-                nxt &= rows[u]
+            if states >= max_states:
+                return ExactResult(PowerPath(k, best), False, states)
+            free = full ^ child_used
+            nxt = w & rows[v] & free
             # Every later vertex is an out-neighbour of the one before it, so
             # all of them lie in the closure of nxt under out-arcs in free.
-            room = len(best) - len(prefix)
+            room = best_len - d
             reach = frontier = nxt
             while frontier and reach.bit_count() <= room:
                 c = frontier & -frontier
@@ -192,18 +200,30 @@ def longest_power_path_exact(
                 frontier = (frontier ^ c) | grown
             if reach.bit_count() <= room:
                 memo.add(child)
-                prefix.pop()
-                used ^= b
+                states += 1
                 continue
-            stack.append((cand, key))
+            stack.append((cand, key, base, w))
+            prefix.append(v)
+            depth = d
+            used = child_used
             key = child
             cand = nxt
+            if d < k:
+                base = (child ^ used) << shift
+                w &= rows[v]
+            else:
+                base = ((child >> n & mask) | top) << high
+                w = full
+                for u in prefix[d - k + 1:]:
+                    w &= rows[u]
         elif stack:
             memo.add(key)
-            cand, key = stack.pop()
+            states += 1
+            cand, key, base, w = stack.pop()
             used ^= 1 << prefix.pop()
+            depth -= 1
         else:
-            return ExactResult(PowerPath(k, best), True, len(memo))
+            return ExactResult(PowerPath(k, best), True, states)
 
 
 def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:

@@ -273,16 +273,22 @@ class AnnealChain:
     twice the given budget; a move whose solve still exhausts it is rejected.
     An unsolved start or reheat tournament never makes a record, and its pp
     counts as n + 1, so the chain takes the first solved flip away from it.
-    The objective caches each solve's ``ExactResult`` by the labeled rows, so
-    every distinct rows is solved once, a record takes its witness from that
-    solve, and a resumed chain, whose cache starts empty, gets the results
-    the uninterrupted chain got. Fingerprints are computed for records only.
-    A flip of two vertices more than k apart in the current tournament's
-    spanning witness keeps that witness, so its pp is n and it is accepted
-    without a solve, when the budget cannot trip: when it is at least the
-    walk's Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states (23,050 at n = 10,
-    k = 2). The chain's decisions, records and rng draws are those of the
-    chain that solves every flip.
+    The objective caches each solve's ``ExactResult`` by the rows it solved,
+    so every distinct rows is solved once, and a resumed chain, whose cache
+    starts empty, gets the results the uninterrupted chain got. Fingerprints
+    are computed for records only.
+    When the budget cannot trip (it is at least the walk's
+    Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states, 23,050 at n = 10, k = 2),
+    solves take two shortcuts. A flip of two vertices more than k apart in
+    the current tournament's spanning witness keeps that witness, so its pp
+    is n and it is accepted without a solve. Any other tournament is solved
+    relabeled by descending out-degree, ties by label, which reaches a
+    spanning path in fewer states, and the witness is mapped back; such a
+    result may carry any maximum witness. A tournament whose pp makes a
+    record is solved again in its own labels, so a record's witness is
+    always the lexicographically least maximum one. pp does not depend on
+    the labels, so the chain's decisions, records and rng draws are those
+    of the chain that solves every flip in its own labels.
     State (rng word, matrix, temperature, bookkeeping) round-trips through
     ``state_dict``/``from_state`` for bit-exact resume.
     """
@@ -350,10 +356,39 @@ class AnnealChain:
         return chain
 
     def _objective(self, t: Tournament) -> ExactResult:
+        if self._never_trips:
+            res = self._in_score_order(t)
+            if len(res.path) >= self.best_pp:
+                return res
+            # best_pp <= cur_pp, so t is moved to with no rng draw and makes
+            # a record, whose witness is the least one in t's own labels.
+        return self._solve(t)
+
+    def _solve(self, t: Tournament) -> ExactResult:
         res = self._cache.get(t.rows)
         if res is None:
             res = self._cache[t.rows] = longest_power_path_exact(t, self.k, self.budget)
         return res
+
+    def _in_score_order(self, t: Tournament) -> ExactResult:
+        """t's solve, made on t relabeled by descending out-degree (ties by
+        label), with the witness mapped back to t's labels."""
+        rows = t.rows
+        order = sorted(range(self.n), key=lambda v: -rows[v].bit_count())
+        bit = [0] * self.n
+        for i, v in enumerate(order):
+            bit[v] = 1 << i
+        relabeled = []
+        for v in order:
+            r, s = rows[v], 0
+            while r:
+                b = r & -r
+                s |= bit[b.bit_length() - 1]
+                r ^= b
+            relabeled.append(s)
+        res = self._solve(_unchecked(tuple(relabeled)))
+        path = PowerPath(self.k, tuple(order[i] for i in res.path.vertices))
+        return ExactResult(path, res.optimal, res.states)
 
     def _move_to(self, t: Tournament, res: ExactResult) -> list[SearchRecord]:
         """Make t current; a record when its solve is exact and its pp is a

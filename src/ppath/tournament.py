@@ -222,8 +222,11 @@ def random_tournament(n: int, seed: int) -> Tournament:
         z = z ^ (z >> np.uint64(31))
     bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")[:npairs]
     mat = np.zeros((n, n), dtype=np.uint8)
-    # Boolean-mask assignment fills the upper triangle in row-major pair order.
-    mat[~np.tri(n, dtype=bool)] = bits
+    # Row i of the upper triangle takes the next n - 1 - i pair bits.
+    off = 0
+    for i in range(n - 1):
+        mat[i, i + 1:] = bits[off:off + n - 1 - i]
+        off += n - 1 - i
     # Below the diagonal, cell (i, j) is 1 - mat[j, i]; on and above it, both
     # terms are 0. (A bool tri viewed as uint8 skips np.tri's dtype cast.)
     lower = np.tri(n, k=-1, dtype=bool).view(np.uint8)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 from itertools import combinations
 
@@ -153,6 +154,32 @@ class TestExactSolver:
         res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
         assert res.optimal and res.states == 0
         assert res.path.vertices == tuple(range(1500))
+
+    def test_results_match_pinned_digest(self):
+        # One sha256 over (path, optimal, states) of 1,766 solves: random
+        # tournaments with n = 1..17 (seeds 0..2), k = 1..4, budgets
+        # None/7/100 and targets None/n - 2/n + 1, then two 1000-state trips
+        # 1500 levels deep. Pinned from a walk that built each child's key
+        # and candidates from a slice of its prefix, so the per-parent
+        # bookkeeping must keep every state count and budget trip.
+        digest = hashlib.sha256()
+        cases = [
+            (random_tournament(n, seed), k, budget, target)
+            for seed in range(3)
+            for n in range(1, 18)
+            for k in range(1, 5)
+            for budget in (None, SolveBudget(max_states=7), SolveBudget(max_states=100))
+            for target in (None, n - 2, n + 1)
+            if target is None or target >= 1
+        ]
+        cases += [(t, 2, SolveBudget(max_states=1000), None)
+                  for t in (triangle_chain(1500), transitive(1500))]
+        for t, k, budget, target in cases:
+            res = longest_power_path_exact(t, k, budget, target=target)
+            digest.update(repr((res.path.vertices, res.optimal, res.states)).encode())
+        assert len(cases) == 1766
+        assert digest.hexdigest() == (
+            "be969fcfd4fd76426243de3211bbd076e8c23dfbb1afda0847c9614ea25a8d5e")
 
     def test_solve_leaves_no_cyclic_garbage(self):
         t = random_tournament(9, 4)

@@ -3,6 +3,7 @@ library signature change must not break them silently."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,7 +81,30 @@ def _bench_stdout(run_s, same=True, failed=0):
     ]) + "\n"
 
 
-def test_bench_pairs_summary_on_fabricated_runs():
+def _stand_in_checkouts(tmp_path, log):
+    # Each side's checkout holds a stand-in perfbench/run.py that logs its
+    # side and prints fabricated results, so no benchmark runs here.
+    for side, run_s in (("parent", 0.16), ("change", 0.10)):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "BENCHMARK.json").write_text(json.dumps({
+            "run_seconds": 30,
+            "workloads": [{"name": "find_large"}, {"name": "solve_exact"}],
+            "end_to_end": [{"name": "run_s", "better": "lower"},
+                           {"name": "witness_vertices", "better": "higher"}]}))
+        (checkout / "perfbench" / "run.py").write_text(
+            f"import sys\nopen({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
+            f"print({_bench_stdout(run_s)!r}, end='')\n")
+    return tmp_path / "parent", tmp_path / "change"
+
+
+def _git(checkout, *args):
+    return subprocess.run(["git", "-C", str(checkout), "-c", "user.name=t",
+                           "-c", "user.email=t@t", *args],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def test_bench_pairs_summary_on_fabricated_runs(tmp_path):
     module = _load(SCRIPTS / "bench_pairs.py")
     run = module.parse_run(_bench_stdout(0.16))
     assert run["metrics"] == {"run_s": 0.16, "witness_vertices": 2047}
@@ -108,21 +132,38 @@ def test_bench_pairs_summary_on_fabricated_runs():
     assert summary["all_same_as_pinned"] is False
     assert summary["failed"] == 2 and summary["max_failed_frac"] == 0.2
 
+    # The file names each side's commit, a checkout with uncommitted edits
+    # as dirty, and the claimed workload and metric.
+    parent, change = _stand_in_checkouts(tmp_path, tmp_path / "order.log")
+    for checkout in (parent, change):
+        _git(checkout, "init", "-q")
+        _git(checkout, "add", "-A")
+        _git(checkout, "commit", "-q", "-m", "stand-in")
+    (change / "BENCHMARK.json").write_text((change / "BENCHMARK.json").read_text() + "\n")
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "find_large",
+            "--seeds", "1", "--pairs", "1", "--out", str(out)]
+    assert module.main(argv + ["--claim", "find_large/run_s"]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["parent"] == _git(parent, "rev-parse", "--short=7", "HEAD")
+    assert bench["change"] == _git(change, "rev-parse", "--short=7", "HEAD") + "-dirty"
+    assert bench["claimed"] == {"workload": "find_large", "metric": "run_s"}
+    # A claim outside BENCHMARK.json, or runs of another commit added to
+    # the same file, exit 2 and leave the file as it was.
+    written = out.read_bytes()
+    for extra in (["--claim", "find_large/median_s"], ["--claim", "nowhere/run_s"]):
+        with pytest.raises(SystemExit) as exc:
+            module.main(argv + extra)
+        assert exc.value.code == 2
+    _git(change, "commit", "-q", "-am", "edit")
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2 and out.read_bytes() == written
+
 
 def test_bench_pairs_alternates_sides(tmp_path):
-    # Each side's checkout holds a stand-in perfbench/run.py that logs its
-    # side and prints fabricated results, so no benchmark runs here.
     log = tmp_path / "order.log"
-    for side, run_s in (("parent", 0.16), ("change", 0.10)):
-        checkout = tmp_path / side
-        (checkout / "perfbench").mkdir(parents=True)
-        (checkout / "BENCHMARK.json").write_text(json.dumps({
-            "run_seconds": 30,
-            "end_to_end": [{"name": "run_s", "better": "lower"},
-                           {"name": "witness_vertices", "better": "higher"}]}))
-        (checkout / "perfbench" / "run.py").write_text(
-            f"import sys\nopen({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
-            f"print({_bench_stdout(run_s)!r}, end='')\n")
+    _stand_in_checkouts(tmp_path, log)
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"workloads": {"solve_exact": {"seed1": {}}}}))
     module = _load(SCRIPTS / "bench_pairs.py")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -319,9 +320,57 @@ class TestAnneal:
         assert all(skipped[n, 2] for n in range(6, 11))
         assert sum(skipped[n, 3] for n in range(6, 11))
 
-    @pytest.mark.parametrize("budget, solves", [(None, 125), (SolveBudget(max_states=30), 178)])
+    def test_records_and_states_match_pinned_digest(self):
+        # One sha256 over the records and final state_dicts of 440 chains
+        # (n = 3..13, k = 2 and 3, seeds 0..3, budgets none/10/30/200/5000),
+        # each also resumed from its checkpoint at iteration 7. Pinned from
+        # chains that solved each tournament in its own labels.
+        digest = hashlib.sha256()
+        budgets = [None, *(SolveBudget(max_states=s) for s in (10, 30, 200, 5000))]
+        for n in range(3, 14):
+            for k in (2, 3):
+                for seed in range(4):
+                    for budget in budgets:
+                        cfg = AnnealConfig(iterations=10, initial_temperature=0.8,
+                                           cooling_rate=0.95, moves_per_step=6, seed=seed)
+                        chain = AnnealChain(n, k, cfg, budget)
+                        head = list(chain.run(7))
+                        state = json.loads(json.dumps(chain.state_dict()))
+                        tail = list(chain.run())
+                        resumed = AnnealChain.from_state(n, k, cfg, budget, state)
+                        assert list(resumed.run()) == tail, (n, k, seed, budget)
+                        for r in head + tail:
+                            digest.update(repr((
+                                r.n, r.k, r.fingerprint, r.pp, r.bound_flag, r.witness,
+                                r.seed, r.method, r.iteration, r.tournament.rows)).encode())
+                        for s in (state, chain.state_dict(), resumed.state_dict()):
+                            digest.update(repr(sorted(s.items())).encode())
+        assert digest.hexdigest() == (
+            "3383345a4a33921df718b051502e0f640bdd646c46c103dfd2c8d76a9c9828b7")
+
+    def test_score_ordered_solve_matches_label_order(self):
+        # The relabeled solve finds a maximum too, on rows whose out-degrees
+        # do not rise with the label, and its witness maps back to t.
+        for n in range(1, 13):
+            for k in (1, 2, 3):
+                for seed in range(3):
+                    t = random_tournament(n, seed)
+                    chain = AnnealChain(n, k, AnnealConfig())
+                    res = chain._in_score_order(t)
+                    want = longest_power_path_exact(t, k)
+                    assert res.optimal and len(res.path) == len(want.path), (n, k, seed)
+                    assert verify_power_path(t, res.path)[0]
+                    (rows,) = chain._cache
+                    degrees = [r.bit_count() for r in rows]
+                    assert degrees == sorted(t.out_degree(v) for v in range(n))[::-1]
+
+    @pytest.mark.parametrize("budget, solves", [(None, 123), (SolveBudget(max_states=30), 178)])
     def test_solver_calls_pinned(self, monkeypatch, budget, solves):
         # The chain that solves every flip makes 175 and 178 solver calls.
+        # Without a budget the chain skips flips that keep a spanning
+        # witness, solves the rest relabeled by descending out-degree, and
+        # solves each record's tournament again in its own labels; the
+        # witnesses of the relabeled solves decide which flips are skipped.
         # Under 30 states (60 after doubling, against the walk's 23,050
         # states) a solve can trip, so every proposal is solved as before.
         calls, proposals = [], []
