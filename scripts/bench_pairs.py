@@ -11,26 +11,31 @@ first when it is odd. For example, from the change's checkout:
         --claim find_large/run_s --out BENCH_x.json
 
 The output keeps the layout of ``BENCH_pr16.json``. ``parent`` and
-``change`` name each side's commit (``git describe --always --dirty``, so a
-checkout with uncommitted edits reads ``<commit>-dirty``), and ``claimed``
-holds the workload and metric of ``--claim``. Per workload and seed,
+``change`` name each side's commit (``git describe --always --dirty``). A
+checkout with uncommitted edits reads ``<commit>-dirty tree <id>``, where
+``<id>`` is the first 12 hex digits of the git tree of every file in it that
+git does not ignore, untracked ones included: a commit of exactly those
+files has that tree (``git rev-parse HEAD^{tree}``). ``claimed`` holds the
+workload and metric of ``--claim``. Per workload and seed,
 for each end-to-end metric, each side's inclusive quartiles and runs,
 ``change_wins`` (pairs the change is better in the metric's direction) and
 ``ties``, with ``all_same_as_pinned``, ``failed`` (failed ops over all runs)
 and ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
 side on the first seed, under ``traced.<workload>``. A workload already in
 the output file is replaced; the others are kept, so one file can gather
-several invocations of the same two commits.
+several invocations on the same two trees.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 RUN_TIMEOUT_S = 600
@@ -136,10 +141,25 @@ def run_pairs(checkouts: dict, workload: str, seed: int, seconds: float, trace: 
     return pairs
 
 
-def _git_rev(checkout: Path):
-    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
-                           "--abbrev=7"], capture_output=True, text=True)
+def _git_out(checkout: Path, *args: str, env=None):
+    proc = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True,
+                          text=True, env=env)
     return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def _git_rev(checkout: Path):
+    """The checkout's ``git describe``, with the id of its working tree when
+    it is dirty. The tree is built in a temporary index, so the checkout's own
+    index and files are left as they are; git stores the files' blobs."""
+    rev = _git_out(checkout, "describe", "--always", "--dirty", "--abbrev=7")
+    if rev is None or not rev.endswith("-dirty"):
+        return rev
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        if _git_out(checkout, "add", "-A", env=env) is None:
+            return None
+        tree = _git_out(checkout, "write-tree", env=env)
+    return None if tree is None else f"{rev} tree {tree[:12]}"
 
 
 def main(argv=None) -> int:

@@ -9,7 +9,10 @@ on exhaustion it returns the best witness found so far, flagged as a lower
 bound. The witness is the first maximum-length prefix the walk visits, which
 is the lexicographically least maximum sequence. The walk stops at the first
 spanning prefix, and skips a state whose unused reachable vertices cannot
-make a prefix longer than the best one so far. A ``target`` makes it a
+make a prefix longer than the best one so far. The first bound counts the
+unused vertices reachable by out-arcs; for k >= 2, when it keeps a state,
+a second one counts only those that a chain of consecutive pairs can reach,
+each new vertex beaten by the two before it. A ``target`` makes it a
 decision procedure: the walk also stops at the first prefix of ``target``
 vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
 Each expanded prefix keeps on its stack frame the memo-key bits of its last
@@ -132,6 +135,17 @@ def longest_power_path_exact(
     the vertices reachable from its candidates by out-arcs among the unused
     vertices is at most the best length so far: no completion of it can be
     longer, and the best length only grows, so the witness is unchanged.
+    For k >= 2 a state that bound keeps, and whose candidates alone fit in
+    the room left, is tried against a second one: the pair closure. It
+    starts from the pairs (v, x), v the state's last vertex and x a
+    candidate, and a pair (a, y) leads to (y, c) for every unused c that
+    both a and y beat. Each later vertex of a k-th power of a path, k >= 2,
+    is a common out-neighbour of the two before it, so every continuation
+    uses only second vertices of reached pairs; the state is pruned when
+    there are at most as many of them as the room left. Both bounds only
+    skip subtrees with no prefix longer than the best one, so best lengths
+    grow exactly as without them; only ``states`` and budget trip points
+    depend on them.
 
     ``target`` (None means n; a value above n acts as n; below 1 raises
     ValueError) ends the walk at the first prefix of ``target`` vertices.
@@ -198,6 +212,38 @@ def longest_power_path_exact(
                 grown = rows[c.bit_length() - 1] & free & ~reach
                 reach |= grown
                 frontier = (frontier ^ c) | grown
+            if reach.bit_count() > room and k > 1 and nxt.bit_count() <= room:
+                # The pair closure: from (v, x), x in nxt, a pair (a, y) leads
+                # to (y, c) for c in rows[a] & rows[y] & free. succ[y] gathers
+                # the c of the pairs (y, c) reached so far, done[y] those
+                # already followed; it stops once reach exceeds room.
+                succ = [0] * n
+                done = [0] * n
+                rv = rows[v] & free
+                m = reach = todo = nxt
+                while m:
+                    c = m & -m
+                    m ^= c
+                    x = c.bit_length() - 1
+                    succ[x] = rv & rows[x]
+                while todo:
+                    c = todo & -todo
+                    todo ^= c
+                    a = c.bit_length() - 1
+                    grown = succ[a] & ~done[a]
+                    done[a] = succ[a]
+                    reach |= grown
+                    if reach.bit_count() > room:
+                        break
+                    ra = rows[a] & free
+                    while grown:
+                        c = grown & -grown
+                        grown ^= c
+                        y = c.bit_length() - 1
+                        pair = ra & rows[y]
+                        if pair & ~succ[y]:
+                            succ[y] |= pair
+                            todo |= c
             if reach.bit_count() <= room:
                 memo.add(child)
                 states += 1

@@ -285,10 +285,11 @@ class AnnealChain:
     relabeled by descending out-degree, ties by label, which reaches a
     spanning path in fewer states, and the witness is mapped back; such a
     result may carry any maximum witness. A tournament whose pp makes a
-    record is solved again in its own labels, so a record's witness is
-    always the lexicographically least maximum one. pp does not depend on
-    the labels, so the chain's decisions, records and rng draws are those
-    of the chain that solves every flip in its own labels.
+    record is solved again in its own labels, with its pp as the target, so
+    a record's witness is always the lexicographically least maximum one.
+    pp does not depend on the labels, so the chain's decisions, records and
+    rng draws are those of the chain that solves every flip in its own
+    labels.
     State (rng word, matrix, temperature, bookkeeping) round-trips through
     ``state_dict``/``from_state`` for bit-exact resume.
     """
@@ -361,13 +362,16 @@ class AnnealChain:
             if len(res.path) >= self.best_pp:
                 return res
             # best_pp <= cur_pp, so t is moved to with no rng draw and makes
-            # a record, whose witness is the least one in t's own labels.
+            # a record, whose witness is the least one in t's own labels: the
+            # first prefix of pp vertices that the label-order walk reaches.
+            return self._solve(t, len(res.path))
         return self._solve(t)
 
-    def _solve(self, t: Tournament) -> ExactResult:
+    def _solve(self, t: Tournament, target: Optional[int] = None) -> ExactResult:
         res = self._cache.get(t.rows)
         if res is None:
-            res = self._cache[t.rows] = longest_power_path_exact(t, self.k, self.budget)
+            res = self._cache[t.rows] = longest_power_path_exact(
+                t, self.k, self.budget, target=target)
         return res
 
     def _in_score_order(self, t: Tournament) -> ExactResult:

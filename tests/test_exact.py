@@ -76,6 +76,31 @@ def _pruned_cases():
     return cases
 
 
+def _solve_digest(max_states, with_states):
+    """Case count and sha256 of the solves of random tournaments with
+    n = 1..17 (seeds 0..2), k = 1..4, budgets ``max_states`` (None for no
+    budget) and targets None/n - 2/n + 1, then two 1000-state trips 1500
+    levels deep; each solve adds (path, optimal), and its states when
+    ``with_states``."""
+    digest = hashlib.sha256()
+    cases = [
+        (random_tournament(n, seed), k, cap and SolveBudget(max_states=cap), target)
+        for seed in range(3)
+        for n in range(1, 18)
+        for k in range(1, 5)
+        for cap in max_states
+        for target in (None, n - 2, n + 1)
+        if target is None or target >= 1
+    ]
+    cases += [(t, 2, SolveBudget(max_states=1000), None)
+              for t in (triangle_chain(1500), transitive(1500))]
+    for t, k, budget, target in cases:
+        res = longest_power_path_exact(t, k, budget, target=target)
+        fields = (res.path.vertices, res.optimal)
+        digest.update(repr(fields + (res.states,) if with_states else fields).encode())
+    return len(cases), digest.hexdigest()
+
+
 class TestExactSolver:
     def test_transitive_is_full_for_every_k(self):
         for n in (1, 4, 9, 12):
@@ -99,6 +124,24 @@ class TestExactSolver:
                 assert res.path.vertices == brute_first_longest(t, k), (name, k)
                 assert verify_power_path(t, res.path)[0]
 
+    def test_pair_closure_agrees_with_brute_enumeration(self):
+        # Random tournaments with pp < n, keyed (n, seed, k), with the states
+        # the walk took when it pruned by out-arcs alone. Almost every unused
+        # vertex is reachable by out-arcs here, so the proofs that pp < n
+        # come from the pair closure; it must keep the witness and do less.
+        cases = {
+            (8, 22, 2): 150, (8, 30, 2): 144, (9, 106, 2): 284,
+            (9, 145, 2): 292, (10, 231, 2): 800, (10, 252, 2): 537,
+            (8, 0, 3): 121, (8, 2, 3): 112, (9, 0, 3): 176,
+            (9, 2, 3): 180, (10, 1, 3): 320, (10, 7, 3): 301,
+        }
+        for (n, seed, k), before in cases.items():
+            t = random_tournament(n, seed)
+            res = longest_power_path_exact(t, k)
+            assert res.optimal and len(res.path) < n, (n, seed, k)
+            assert res.path.vertices == brute_first_longest(t, k), (n, seed, k)
+            assert res.states < before, (n, seed, k, res.states)
+
     def test_target_decides_pp_at_least_target(self):
         cases = [(f"random{seed}", random_tournament(1 + seed % 9, seed))
                  for seed in range(18)]
@@ -120,10 +163,12 @@ class TestExactSolver:
                     longest_power_path_exact(t, k, target=0)
 
     def test_blowup_of_minimizer_is_pruned(self):
-        # Without the early exit and the prune the walk took 304,407 states.
+        # Without the early exit and the prunes the walk took 304,407 states,
+        # with the out-arc prune alone 24,498; the pair closure cuts that to
+        # 8,962.
         t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
         res = longest_power_path_exact(t, 2)
-        assert res.optimal and res.states < 10**5
+        assert res.optimal and res.states < 10**4
         assert res.path.vertices == (0, 15, 16, 12, 13, 1, 2, 17, 3, 9, 10, 6, 7, 4, 5, 11)
         assert verify_power_path(t, res.path)[0]
 
@@ -156,30 +201,20 @@ class TestExactSolver:
         assert res.path.vertices == tuple(range(1500))
 
     def test_results_match_pinned_digest(self):
-        # One sha256 over (path, optimal, states) of 1,766 solves: random
-        # tournaments with n = 1..17 (seeds 0..2), k = 1..4, budgets
-        # None/7/100 and targets None/n - 2/n + 1, then two 1000-state trips
-        # 1500 levels deep. Pinned from a walk that built each child's key
-        # and candidates from a slice of its prefix, so the per-parent
-        # bookkeeping must keep every state count and budget trip.
-        digest = hashlib.sha256()
-        cases = [
-            (random_tournament(n, seed), k, budget, target)
-            for seed in range(3)
-            for n in range(1, 18)
-            for k in range(1, 5)
-            for budget in (None, SolveBudget(max_states=7), SolveBudget(max_states=100))
-            for target in (None, n - 2, n + 1)
-            if target is None or target >= 1
-        ]
-        cases += [(t, 2, SolveBudget(max_states=1000), None)
-                  for t in (triangle_chain(1500), transitive(1500))]
-        for t, k, budget, target in cases:
-            res = longest_power_path_exact(t, k, budget, target=target)
-            digest.update(repr((res.path.vertices, res.optimal, res.states)).encode())
-        assert len(cases) == 1766
-        assert digest.hexdigest() == (
-            "be969fcfd4fd76426243de3211bbd076e8c23dfbb1afda0847c9614ea25a8d5e")
+        # (path, optimal, states) of every solve of the grid. Pinned with the
+        # pair-closure prune, which moved state counts and budget trips
+        # (digest be969fcf... before it); the per-parent bookkeeping must
+        # keep every one of them.
+        assert _solve_digest((None, 7, 100), with_states=True) == (
+            1766, "25d0cc20b1ad1f2994207d4643020713aa971d2d98374083eab4ba340a58b65a")
+
+    def test_witnesses_match_pinned_digest(self):
+        # (path, optimal) of the grid's unbudgeted solves and its two
+        # 1500-level walks. Pinned from the walk that pruned by out-arcs
+        # alone: a prune may change state counts and budget trips, never a
+        # witness or an optimal flag.
+        assert _solve_digest((None,), with_states=False) == (
+            590, "2fc40e6095ece1170c6c826300865e1b77cf6ac11fd5786cd56135b569a9d0bb")
 
     def test_solve_leaves_no_cyclic_garbage(self):
         t = random_tournament(9, 4)

@@ -133,7 +133,8 @@ def test_bench_pairs_summary_on_fabricated_runs(tmp_path):
     assert summary["failed"] == 2 and summary["max_failed_frac"] == 0.2
 
     # The file names each side's commit, a checkout with uncommitted edits
-    # as dirty, and the claimed workload and metric.
+    # as dirty with the id of the tree it holds, and the claimed workload
+    # and metric.
     parent, change = _stand_in_checkouts(tmp_path, tmp_path / "order.log")
     for checkout in (parent, change):
         _git(checkout, "init", "-q")
@@ -146,16 +147,27 @@ def test_bench_pairs_summary_on_fabricated_runs(tmp_path):
     assert module.main(argv + ["--claim", "find_large/run_s"]) == 0
     bench = json.loads(out.read_text())
     assert bench["parent"] == _git(parent, "rev-parse", "--short=7", "HEAD")
-    assert bench["change"] == _git(change, "rev-parse", "--short=7", "HEAD") + "-dirty"
+    dirty, _, tree = bench["change"].partition(" tree ")
+    assert dirty == _git(change, "rev-parse", "--short=7", "HEAD") + "-dirty"
     assert bench["claimed"] == {"workload": "find_large", "metric": "run_s"}
-    # A claim outside BENCHMARK.json, or runs of another commit added to
-    # the same file, exit 2 and leave the file as it was.
+    # A claim outside BENCHMARK.json, or runs of another tree added to the
+    # same file (an untracked file makes one, and so does a commit), exit 2
+    # and leave the file as it was.
     written = out.read_bytes()
     for extra in (["--claim", "find_large/median_s"], ["--claim", "nowhere/run_s"]):
         with pytest.raises(SystemExit) as exc:
             module.main(argv + extra)
         assert exc.value.code == 2
+    (change / "notes.txt").write_text("untracked\n")
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2 and out.read_bytes() == written
+    (change / "notes.txt").unlink()
+    assert module.main(argv) == 0
+    # The tree measured is the tree of a commit of exactly those edits.
     _git(change, "commit", "-q", "-am", "edit")
+    assert tree == _git(change, "rev-parse", "HEAD^{tree}")[:12]
+    written = out.read_bytes()
     with pytest.raises(SystemExit) as exc:
         module.main(argv)
     assert exc.value.code == 2 and out.read_bytes() == written
