@@ -19,8 +19,13 @@ files has that tree (``git rev-parse HEAD^{tree}``). ``claimed`` holds the
 workload and metric of ``--claim``. Per workload and seed,
 for each end-to-end metric, each side's inclusive quartiles and runs,
 ``change_wins`` (pairs the change is better in the metric's direction) and
-``ties``, with ``all_same_as_pinned``, ``failed`` (failed ops over all runs)
-and ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
+``ties``, and a verdict: ``within_bound`` (the change's median is no worse
+than the parent's by more than the metric's ``BENCHMARK.json`` bound, a
+fraction of the parent's median) and ``claim_met`` (the change is better in
+at least 9 of every 10 pairs, and its median beats the parent's by more
+than the parent's q3 - q1). Per workload and seed also
+``all_same_as_pinned``, ``failed`` (failed ops over all runs) and
+``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
 side on the first seed, under ``traced.<workload>``. A workload already in
 the output file is replaced; the others are kept, so one file can gather
 several invocations on the same two trees.
@@ -45,7 +50,11 @@ METHOD = (
     "its own checkout; the parent runs first in even pairs (0-based), the "
     "change first in odd ones. Times are the benchmark's scaled seconds. q1/q3 "
     "are inclusive quartiles. change_wins counts pairs in which the change is "
-    "better in the metric's direction; ties count for neither."
+    "better in the metric's direction; ties count for neither. within_bound: "
+    "the change's median is worse than the parent's by at most the metric's "
+    "bound, a fraction of the parent's median. claim_met: the change wins at "
+    "least 9 of every 10 pairs and beats the parent's median by more than the "
+    "parent's q3 - q1."
 )
 _MACHINE = re.compile(r"^machine: nproc=(\S+) cpu=(.*) python=(\S+) numpy=(\S+)$")
 _PINNED = re.compile(r" same as pinned: (.*)$")
@@ -115,6 +124,19 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
     }
 
 
+def verdict(metric: dict, bound: float) -> dict:
+    """``within_bound`` and ``claim_met`` of one metric as ``summarize``
+    returns it, under its ``BENCHMARK.json`` bound."""
+    parent, change = metric["parent"], metric["change"]
+    sign = 1 if metric["better"] == "higher" else -1
+    gain = sign * (change["median"] - parent["median"])
+    return {
+        "within_bound": -gain <= bound * abs(parent["median"]),
+        "claim_met": (10 * metric["change_wins"] >= 9 * len(parent["runs"])
+                      and gain > parent["q3"] - parent["q1"]),
+    }
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -180,6 +202,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     if args.claim is not None:
         workload, _, metric = args.claim.partition("/")
         if workload not in [w["name"] for w in bench["workloads"]] or metric not in better:
@@ -200,7 +223,9 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         pairs = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
         out["machine"] = pairs[0][0]["machine"]
-        seeds[f"seed{seed}"] = summarize(pairs, better)
+        seeds[f"seed{seed}"] = summary = summarize(pairs, better)
+        for name, metric in summary["metrics"].items():
+            metric.update(verdict(metric, bounds[name]))
     out.setdefault("workloads", {})[args.workload] = seeds
     if args.traced_runs:
         seed = args.seeds[0]

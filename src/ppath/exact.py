@@ -17,12 +17,17 @@ decision procedure: the walk also stops at the first prefix of ``target``
 vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
 Each expanded prefix keeps on its stack frame the memo-key bits of its last
 k - 1 labels and the AND of their rows, so trying a child costs a few
-big-int operations whatever k is.
+big-int operations whatever k is. Without a ``target`` below n the walk runs
+once per strong component, found by Landau's test on the sorted out-degrees:
+the condensation of a tournament is transitive, so pp is the sum of the
+components' values and the witness is the concatenation of theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import eq
 from typing import Optional
 
 from .rng import Rng, derive_seed
@@ -126,9 +131,11 @@ def longest_power_path_exact(
     and a memo hit skips only the completions of a state that a lex-smaller
     prefix with the same (used set, tail) already expanded. A state enters
     the memo when its subtree is finished; the state cap is checked after the
-    memo lookup, before a new state is expanded, so the result, a tripped one
-    included, depends only on t, k, the budget and ``target``. When the
-    budget trips the best prefix so far is returned with optimal=False.
+    memo lookup, before a new state is expanded, and before a finished state
+    would enter a full memo, so ``states`` never exceeds the cap, and the
+    result, a tripped one included, depends only on t, k, the budget and
+    ``target``. When the budget trips the best prefix so far is returned
+    with optimal=False.
 
     The first n-vertex prefix ends the walk. A state is pruned (it enters the
     memo unexpanded, and counts in ``states``) when its prefix length plus
@@ -153,16 +160,72 @@ def longest_power_path_exact(
     exactly when pp >= target; when pp < target the walk and its result are
     those of the call without ``target``. ``optimal`` means the budget did
     not trip: the path is a maximum, or it has ``target`` vertices.
+
+    Without a ``target`` below n, a tournament that is not strong is solved
+    one strong component at a time, in condensation order; a one-vertex
+    component needs no walk. Each component beats every later one, so a k-th
+    power of a path visits them in that order, pp is the sum of theirs, and
+    the least maximum witness is the concatenation of theirs. ``states``
+    sums the components' walks, which share the budget. When a component's
+    walk trips, its best prefix follows the earlier components' witnesses,
+    and greedy (seeded 0) fills in from the later components, whose vertices
+    that prefix all beats. A decision solve walks the whole tournament: split
+    up, it would first have to solve every earlier component exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if target is not None and target < 1:
         raise ValueError("target must be >= 1")
-    budget = budget or DEFAULT_BUDGET
+    max_states = (budget or DEFAULT_BUDGET).max_states
+    goal = t.n if target is None else min(target, t.n)
+    blocks = [t.full_mask] if goal < t.n else _strong_components(t)
+    if len(blocks) == 1:
+        return _walk(t, k, max_states, goal, t.full_mask)
+    path: list[int] = []
+    states = 0
+    for i, block in enumerate(blocks):
+        if not block & (block - 1):
+            path.append(block.bit_length() - 1)
+            continue
+        res = _walk(t, k, max_states - states, block.bit_count(), block)
+        path += res.path.vertices
+        states += res.states
+        if not res.optimal:
+            path += _greedy_mask(t, sum(blocks[i + 1:]), k, Rng(0))
+            return ExactResult(PowerPath(k, tuple(path)), False, states)
+    return ExactResult(PowerPath(k, tuple(path)), True, states)
+
+
+def _strong_components(t: Tournament) -> list[int]:
+    """Vertex masks of t's strong components, each beating all later ones.
+
+    By Landau's theorem the j vertices of least out-degree are beaten by all
+    the others exactly when their out-degrees sum to C(j, 2), which is the
+    sum of 0, 1, ..., j - 1. A strong t, most of the anneal's solves, is
+    recognised by that test on the sorted degrees alone, before any vertex is
+    placed in a block.
+    """
+    scores = sorted(map(int.bit_count, t.rows))
+    if not any(map(eq, accumulate(scores[:-1]), accumulate(range(t.n - 1)))):
+        return [t.full_mask]
+    degree = [r.bit_count() for r in t.rows]
+    blocks: list[int] = []
+    block = total = 0
+    for j, v in enumerate(sorted(range(t.n), key=degree.__getitem__), 1):
+        block |= 1 << v
+        total += degree[v]
+        if total == j * (j - 1) // 2:
+            blocks.append(block)
+            block = 0
+    return blocks[::-1]
+
+
+def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> ExactResult:
+    """The walk of ``longest_power_path_exact`` inside the vertex mask
+    ``full``; it stops at the first prefix of ``goal`` vertices and trips at
+    the first new state past ``max_states`` (which may be 0)."""
     n = t.n
-    goal = n if target is None else min(target, n)
     rows = t.rows
-    full = (1 << n) - 1
     shift = max(7, n.bit_length())
     # A state's key is the bit 1, its tail's labels in ``shift`` bits each,
     # and the used set in the low n bits. An expanded prefix keeps ``base``,
@@ -171,7 +234,6 @@ def longest_power_path_exact(
     top = 1 << shift * (k - 1)
     mask = top - 1
     high = shift + n
-    max_states = budget.max_states
     memo: set[int] = set()
     states = 0
     best: tuple[int, ...] = ()
@@ -263,6 +325,8 @@ def longest_power_path_exact(
                 for u in prefix[d - k + 1:]:
                     w &= rows[u]
         elif stack:
+            if states >= max_states:
+                return ExactResult(PowerPath(k, best), False, states)
             memo.add(key)
             states += 1
             cand, key, base, w = stack.pop()

@@ -278,8 +278,10 @@ class AnnealChain:
     starts empty, gets the results the uninterrupted chain got. Fingerprints
     are computed for records only.
     When the budget cannot trip (it is at least the walk's
-    Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states, 23,050 at n = 10, k = 2),
-    solves take two shortcuts. A flip of two vertices more than k apart in
+    Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states, 23,050 at n = 10, k = 2;
+    a solve split into strong components walks each within that sum for the
+    component's own size, and these sum to at most the whole one), solves
+    take two shortcuts. A flip of two vertices more than k apart in
     the current tournament's spanning witness keeps that witness, so its pp
     is n and it is accepted without a solve. Any other tournament is solved
     relabeled by descending out-degree, ties by label, which reaches a

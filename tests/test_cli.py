@@ -9,7 +9,7 @@ import ppath.cli
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, longest_power_path_exact, verify_power_path
-from ppath.search import AnnealChain
+from ppath.search import AnnealChain, flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
 
@@ -67,8 +67,10 @@ class TestSolve:
         assert length <= 30
 
     def test_budget_trip_on_deep_instance_exits_3_with_witness(self, tmp_path):
+        # The flipped arc 1499 -> 0 makes the chain strong, so the walk is
+        # one deep walk and not 500 triangles.
         trn = tmp_path / "c1500.trn"
-        t = triangle_chain(1500)
+        t = flip_edge(triangle_chain(1500), 0, 1499)
         save_trn(t, trn)
         assert run(["solve", "--exact", "-k", 2, "--budget-states", 1000, trn]) == 3
         data = json.loads((tmp_path / "c1500.trn.witness.json").read_text())
@@ -94,7 +96,7 @@ class TestSolve:
         save_trn(blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows), trn)
         outs = [tmp_path / "w1.json", tmp_path / "w2.json"]
         for out in outs:
-            assert run(["solve", "--exact", "-k", 2, "--budget-states", 2000,
+            assert run(["solve", "--exact", "-k", 2, "--budget-states", 200,
                         "--out", out, trn]) == 3
         assert outs[0].read_bytes() == outs[1].read_bytes()
 

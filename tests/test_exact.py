@@ -13,6 +13,7 @@ from conftest import (
     brute_first_longest,
     brute_longest_power,
     reference_greedy_mask,
+    relabel,
     triangle_chain,
 )
 from ppath.exact import (
@@ -28,8 +29,10 @@ from ppath.exact import (
     verify_power_path,
 )
 from ppath.rng import Rng
+from ppath.search import flip_edge
 from ppath.trn import load_trn
 from ppath.tournament import (
+    Tournament,
     VertexSet,
     induced,
     random_tournament,
@@ -76,12 +79,13 @@ def _pruned_cases():
     return cases
 
 
-def _solve_digest(max_states, with_states):
+def _solve_digest(max_states, with_states, deep=True):
     """Case count and sha256 of the solves of random tournaments with
     n = 1..17 (seeds 0..2), k = 1..4, budgets ``max_states`` (None for no
-    budget) and targets None/n - 2/n + 1, then two 1000-state trips 1500
-    levels deep; each solve adds (path, optimal), and its states when
-    ``with_states``."""
+    budget) and targets None/n - 2/n + 1, then, when ``deep``, two
+    1000-state walks 1500 levels deep; each solve adds (path, optimal), and
+    its states when ``with_states``. No budgeted solve may count more states
+    than its budget."""
     digest = hashlib.sha256()
     cases = [
         (random_tournament(n, seed), k, cap and SolveBudget(max_states=cap), target)
@@ -92,13 +96,23 @@ def _solve_digest(max_states, with_states):
         for target in (None, n - 2, n + 1)
         if target is None or target >= 1
     ]
-    cases += [(t, 2, SolveBudget(max_states=1000), None)
-              for t in (triangle_chain(1500), transitive(1500))]
+    if deep:
+        cases += [(t, 2, SolveBudget(max_states=1000), None)
+                  for t in (triangle_chain(1500), transitive(1500))]
     for t, k, budget, target in cases:
         res = longest_power_path_exact(t, k, budget, target=target)
+        assert budget is None or res.states <= budget.max_states, (t.n, k, budget, target)
         fields = (res.path.vertices, res.optimal)
         digest.update(repr(fields + (res.states,) if with_states else fields).encode())
     return len(cases), digest.hexdigest()
+
+
+def _join(first, second, perm):
+    """``first`` followed by ``second``, every vertex of ``first`` beating
+    every vertex of ``second``, relabeled by ``perm``."""
+    rows = [r | ((1 << second.n) - 1) << first.n for r in first.rows]
+    rows += [r << first.n for r in second.rows]
+    return relabel(Tournament.from_rows(rows), perm)
 
 
 class TestExactSolver:
@@ -188,11 +202,38 @@ class TestExactSolver:
     def test_deep_walk_budget_trip_keeps_witness(self):
         # A 1000-vertex prefix is 1000 levels deep; the walk keeps no call
         # stack, and the trip returns the deepest prefix it already visited.
-        t = triangle_chain(1500)
+        # The flipped arc 1499 -> 0 makes the chain strong, so one walk runs.
+        t = flip_edge(triangle_chain(1500), 0, 1499)
         res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
         assert not res.optimal and res.states == 1000
         assert res.path.vertices == tuple(v for v in range(1500) if v % 3 != 2)
         assert verify_power_path(t, res.path)[0]
+
+    def test_triangle_chain_is_solved_a_component_at_a_time(self):
+        # 500 triangles, 4 states each. Under 1000 states the first 250 are
+        # solved, the 251st trips at its first vertex, and greedy covers the
+        # rest: 500 + 1 + ceil(2 * 747 / 3) vertices.
+        t = triangle_chain(1500)
+        res = longest_power_path_exact(t, 2)
+        assert res.optimal and res.states == 2000
+        assert res.path.vertices == tuple(v for v in range(1500) if v % 3 != 2)
+        res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
+        assert not res.optimal and res.states == 1000 and len(res.path) == 999
+        assert res.path.vertices[:501] == tuple(v for v in range(751) if v % 3 != 2)
+        assert verify_power_path(t, res.path)[0]
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_joins_agree_with_brute_enumeration(self, n1, n2, seed, data):
+        # Random T1 => T2 under a random relabeling: the components are
+        # solved apart and their witnesses concatenated in condensation order.
+        perm = data.draw(st.permutations(range(n1 + n2)))
+        t = _join(random_tournament(n1, seed), random_tournament(n2, seed + 1), perm)
+        for k in (1, 2, 3):
+            res = longest_power_path_exact(t, k)
+            assert res.optimal
+            assert res.path.vertices == brute_first_longest(t, k), k
 
     def test_deep_walk_stops_at_spanning_prefix(self):
         t = transitive(1500)
@@ -201,20 +242,22 @@ class TestExactSolver:
         assert res.path.vertices == tuple(range(1500))
 
     def test_results_match_pinned_digest(self):
-        # (path, optimal, states) of every solve of the grid. Pinned with the
-        # pair-closure prune, which moved state counts and budget trips
-        # (digest be969fcf... before it); the per-parent bookkeeping must
-        # keep every one of them.
+        # (path, optimal, states) of every solve of the grid. Re-pinned when
+        # the walk came to solve each strong component apart and to trip
+        # before a finished state would pass the budget (25d0cc20... before,
+        # be969fcf... before the pair closure).
         assert _solve_digest((None, 7, 100), with_states=True) == (
-            1766, "25d0cc20b1ad1f2994207d4643020713aa971d2d98374083eab4ba340a58b65a")
+            1766, "8d0a1f769cdc172b9c0c16903fba2b22012fafd77c46958b2b74c5e3c336fc46")
 
     def test_witnesses_match_pinned_digest(self):
-        # (path, optimal) of the grid's unbudgeted solves and its two
-        # 1500-level walks. Pinned from the walk that pruned by out-arcs
-        # alone: a prune may change state counts and budget trips, never a
-        # witness or an optimal flag.
-        assert _solve_digest((None,), with_states=False) == (
-            590, "2fc40e6095ece1170c6c826300865e1b77cf6ac11fd5786cd56135b569a9d0bb")
+        # (path, optimal) of the grid's unbudgeted solves, hashed from the
+        # walk before the split into strong components; their 590-case digest
+        # with the two budgeted 1500-level walks, which now have tests of
+        # their own, was pinned from the walk that pruned by out-arcs alone.
+        # A prune or the split may change state counts and budget trips,
+        # never a witness or an optimal flag.
+        assert _solve_digest((None,), with_states=False, deep=False) == (
+            588, "4288daf0dc1da7500a1fe190860eba69a26ec6e2957e3ab995a11f465a63bf19")
 
     def test_solve_leaves_no_cyclic_garbage(self):
         t = random_tournament(9, 4)

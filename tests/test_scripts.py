@@ -90,8 +90,9 @@ def _stand_in_checkouts(tmp_path, log):
         (checkout / "BENCHMARK.json").write_text(json.dumps({
             "run_seconds": 30,
             "workloads": [{"name": "find_large"}, {"name": "solve_exact"}],
-            "end_to_end": [{"name": "run_s", "better": "lower"},
-                           {"name": "witness_vertices", "better": "higher"}]}))
+            "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                           {"name": "witness_vertices", "better": "higher",
+                            "bound": 0.02}]}))
         (checkout / "perfbench" / "run.py").write_text(
             f"import sys\nopen({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
             f"print({_bench_stdout(run_s)!r}, end='')\n")
@@ -171,6 +172,51 @@ def test_bench_pairs_summary_on_fabricated_runs(tmp_path):
     with pytest.raises(SystemExit) as exc:
         module.main(argv)
     assert exc.value.code == 2 and out.read_bytes() == written
+
+
+def test_bench_pairs_verdicts_on_fabricated_runs(tmp_path):
+    module = _load(SCRIPTS / "bench_pairs.py")
+    better = {"run_s": "lower", "witness_vertices": "higher"}
+
+    def metric(parent, change):
+        pairs = [(module.parse_run(_bench_stdout(p)), module.parse_run(_bench_stdout(c)))
+                 for p, c in zip(parent, change)]
+        return module.summarize(pairs, better)["metrics"]["run_s"]
+
+    parent = [0.20, 0.21, 0.19, 0.20, 0.22, 0.18, 0.20, 0.21, 0.19, 0.20]
+    # Parent median 0.20, q3 - q1 = 0.21 - 0.19. Nine wins and a median
+    # 0.10 lower meet the claim; eight wins, or a gain inside the parent's
+    # spread, do not.
+    nine = [0.10] * 9 + [0.30]
+    assert module.verdict(metric(parent, nine), 0.25) == {
+        "within_bound": True, "claim_met": True}
+    eight = [0.10] * 8 + [0.30, 0.30]
+    assert module.verdict(metric(parent, eight), 0.25)["claim_met"] is False
+    close = [p - 0.001 for p in parent]
+    m = metric(parent, close)
+    assert m["change_wins"] == 10 and module.verdict(m, 0.25)["claim_met"] is False
+    # 20 % slower is within a 0.25 bound, 30 % is not; a metric where higher
+    # is better reads the other way.
+    assert module.verdict(metric(parent, [0.24] * 10), 0.25)["within_bound"] is True
+    assert module.verdict(metric(parent, [0.26] * 10), 0.25) == {
+        "within_bound": False, "claim_met": False}
+    vertices = {"better": "higher", "change_wins": 0,
+                "parent": {"q1": 100, "median": 100, "q3": 100, "runs": [100] * 10}}
+    for change, within in ((98, True), (97, False), (120, True)):
+        m = {**vertices, "change": {"median": change}}
+        assert module.verdict(m, 0.02)["within_bound"] is within, change
+
+    # bench_pairs.py writes both verdicts for every metric under its bound.
+    parent, change = _stand_in_checkouts(tmp_path, tmp_path / "order.log")
+    out = tmp_path / "BENCH.json"
+    assert module.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "find_large", "--seeds", "1", "--pairs", "2",
+                        "--out", str(out)]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["find_large"]["seed1"]["metrics"]
+    assert {k: metrics["run_s"][k] for k in ("within_bound", "claim_met")} == {
+        "within_bound": True, "claim_met": True}
+    assert {k: metrics["witness_vertices"][k] for k in ("within_bound", "claim_met")} == {
+        "within_bound": True, "claim_met": False}
 
 
 def test_bench_pairs_alternates_sides(tmp_path):

@@ -351,11 +351,12 @@ class TestAnneal:
         assert sum(skipped[n, 3] for n in range(6, 11))
 
     def test_records_and_states_match_pinned_digest(self):
-        # Pinned with the oracle's pair-closure prune: its budgeted solves
-        # trip later than before (digest 3383345a... before it), so budgeted
-        # chains move.
+        # Re-pinned when the oracle came to solve each strong component apart
+        # and to trip before a finished state would pass the budget: budgeted
+        # solves trip elsewhere, so budgeted chains move (digest 39f4a8b8...
+        # before, 3383345a... before the pair-closure prune).
         assert _chains_digest([None, 10, 30, 200, 5000]) == (
-            "39f4a8b8814bb7b54acb16de3a3fe1a76ba38ab1f9c14eefc5b11b67a7723d88")
+            "3294077de7e30c8b299744fd3eba9abbfb3dc8bb63ef800728a4e2affcc31359")
 
     def test_unbudgeted_records_and_states_match_pinned_digest(self):
         # Pinned from the oracle that pruned by out-arcs alone and re-solved
