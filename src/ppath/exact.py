@@ -167,10 +167,13 @@ def longest_power_path_exact(
     power of a path visits them in that order, pp is the sum of theirs, and
     the least maximum witness is the concatenation of theirs. ``states``
     sums the components' walks, which share the budget. When a component's
-    walk trips, its best prefix follows the earlier components' witnesses,
-    and greedy (seeded 0) fills in from the later components, whose vertices
-    that prefix all beats. A decision solve walks the whole tournament: split
-    up, it would first have to solve every earlier component exactly.
+    walk trips, the earlier components' witnesses are followed by the longer
+    of two tails, the first on a tie: its best prefix, then greedy (seeded 0)
+    over the later components, whose vertices that prefix all beats; or
+    greedy (seeded 0) over the tripped and later components together. A walk
+    left with few or no states thus still ends in a greedy path through its
+    component. A decision solve walks the whole tournament: split up, it
+    would first have to solve every earlier component exactly.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -188,11 +191,14 @@ def longest_power_path_exact(
             path.append(block.bit_length() - 1)
             continue
         res = _walk(t, k, max_states - states, block.bit_count(), block)
-        path += res.path.vertices
         states += res.states
         if not res.optimal:
-            path += _greedy_mask(t, sum(blocks[i + 1:]), k, Rng(0))
+            rest = sum(blocks[i + 1:])
+            walked = res.path.vertices + _greedy_mask(t, rest, k, Rng(0))
+            greedy = _greedy_mask(t, block | rest, k, Rng(0))
+            path += max(walked, greedy, key=len)
             return ExactResult(PowerPath(k, tuple(path)), False, states)
+        path += res.path.vertices
     return ExactResult(PowerPath(k, tuple(path)), True, states)
 
 

@@ -8,12 +8,13 @@ function of its inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .rng import derive_seed
+from .rng import _label_value, derive_seed
 
 
 class InvalidSizeError(ValueError):
@@ -69,53 +70,86 @@ class VertexSet:
         return tuple(self)
 
 
-def _rows_to_matrix(rows: tuple[int, ...]) -> np.ndarray:
-    """n x n uint8 matrix whose cell (i, j) is bit j of ``rows[i]`` (< 2**n)."""
+def _rows_to_packed(rows: tuple[int, ...]) -> np.ndarray:
+    """Packed rows: an n x ceil(n/8) uint8 array whose row i is
+    ``rows[i].to_bytes(ceil(n/8), "little")``, so bit j of ``rows[i]``
+    (< 2**n) is bit j % 8 of byte j // 8."""
     n = len(rows)
     nbytes = (n + 7) // 8
-    buf = np.frombuffer(
+    return np.frombuffer(
         b"".join(r.to_bytes(nbytes, "little") for r in rows), dtype=np.uint8
     ).reshape(n, nbytes)
-    return np.unpackbits(buf, axis=1, count=n, bitorder="little")
 
 
-def _matrix_to_rows(mat: np.ndarray) -> tuple[int, ...]:
-    """Row bitsets of a 0/1 n x n matrix; inverse of ``_rows_to_matrix``."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
+def _packed_to_rows(packed: np.ndarray) -> tuple[int, ...]:
+    """Row bitsets of packed rows; inverse of ``_rows_to_packed``."""
+    nbytes = packed.shape[1]
+    buf = packed.tobytes()
+    from_bytes = int.from_bytes
+    return tuple([from_bytes(buf[i : i + nbytes], "little") for i in range(0, len(buf), nbytes)])
 
 
-# Rows per slab in ``_transposed``. Slabs of 32 to 128 rows all copy a
-# 2048 x 2048 uint8 matrix in 4-7 ms, against 22-24 ms for a strided mat.T.
-_SLAB = 64
+# (shift, mask, 1 + 2**shift) of the three rounds that transpose an 8 x 8 bit
+# block held in a uint64 whose byte r is row r (Hacker's Delight, 7-3). A
+# round swaps each masked bit with the bit ``shift`` above it: the 1 x 1, then
+# 2 x 2, then 4 x 4 corners off the diagonal. The masked bits and the bits
+# ``shift`` above them never overlap, so one product puts the swap's
+# difference in both places. Constants here are 0-d arrays: a ufunc converts
+# a Python int operand anew on every call.
+_ROUNDS = tuple(
+    (np.array(s, np.uint64), np.array(m, np.uint64), np.array(1 + (1 << s), np.uint64))
+    for s, m in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
 
 
-def _transposed(mat: np.ndarray) -> np.ndarray:
-    """C-ordered copy of ``mat.T``, filled ``_SLAB`` source rows at a time.
-
-    A plain ``mat.T`` operand walks the matrix with a stride of one row per
-    element; at n = 2048 that costs about 4x the slab copy.
-    """
-    # np.empty_like(mat.T) would keep the view's Fortran order.
-    out = np.empty(mat.shape[::-1], mat.dtype)
-    for i in range(0, len(mat), _SLAB):
-        out[:, i : i + _SLAB] = mat[i : i + _SLAB].T
-    return out
+def _blocks(packed: np.ndarray) -> np.ndarray:
+    """The 8 x 8 bit blocks of packed rows, each as one uint64: x[R, C, 0]
+    holds byte C of rows 8R..8R+7, row 8R + r in byte r. The rows are padded
+    with zero rows to whole 8-row slabs; ``packed`` is only read."""
+    n, nbytes = packed.shape
+    slabs = np.zeros((nbytes, 8, nbytes), np.uint8)
+    slabs.reshape(-1, nbytes)[:n] = packed
+    return slabs.transpose(0, 2, 1).copy().view("<u8")
 
 
-def _first_misoriented(mat: np.ndarray) -> Optional[tuple[int, int]]:
+def _transpose_blocks(x: np.ndarray) -> np.ndarray:
+    """Each 8 x 8 bit block of ``x`` transposed by the three ``_ROUNDS``."""
+    for shift, mask, spread in _ROUNDS:
+        x = x ^ ((x >> shift ^ x) & mask) * spread
+    return x
+
+
+def _bit_transpose(packed: np.ndarray) -> np.ndarray:
+    """Packed rows of the transpose of the n x n bit matrix ``packed``:
+    block (R, C) of it is block (C, R) of ``packed``, transposed."""
+    n, nbytes = packed.shape
+    x = _transpose_blocks(_blocks(packed))
+    # The bytes of x[C, R] are bytes C of the transpose's rows 8R..8R+7.
+    x = x.astype("<u8", copy=False).view(np.uint8)
+    return np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(-1, nbytes)[:n]
+
+
+def _first_misoriented(packed: np.ndarray) -> Optional[tuple[int, int]]:
     """Lex-first pair (i, j), i < j, not oriented exactly once, or None.
 
-    ``mat`` is a 0/1 matrix. Its blocked transpose (``_transposed``) takes
-    the pair sums in place, so, as with ``mat + mat.T``, the check holds two
-    n x n buffers: the sums and the flags.
+    ``packed`` holds the rows as ``_rows_to_packed`` does, with no bit at
+    column n or past it. A pair is oriented exactly once when its bit is set
+    in just one of the matrix and its transpose, so their XOR, always 0 on
+    the diagonal, must have its n (n - 1) other bits set. It is counted
+    block by block, with no need to write the transpose out in rows; only
+    when the count falls short are the pairs unpacked to find the first bad
+    one.
     """
-    sums = _transposed(mat)
-    sums += mat
-    bad = sums != 1
+    n = len(packed)
+    x = _blocks(packed)
+    once = _transpose_blocks(x.transpose(1, 0, 2)) ^ x
+    if int.from_bytes(once.tobytes(), "little").bit_count() == n * (n - 1):
+        return None
+    once = _bit_transpose(packed) ^ packed
+    bad = np.unpackbits(once, axis=1, count=n, bitorder="little") == 0
     np.fill_diagonal(bad, False)
     # bad is symmetric, so its first flagged cell lies above the diagonal.
-    return divmod(int(np.argmax(bad)), len(mat)) if bad.any() else None
+    return divmod(int(np.argmax(bad)), n)
 
 
 def _validate_rows(rows: tuple[int, ...]) -> None:
@@ -127,7 +161,7 @@ def _validate_rows(rows: tuple[int, ...]) -> None:
             raise ValueError(f"row {i} has bits outside 0..{n - 1}")
         if (r >> i) & 1:
             raise ValueError(f"self-loop at vertex {i}")
-    bad = _first_misoriented(_rows_to_matrix(rows))
+    bad = _first_misoriented(_rows_to_packed(rows))
     if bad is not None:
         raise ValueError(f"pair ({bad[0]},{bad[1]}) is not oriented exactly once")
 
@@ -199,6 +233,40 @@ def rotational(n: int, residues: Iterable[int]) -> Tournament:
     return _unchecked(tuple(rows))
 
 
+# SplitMix64 in numpy: the golden gamma, then (shift, multiplier) of the mix
+# rounds, the last one unmultiplied (see ``rng.splitmix64``).
+_GAMMA = np.array(0x9E3779B97F4A7C15, np.uint64)
+_MIX = tuple(
+    (np.array(s, np.uint64), np.array(m, np.uint64))
+    for s, m in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
+)
+_LAST = np.array(31, np.uint64)
+# The stream label's FNV-1a hash, taken once rather than by every call.
+_TOURNAMENT = _label_value("tournament")
+_ALL = np.array(2**64 - 1, np.uint64)
+_ONE = np.array(1, np.uint64)
+_63 = np.array(63, np.uint64)
+
+
+@functools.cache
+def _reads(n: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(at, low, high) for the 2n rows ``random_tournament`` reads at n
+    vertices, with its all-ones run from word ``ones`` on: row r is the
+    words from byte ``at[r]`` on, shifted down ``low[r]`` bits, and
+    ``high[r]`` is 63 - low[r]. Row i < n is the upper triangle's, from bit
+    i (2n - 3 - i) / 2 + 63 on; row n + i is its mask, from 1 + i bits
+    before the all-ones run. Cached: they cost a dozen numpy calls, and the
+    same few sizes are asked for again and again."""
+    i = np.arange(n, dtype=np.uint64)
+    # max(.., 0) keeps the factor unsigned at n = 1, where i is only 0.
+    start = np.concatenate(((max(2 * n - 3, 0) - i) * i // 2 + 63, 64 * ones - 1 - i))
+    low = (start & 7)[:, None]
+    reads = (start >> 3, low, _63 - low)
+    for a in reads:
+        a.setflags(write=False)
+    return reads
+
+
 def random_tournament(n: int, seed: int) -> Tournament:
     """Uniform random tournament; bit for pair p is independent of draw order.
 
@@ -206,33 +274,44 @@ def random_tournament(n: int, seed: int) -> Tournament:
     lexicographic order) is bit p%64 of the stream word floor(p/64) of the
     stream derived from (seed, n), i -> j when the bit is set; numpy computes
     all the ``rng.stream_word`` words at once. Same (n, seed) always yields
-    the identical matrix. The lower triangle is the complement of the upper
-    one, read through the blocked transpose ``_transposed``.
+    the identical matrix.
+
+    Everything is built in packed rows. Row i of the upper triangle U is the
+    stream from its bit i (2n - 3 - i) / 2 - 1 on, kept where i < j < n. The
+    mask S of the bits j > i is read the same way, across the edge of a run
+    of zero words into a run of all-ones words (``_reads``). Each row is
+    gathered a whole word at a time and shifted into place. The lower
+    triangle is (S ^ U) transposed, so the rows are U ^ transpose(S ^ U).
     """
     if n < 1:
         raise InvalidSizeError("n must be >= 1")
-    base = derive_seed(seed, "tournament", n)
-    npairs = n * (n - 1) // 2
-    nwords = (npairs + 63) // 64
-    gamma = np.uint64(0x9E3779B97F4A7C15)
-    with np.errstate(over="ignore"):
-        z = np.uint64(base) + (np.arange(1, nwords + 1, dtype=np.uint64)) * gamma
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-    bits = np.unpackbits(z.astype("<u8").view(np.uint8), bitorder="little")[:npairs]
-    mat = np.zeros((n, n), dtype=np.uint8)
-    # Row i of the upper triangle takes the next n - 1 - i pair bits.
-    off = 0
-    for i in range(n - 1):
-        mat[i, i + 1:] = bits[off:off + n - 1 - i]
-        off += n - 1 - i
-    # Below the diagonal, cell (i, j) is 1 - mat[j, i]; on and above it, both
-    # terms are 0. (A bool tri viewed as uint8 skips np.tri's dtype cast.)
-    lower = np.tri(n, k=-1, dtype=bool).view(np.uint8)
-    lower -= _transposed(mat)
-    mat += lower
-    return _unchecked(_matrix_to_rows(mat))
+    base = derive_seed(seed, _TOURNAMENT, n)
+    nwords = (n * (n - 1) // 2 + 63) // 64
+    z = np.arange(1, nwords + 1, dtype=np.uint64) * _GAMMA + base
+    for shift, mult in _MIX:
+        z = (z ^ z >> shift) * mult
+    nbytes = (n + 7) // 8
+    # A row's window: the words that cover its nbytes bytes, plus the word
+    # that a shift of up to 7 bits reads from.
+    wide = (nbytes + 15) // 8
+    # One zero word, so row 0 may start a bit early; the stream; `wide` zero
+    # words; then `wide` all-ones words from word `ones` on.
+    ones = 1 + nwords + wide
+    src = np.zeros(ones + wide, "<u8")
+    src[1 : 1 + nwords] = z ^ z >> _LAST
+    src[ones:] = _ALL
+    at, low, high = _reads(n, ones)
+    windows = np.ndarray((8 * ones + 1, wide), "<u8", src, 0, (1, 8))
+    words = windows[at]
+    # Two shifts, as a uint64 shift by 64 bits is not defined.
+    bits = (words[:, 1:] << _ONE << high) | (words[:, :-1] >> low)
+    bits = bits.astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
+    mask = bits[n:]
+    upper = bits[:n] & mask
+    upper[:, -1] &= 0xFF >> (-n % 8)
+    rows = _bit_transpose(upper ^ mask)
+    rows ^= upper
+    return _unchecked(_packed_to_rows(rows))
 
 
 def induced(t: Tournament, s: VertexSet) -> tuple[Tournament, tuple[int, ...]]:

@@ -6,13 +6,15 @@ char j of line i equal to '1' iff i->j. Lines end with '\n'; no trailing
 whitespace anywhere.
 
 The codec is vectorised: it maps the n x (n+1) byte grid of the body to and
-from the 0/1 adjacency matrix in numpy, and checks orientation once per load.
-Neither step takes a strided transpose of the n x n matrix. The decode
-subtracts '0' from every cell, then checks only that each off-diagonal cell
-is 0 or 1 and each diagonal byte is '-'; a body that fails goes to a per-cell
-classifier, which names the first bad cell. The orientation check adds the
-matrix to its transpose copied in slabs of rows
-(``tournament._first_misoriented``).
+from packed rows (``tournament._rows_to_packed``) in numpy. ``write_trn``
+fills the header and the grid into one buffer and returns it. ``read_trn``
+first checks the body's length, its newline column and its diagonal by
+strided slices, subtracts '0' from every cell, and checks that each
+off-diagonal cell is then 0 or 1; the cells pack straight into rows, and
+orientation is checked once, on the packed rows and their bit transpose
+(``tournament._first_misoriented``). A body that fails the fast checks goes
+to the checks that name its first defect: the newline count, the row
+lengths, then a per-cell classifier.
 
 Defects raise MalformedHeader (first or count line), NonSquareMatrix (row
 count, row length, final newline), BadDiagonal ('-' off the diagonal or a
@@ -29,8 +31,8 @@ import numpy as np
 from .tournament import (
     Tournament,
     _first_misoriented,
-    _matrix_to_rows,
-    _rows_to_matrix,
+    _packed_to_rows,
+    _rows_to_packed,
     _unchecked,
 )
 
@@ -63,11 +65,18 @@ class BadDiagonal(TrnError):
     pass
 
 
-def write_trn(t: Tournament) -> bytes:
-    grid = np.full((t.n, t.n + 1), ord("\n"), dtype=np.uint8)
-    grid[:, : t.n] = _rows_to_matrix(t.rows) + ord("0")
-    np.fill_diagonal(grid, ord("-"))
-    return b"%s\n%d\n" % (_HEADER, t.n) + grid.tobytes()
+def write_trn(t: Tournament) -> bytearray:
+    """The .trn bytes of ``t``, in the one buffer they are written into."""
+    n = t.n
+    head = b"%s\n%d\n" % (_HEADER, n)
+    out = bytearray(len(head) + n * (n + 1))
+    out[: len(head)] = head
+    grid = np.frombuffer(out, np.uint8, offset=len(head)).reshape(n, n + 1)
+    bits = np.unpackbits(_rows_to_packed(t.rows), axis=1, count=n, bitorder="little")
+    np.add(bits, ord("0"), out=grid[:, :n])
+    grid[:, n] = ord("\n")
+    grid.reshape(-1)[:: n + 2] = ord("-")
+    return out
 
 
 def read_trn(data: bytes) -> Tournament:
@@ -82,30 +91,42 @@ def read_trn(data: bytes) -> Tournament:
     if n < 1:
         raise MalformedHeader("vertex count must be >= 1")
     body = second + 1
+    if (
+        len(data) - body == n * (n + 1)
+        and data[body + n :: n + 1] == b"\n" * n
+        and data[body :: n + 2] == b"-" * n
+    ):
+        grid = np.frombuffer(data, np.uint8, offset=body).reshape(n, n + 1)
+        mat = grid[:, :n] - ord("0")
+        mat.reshape(-1)[:: n + 1] = 0
+        if mat.max() <= 1:
+            packed = np.packbits(mat, axis=1, bitorder="little")
+            bad = _first_misoriented(packed)
+            if bad is None:
+                return _unchecked(_packed_to_rows(packed))
+            way = "both ways" if mat[bad] else "neither way"
+            raise OrientationViolation(f"pair ({bad[0]},{bad[1]}) oriented {way}")
+    raise _body_defect(data, body, n)
+
+
+def _body_defect(data: bytes, body: int, n: int) -> TrnError:
+    """The first defect of a body that failed the fast checks of ``read_trn``."""
     if data.count(b"\n", body) != n or not data.endswith(b"\n"):
-        raise NonSquareMatrix(f"expected exactly {n} matrix rows plus final newline")
+        return NonSquareMatrix(f"expected exactly {n} matrix rows plus final newline")
     if len(data) - body != n * (n + 1) or data[body + n :: n + 1] != b"\n" * n:
         lines = data[body:].split(b"\n")
         i = next(i for i, line in enumerate(lines) if len(line) != n)
-        raise NonSquareMatrix(f"row {i} has {len(lines[i])} chars, expected {n}")
+        return NonSquareMatrix(f"row {i} has {len(lines[i])} chars, expected {n}")
+    # Some cell is invalid: classify them all to name the first.
     grid = np.frombuffer(data, np.uint8, offset=body).reshape(n, n + 1)
-    mat = grid[:, :n] - ord("0")
-    np.fill_diagonal(mat, 0)
-    if mat.max() > 1 or not (grid.diagonal() == ord("-")).all():
-        # Some cell is invalid: classify them all to name the first.
-        mat = _CELL[grid[:, :n]]
-        np.fill_diagonal(mat, _DIAGONAL[mat.diagonal()])
-        i, j = divmod(int(np.argmax(mat > 1)), n)
-        if mat[i, j] == 2:
-            raise BadDiagonal(f"'-' off the diagonal at ({i},{j})")
-        if mat[i, j] == 4:
-            raise BadDiagonal(f"diagonal ({i},{i}) must be '-'")
-        raise TrnError(f"invalid character {chr(grid[i, j])!r} at ({i},{j})")
-    bad = _first_misoriented(mat)
-    if bad is not None:
-        way = "both ways" if mat[bad] else "neither way"
-        raise OrientationViolation(f"pair ({bad[0]},{bad[1]}) oriented {way}")
-    return _unchecked(_matrix_to_rows(mat))
+    codes = _CELL[grid[:, :n]]
+    np.fill_diagonal(codes, _DIAGONAL[codes.diagonal()])
+    i, j = divmod(int(np.argmax(codes > 1)), n)
+    if codes[i, j] == 2:
+        return BadDiagonal(f"'-' off the diagonal at ({i},{j})")
+    if codes[i, j] == 4:
+        return BadDiagonal(f"diagonal ({i},{i}) must be '-'")
+    return TrnError(f"invalid character {chr(grid[i, j])!r} at ({i},{j})")
 
 
 def load_trn(path: str | Path) -> Tournament:

@@ -211,16 +211,30 @@ class TestExactSolver:
 
     def test_triangle_chain_is_solved_a_component_at_a_time(self):
         # 500 triangles, 4 states each. Under 1000 states the first 250 are
-        # solved, the 251st trips at its first vertex, and greedy covers the
-        # rest: 500 + 1 + ceil(2 * 747 / 3) vertices.
+        # solved and the 251st trips at its first vertex, with no states
+        # left. Its one-vertex prefix and greedy over the rest would give
+        # 500 + 1 + ceil(2 * 747 / 3) = 999 vertices; greedy over the 251st
+        # triangle and the rest together takes two of each: 500 + 500.
         t = triangle_chain(1500)
         res = longest_power_path_exact(t, 2)
         assert res.optimal and res.states == 2000
         assert res.path.vertices == tuple(v for v in range(1500) if v % 3 != 2)
         res = longest_power_path_exact(t, 2, SolveBudget(max_states=1000))
-        assert not res.optimal and res.states == 1000 and len(res.path) == 999
-        assert res.path.vertices[:501] == tuple(v for v in range(751) if v % 3 != 2)
+        assert not res.optimal and res.states == 1000 and len(res.path) == 1000
+        assert res.path.vertices[:500] == tuple(v for v in range(750) if v % 3 != 2)
+        assert [v // 3 for v in res.path.vertices[500:]] == [i // 2 for i in range(500, 1000)]
         assert verify_power_path(t, res.path)[0]
+
+    def test_trip_with_no_states_left_keeps_a_greedy_tail(self):
+        # The blow-up is two strong components. At 199 states the first one's
+        # walk used them all, so the second tripped at its first vertex and
+        # the witness had 9 vertices; at 100 it had 16. Greedy over the
+        # tripped component and the rest is kept when it is longer.
+        t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
+        for cap in range(100, 301):
+            res = longest_power_path_exact(t, 2, SolveBudget(max_states=cap))
+            assert not res.optimal and res.states <= cap
+            assert len(res.path) == 16 and verify_power_path(t, res.path)[0], cap
 
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=2**32), st.data())
@@ -243,11 +257,14 @@ class TestExactSolver:
 
     def test_results_match_pinned_digest(self):
         # (path, optimal, states) of every solve of the grid. Re-pinned when
-        # the walk came to solve each strong component apart and to trip
-        # before a finished state would pass the budget (25d0cc20... before,
+        # a tripped component came to keep greedy over itself and the rest
+        # when that is longer: 11 budgeted solves gained a vertex, with the
+        # same states (8d0a1f76... before). Earlier re-pins: when the walk
+        # came to solve each strong component apart and to trip before a
+        # finished state would pass the budget (25d0cc20... before that,
         # be969fcf... before the pair closure).
         assert _solve_digest((None, 7, 100), with_states=True) == (
-            1766, "8d0a1f769cdc172b9c0c16903fba2b22012fafd77c46958b2b74c5e3c336fc46")
+            1766, "42c89619d927947445597becec659e4700732fe765b12201858e6447a593215e")
 
     def test_witnesses_match_pinned_digest(self):
         # (path, optimal) of the grid's unbudgeted solves, hashed from the

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,23 +8,35 @@ from hypothesis import strategies as st
 from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
-    _SLAB,
     EmptySetError,
     InvalidResiduesError,
     InvalidSizeError,
     Tournament,
     VertexSet,
+    _bit_transpose,
     _first_misoriented,
-    _rows_to_matrix,
-    _transposed,
+    _packed_to_rows,
+    _rows_to_packed,
     induced,
     random_tournament,
     rotational,
     transitive,
 )
 
-# Sizes on both sides of one and two slab boundaries, and the benchmark's n.
-SLAB_SIZES = (_SLAB - 1, _SLAB, _SLAB + 1, 2 * _SLAB + 1, 2048)
+# Every n up to 70 (one to nine bytes a row, whole and partial 8-row slabs),
+# and three large ones: 2048 is the benchmark's n.
+TRANSPOSE_SIZES = (*range(1, 71), 2047, 2048, 3000)
+# Sizes on both sides of a byte edge and of a 64-bit word edge.
+DEFECT_SIZES = (7, 8, 9, 63, 64, 65, 129, 2047, 2048)
+
+
+def packed(mat):
+    return np.packbits(mat, axis=1, bitorder="little")
+
+
+def rows_digest(t):
+    nbytes = (t.n + 7) // 8
+    return hashlib.sha256(b"".join(r.to_bytes(nbytes, "little") for r in t.rows)).hexdigest()
 
 tournaments = st.builds(
     random_tournament,
@@ -91,6 +105,21 @@ class TestRandomTournament:
             base = derive_seed(5, "tournament", n)
             assert random_tournament(n, 5).rows == reference_random_rows(n, base)
 
+    @pytest.mark.parametrize("n, digest", [
+        (2047, "bfbd4e3cd834f3ef8a6db00df2904e982f9911b68c3feeee3081f0a8ffdc6230"),
+        (3000, "06bdd970b55c7893e9fd6f3d572e27ff7e52a117701964582c1551256bbdd2fb"),
+    ])
+    def test_rows_match_pinned_digest(self, n, digest):
+        # sha256 of the rows' little-endian bytes, pinned from the byte-matrix
+        # assembly; the pure-Python reference is too slow at these sizes.
+        assert rows_digest(random_tournament(n, 5)) == digest
+
+    def test_rows_round_trip_through_packed_bytes(self):
+        for n in (1, 7, 8, 9, 64, 65):
+            t = random_tournament(n, 2)
+            assert _packed_to_rows(_rows_to_packed(t.rows)) == t.rows
+            assert _rows_to_packed(t.rows).shape == (n, (n + 7) // 8)
+
     def test_mean_out_degree_monte_carlo(self):
         # Degree-sum forces the per-instance mean; the Monte-Carlo mean over
         # 1000 seeded samples at n=64 must sit within 1% of 31.5.
@@ -155,22 +184,37 @@ def naive_first_misoriented(mat):
 
 
 class TestSlabTranspose:
-    @pytest.mark.parametrize("shape", [(s, s) for s in SLAB_SIZES] + [(_SLAB + 1, 3)])
-    def test_transposed_equals_transpose(self, shape):
-        mat = np.random.default_rng(shape[0]).integers(0, 256, shape, dtype=np.uint8)
-        out = _transposed(mat)
-        assert out.flags.c_contiguous and np.array_equal(out, mat.T)
+    """The bit transpose of packed rows, done in 8-row slabs of 8 x 8
+    blocks, and the orientation check built on it."""
 
-    @pytest.mark.parametrize("n", SLAB_SIZES)
+    @pytest.mark.parametrize("shape", [(n, n) for n in TRANSPOSE_SIZES])
+    def test_transposed_equals_transpose(self, shape):
+        mat = np.random.default_rng(shape[0]).integers(0, 2, shape, dtype=np.uint8)
+        rows = packed(mat)
+        before = rows.copy()
+        rows.setflags(write=False)
+        out = _bit_transpose(rows)
+        assert out.flags.c_contiguous and np.array_equal(out, packed(mat.T))
+        # At n <= 8 a row is one byte, and a reshape of the input is a view
+        # of it: the input must still be as it was.
+        assert np.array_equal(rows, before)
+
+    @pytest.mark.parametrize("n", DEFECT_SIZES)
     def test_first_misoriented_matches_naive_reference(self, n):
-        clean = _rows_to_matrix(random_tournament(n, 3).rows)
-        assert _first_misoriented(clean) is None
+        nbytes = (n + 7) // 8
+        clean = np.unpackbits(
+            _rows_to_packed(random_tournament(n, 3).rows), axis=1, count=n, bitorder="little"
+        )
+        assert _first_misoriented(packed(clean)) is None
         last = n - 1
         planted = [
             [(last - 1, last)],  # the last pair, in the last slab
             [(0, last)],  # a first-slab row against a last-slab column
-            [(last - 1, last), (_SLAB - 2, _SLAB - 1)],
-            [(_SLAB // 2, last), (_SLAB - 1, _SLAB // 2 + _SLAB)],
+            [(6, 7), (7, 8)],  # on both sides of the first byte edge
+            [(8, 9), (last - 1, last)],
+            [(7, 63), (62, 63)],
+            [(63, 64), (0, 65)],  # across the first word edge
+            [(64, 65), (9, 64)],
         ]
         rng = np.random.default_rng(n)
         for count in (1, 2, 3, 1, 2, 3):
@@ -178,11 +222,15 @@ class TestSlabTranspose:
         for trial, pairs in enumerate(planted):
             mat = clean.copy()
             pairs = [(i, j) for i, j in pairs if j < n]
+            if not pairs:
+                continue
             for k, (i, j) in enumerate(pairs):
                 mat[i, j] = mat[j, i] = (trial + k) % 2  # both ways or neither way
-            before = mat.copy()
-            assert _first_misoriented(mat) == naive_first_misoriented(mat) == min(pairs)
-            assert np.array_equal(mat, before)
+            rows = packed(mat)
+            before = rows.copy()
+            assert rows.shape == (n, nbytes)
+            assert _first_misoriented(rows) == naive_first_misoriented(mat) == min(pairs)
+            assert np.array_equal(rows, before)
 
 
 class TestSetOperations:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,17 @@ def test_exact_bytes_for_transitive_70():
     n = 70
     rows = ["0" * i + "-" + "1" * (n - 1 - i) + "\n" for i in range(n)]
     assert write_trn(transitive(n)) == f"TRN 1\n{n}\n{''.join(rows)}".encode()
+
+
+@pytest.mark.parametrize("n, digest", [
+    (2047, "0afb5b6db9187d33fbab5ec1b3037b995b03e2753c12b69a8d1bc0392b135686"),
+    (3000, "ba2dc4ae93c948a1d1dca84210dc2feb08e4974d898520c7ae6c45246795a185"),
+])
+def test_bytes_match_pinned_digest(n, digest):
+    # Pinned from the codec that wrote a 0/1 byte matrix.
+    data = write_trn(random_tournament(n, 5))
+    assert hashlib.sha256(data).hexdigest() == digest
+    assert read_trn(data).rows == random_tournament(n, 5).rows
 
 
 def test_round_trip_random_50():
@@ -75,6 +88,8 @@ def test_non_square():
         read_trn(b"TRN 1\n3\n-1\n10-1\n00-\n")  # a newline moved inside a row
     with pytest.raises(NonSquareMatrix):
         read_trn(b"TRN 1\n2\n-1\n0-")  # no final newline
+    with pytest.raises(NonSquareMatrix, match="expected exactly 2 matrix rows"):
+        read_trn(b"TRN 1\n2\n-\n\n0-\n")  # a cell is a newline; rows keep their length
 
 
 def test_bad_diagonal():
@@ -108,8 +123,8 @@ def _with_cells(data, n, cells):
      "pair (3,2045) oriented neither way"),
 ], ids=["dash-off-diagonal", "digit-on-diagonal", "stray-byte", "both-ways", "neither-way"])
 def test_defect_in_last_slab_at_2048(cells, cls, message):
-    # Past the first slabs of the blocked transpose, a defect is still found
-    # and named exactly.
+    # In the last 8-row slab and byte column of the bit transpose, a defect
+    # is still found and named exactly.
     n = 2048
     data = _with_cells(write_trn(random_tournament(n, 7)), n, cells)
     with pytest.raises(TrnError) as info:
