@@ -308,6 +308,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     bits = bits.astype("<u8", copy=False).view(np.uint8)[:, :nbytes]
     mask = bits[n:]
     upper = bits[:n] & mask
+    # Clear the columns j >= n, which hold the next rows' stream bits.
     upper[:, -1] &= 0xFF >> (-n % 8)
     rows = _bit_transpose(upper ^ mask)
     rows ^= upper
