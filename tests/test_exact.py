@@ -342,6 +342,38 @@ class TestGreedy:
                         draws += ours.getstate() != Rng(seed).getstate()
         assert draws > 0
 
+    @pytest.mark.parametrize(
+        "family, n, digest",
+        [
+            ("random", 2047, "51c3979c8af05303847558b7985f40494b8290ce1a2ffcbad04a4933a90e04f4"),
+            ("random", 2048, "b95655ad5da46f49adf4ee5c58a85d794b8ded92be1ad47798b250510f10a376"),
+            ("random", 3000, "cc6d3a711679e2120204c727211622a9877e677e8aee732eca5bf4d9570fec07"),
+            ("rotational", 2047, "f2cd47340cd52f1986685eaf99228b09908f639d330954d968a8858485eb8ebe"),
+            ("rotational", 2048, "ee6e095cb2083763e89e365961cac7109ef0b4ae03a97b402d59e60018c4391f"),
+            ("rotational", 3000, "9cdd4df4d76143c5bff5d4ec1a8a9dfebe7630f7eb7a1f31fc30f8b4c9ced204"),
+        ],
+    )
+    def test_matches_pinned_digest_at_scale(self, family, n, digest):
+        # sha256 of each pick sequence and final rng state, for k = 1, 2, 3 on
+        # the full mask and a random one, pinned from the greedy that built
+        # its planes vertex by vertex and broke ties with ``rng.choice``;
+        # the popcount reference is too slow at these sizes. A rotational
+        # tournament has odd order (n | 1) and starts with every degree tied.
+        if family == "random":
+            t = random_tournament(n, 7 * n + 1)
+        else:
+            t = rotational(n | 1, range(1, (n | 1) // 2 + 1))
+        pick = Rng(n)
+        members = [v for v in range(t.n) if pick.randrange(2)]
+        masks = {"full": t.full_mask, "random": sum(1 << v for v in members)}
+        h = hashlib.sha256()
+        for name, mask in masks.items():
+            for k in (1, 2, 3):
+                rng = Rng((n << 4) | k)
+                seq = _greedy_mask(t, mask, k, rng)
+                h.update(repr((name, k, seq, rng.getstate())).encode())
+        assert h.hexdigest() == digest
+
     @pytest.mark.parametrize("n", [3072, 3073, 3074])
     def test_triangle_chain_floor_at_scale(self, n):
         t = triangle_chain(n)
