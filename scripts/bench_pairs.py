@@ -28,7 +28,10 @@ than the parent's q3 - q1). Per workload and seed also
 ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
 side on the first seed, under ``traced.<workload>``. A workload already in
 the output file is replaced; the others are kept, so one file can gather
-several invocations on the same two trees.
+several invocations on the same two trees. When a run exits nonzero, the
+pairs finished before it are summarised and written as above, with a
+``failed_run`` record (workload, side, seed, 1-based pair, exit code,
+command and checkout), and the script exits 1.
 """
 
 from __future__ import annotations
@@ -137,6 +140,16 @@ def verdict(metric: dict, bound: float) -> dict:
     }
 
 
+class RunFailed(Exception):
+    """A benchmark run exited nonzero; ``record`` holds its exit code, command
+    and checkout."""
+
+    def __init__(self, record: dict) -> None:
+        super().__init__(f"error: {record['command']} in {record['checkout']} "
+                         f"exited {record['exit_code']}")
+        self.record = record
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
@@ -144,23 +157,34 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
                           timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         sys.stderr.write(proc.stdout + proc.stderr)
-        raise SystemExit(f"error: {' '.join(cmd)} in {checkout} exited {proc.returncode}")
+        raise RunFailed({"exit_code": proc.returncode, "command": " ".join(cmd),
+                         "checkout": str(checkout)})
     return parse_run(proc.stdout)
 
 
 def run_pairs(checkouts: dict, workload: str, seed: int, seconds: float, trace: int,
-              count: int) -> list[tuple[dict, dict]]:
-    """``count`` alternating pairs; the parent runs first in even pairs."""
+              count: int) -> tuple[list[tuple[dict, dict]], dict | None]:
+    """``count`` alternating pairs; the parent runs first in even pairs.
+
+    Returns the pairs finished and, when a run fails, its ``failed_run``
+    record; no run follows a failed one.
+    """
     key = "trace.run_s" if trace else "run_s"
     pairs = []
     for p in range(count):
         order = SIDES if p % 2 == 0 else SIDES[::-1]
-        done = {side: run_bench(checkouts[side], workload, seed, seconds, trace)
-                for side in order}
+        done = {}
+        for side in order:
+            try:
+                done[side] = run_bench(checkouts[side], workload, seed, seconds, trace)
+            except RunFailed as exc:
+                print(exc, file=sys.stderr)
+                return pairs, {"workload": workload, "side": side, "seed": seed,
+                               "pair": p + 1, **exc.record}
         times = " ".join(f"{side} {key}={done[side]['metrics'][key]:.4f}" for side in SIDES)
         print(f"{workload} seed {seed} pair {p + 1}/{count}: {times}", file=sys.stderr)
         pairs.append((done["parent"], done["change"]))
-    return pairs
+    return pairs, None
 
 
 def _git_out(checkout: Path, *args: str, env=None):
@@ -219,17 +243,24 @@ def main(argv=None) -> int:
     out["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "
                       f"--seconds {seconds:g} --trace 0")
     out["method"] = METHOD
+    if out.get("failed_run", {}).get("workload") == args.workload:
+        del out["failed_run"]
     seeds = {}
+    failed = None
     for seed in args.seeds:
-        pairs = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
-        out["machine"] = pairs[0][0]["machine"]
-        seeds[f"seed{seed}"] = summary = summarize(pairs, better)
-        for name, metric in summary["metrics"].items():
-            metric.update(verdict(metric, bounds[name]))
+        pairs, failed = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
+        if pairs:
+            out["machine"] = pairs[0][0]["machine"]
+            seeds[f"seed{seed}"] = summary = summarize(pairs, better)
+            for name, metric in summary["metrics"].items():
+                metric.update(verdict(metric, bounds[name]))
+        if failed:
+            break
     out.setdefault("workloads", {})[args.workload] = seeds
-    if args.traced_runs:
+    if args.traced_runs and not failed:
         seed = args.seeds[0]
-        pairs = run_pairs(checkouts, args.workload, seed, seconds, 1, args.traced_runs)
+        pairs, failed = run_pairs(checkouts, args.workload, seed, seconds, 1,
+                                  args.traced_runs)
         out.setdefault("traced", {})[args.workload] = {
             "command": f"python3 perfbench/run.py --workload {args.workload} --seed {seed} "
                        f"--seconds {seconds:g} --trace 1",
@@ -237,9 +268,11 @@ def main(argv=None) -> int:
                     "runs in the order made.",
             **{side: [pair[i]["metrics"] for pair in pairs] for i, side in enumerate(SIDES)},
         }
+    if failed:
+        out["failed_run"] = failed
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {args.out}", file=sys.stderr)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ self-verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -454,7 +455,11 @@ def cmd_replay(ns: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ppath`` parser, built once per process: parsing leaves it
+    unchanged, since every call fills a new namespace and no default is a
+    mutable object."""
     ap = argparse.ArgumentParser(
         prog="ppath",
         description="Construct, verify and bound k-th powers of paths in tournaments.",

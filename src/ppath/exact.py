@@ -95,17 +95,29 @@ def verify_power_path(
 
     Positions are 0-based indices into the vertex sequence. Duplicates are
     reported before missing edges. Sequences of length 0 or 1 are valid.
+    A witness is first checked in one pass over each distance 1..k; only when
+    that fails does a position-by-position walk name the first violation.
     """
+    verts = p.vertices
+    k = p.k
+    rows = t.rows
+    if (
+        (not verts or min(verts) >= 0 and max(verts) < t.n)
+        and len(set(verts)) == len(verts)
+        and all(
+            rows[a] >> b & 1
+            for d in range(1, min(k + 1, len(verts)))
+            for a, b in zip(verts, verts[d:])
+        )
+    ):
+        return True, None
     seen: dict[int, int] = {}
-    for pos, v in enumerate(p.vertices):
+    for pos, v in enumerate(verts):
         if not 0 <= v < t.n:
             raise InvalidLabelError(f"vertex {v} outside 0..{t.n - 1}")
         if v in seen:
             return False, (seen[v], pos)
         seen[v] = pos
-    verts = p.vertices
-    k = p.k
-    rows = t.rows
     for i in range(len(verts)):
         hi = min(i + k, len(verts) - 1)
         vi = verts[i]
@@ -347,27 +359,33 @@ def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:
 
     Every pick, the first one included, is the candidate with the most
     out-neighbors among the unused vertices of the subset; ``rng`` breaks ties
-    with one ``choice`` over the tied candidates in ascending label order.
+    with one ``randrange`` over the tied candidates, taking the i-th lowest
+    label: the draw of ``rng.choice`` over them in ascending order, with no
+    list built.
 
     Each vertex's out-degree into the unused part of the subset is kept up to
     date across the walk, bit-sliced: ``planes[p]`` is the bitmask of vertices
-    whose degree has bit p set. The most out-neighbors among the candidates
+    whose degree has bit p set, built by OR-ing each degree class into the
+    planes of its degree's bits. The most out-neighbors among the candidates
     is found by narrowing them plane by plane from the high bit down, and
     using a vertex subtracts 1 from each of its unused in-neighbors by a
     borrow rippled up the planes. A step costs O(log n) big-int operations
     instead of one popcount per candidate.
     """
     rows = t.rows
-    planes = [0] * mask.bit_count().bit_length()
+    classes: dict[int, int] = {}
     m = mask
     while m:
         b = m & -m
         m ^= b
         d = (rows[b.bit_length() - 1] & mask).bit_count()
+        classes[d] = classes.get(d, 0) | b
+    planes = [0] * mask.bit_count().bit_length()
+    for d, members in classes.items():
         p = 0
         while d:
             if d & 1:
-                planes[p] |= b
+                planes[p] |= members
             d >>= 1
             p += 1
     seq: list[int] = []
@@ -383,22 +401,17 @@ def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:
             if top:
                 cand = top
         if cand & (cand - 1):
-            picks: list[int] = []
-            while cand:
-                b = cand & -cand
-                picks.append(b.bit_length() - 1)
-                cand ^= b
-            v = rng.choice(picks)
-        else:
-            v = cand.bit_length() - 1
+            for _ in range(rng.randrange(cand.bit_count())):
+                cand &= cand - 1
+        v = (cand & -cand).bit_length() - 1
         seq.append(v)
         unused ^= 1 << v
         borrow = unused & ~rows[v]
         p = 0
         while borrow:
-            plane = planes[p]
-            planes[p] = plane ^ borrow
-            borrow &= ~plane
+            plane = planes[p] ^ borrow
+            planes[p] = plane
+            borrow &= plane
             p += 1
 
 
@@ -412,7 +425,8 @@ def greedy_power_path(t: Tournament, k: int, seed: int = 0) -> PowerPath:
         raise ValueError("k must be >= 1")
     rng = Rng(derive_seed(seed, "greedy"))
     path = PowerPath(k, _greedy_mask(t, t.full_mask, k, rng))
-    assert verify_power_path(t, path)[0]
+    if not verify_power_path(t, path)[0]:
+        raise RuntimeError("internal error: unverified greedy witness")
     return path
 
 
@@ -428,7 +442,8 @@ def hamiltonian_path_insertion(t: Tournament) -> PowerPath:
         else:
             order.append(v)
     path = PowerPath(1, tuple(order))
-    assert verify_power_path(t, path)[0]
+    if not verify_power_path(t, path)[0]:
+        raise RuntimeError("internal error: unverified insertion witness")
     return path
 
 

@@ -6,7 +6,11 @@ from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from ppath.exact import longest_power_path_exact  # noqa: E402
+from ppath.exact import (  # noqa: E402
+    InvalidLabelError,
+    PowerPath,
+    longest_power_path_exact,
+)
 from ppath.rng import derive_seed, stream_word  # noqa: E402
 from ppath.search import (  # noqa: E402
     AnnealChain,
@@ -106,6 +110,36 @@ def reference_greedy_mask(t: Tournament, mask: int, k: int, rng) -> tuple[int, .
         v = picks[0] if len(picks) == 1 else rng.choice(picks)
         seq.append(v)
         used |= 1 << v
+
+
+def reference_verify_power_path(
+    t: Tournament, p: PowerPath
+) -> tuple[bool, Optional[tuple[int, int]]]:
+    """The witness check as first written: one position at a time.
+
+    Kept as the reference ``exact.verify_power_path`` must match, its result
+    and its ``InvalidLabelError`` alike: the first out-of-range label raises
+    unless a duplicate comes before it, a duplicate returns its two
+    positions, and then the first missing arc (i, j), i < j <= i + k, in
+    order of i and then j.
+    """
+    seen: dict[int, int] = {}
+    for pos, v in enumerate(p.vertices):
+        if not 0 <= v < t.n:
+            raise InvalidLabelError(f"vertex {v} outside 0..{t.n - 1}")
+        if v in seen:
+            return False, (seen[v], pos)
+        seen[v] = pos
+    verts = p.vertices
+    k = p.k
+    rows = t.rows
+    for i in range(len(verts)):
+        hi = min(i + k, len(verts) - 1)
+        vi = verts[i]
+        for j in range(i + 1, hi + 1):
+            if not (rows[vi] >> verts[j]) & 1:
+                return False, (i, j)
+    return True, None
 
 
 class ReferenceChain(AnnealChain):

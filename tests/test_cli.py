@@ -653,6 +653,33 @@ class TestManifests:
             "outputs": [str(d / "results.csv")],
         }
 
+    def test_back_to_back_calls_share_no_parsed_value(self, tmp_path):
+        # main parses with one parser per process; a flag given to one call
+        # must not reach the next, which gets its own flags and the defaults.
+        assert ppath.cli.build_parser() is ppath.cli.build_parser()
+        trn, trace = tmp_path / "t.trn", tmp_path / "tr.jsonl"
+        save_trn(random_tournament(10, 1), trn)
+
+        def args(out):
+            return json.loads((tmp_path / f"{out}.manifest.json").read_text())["args"]
+
+        exact, greedy, named = tmp_path / "e.json", tmp_path / "g.json", tmp_path / "x.json"
+        assert run(["solve", "--exact", "-k", 3, "--seed", 5, "--budget-states", 99_999,
+                    "--out", exact, trn]) == 0
+        assert run(["solve", "--greedy", "--out", greedy, trn]) == 0
+        assert args("e.json") == {"exact": True, "greedy": False, "k": 3,
+                                  "budget_states": 99_999, "seed": 5, "out": str(exact),
+                                  "input": str(trn)}
+        assert args("g.json") == {"exact": False, "greedy": True, "k": 2,
+                                  "budget_states": 1_000_000, "seed": 0, "out": str(greedy),
+                                  "input": str(trn)}
+        assert run(["find", "-k", 3, "--seed", 4, "--trace", trace, "--out", named, trn]) == 0
+        assert run(["find", trn]) == 0
+        assert args("x.json") == {"k": 3, "seed": 4, "trace": str(trace), "out": str(named),
+                                  "input": str(trn)}
+        assert args("t.trn.witness.json") == {"k": 2, "seed": 0, "trace": None, "out": None,
+                                              "input": str(trn)}
+
 
 class TestWitnessGate:
     """A witness that fails self-verification is exit 70, and nothing is written."""

@@ -7,12 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ppath.exact
+
 from conftest import (
     GOLDEN,
     blowup,
     brute_first_longest,
     brute_longest_power,
     reference_greedy_mask,
+    reference_verify_power_path,
     relabel,
     triangle_chain,
 )
@@ -41,6 +44,42 @@ from ppath.tournament import (
 )
 
 
+def _verify_outcome(verify, t, p):
+    """What a witness check returns, or the class and message it raises."""
+    try:
+        return verify(t, p)
+    except InvalidLabelError as exc:
+        return "InvalidLabelError", str(exc)
+
+
+def _verify_cases():
+    """(tournament, k, vertices) cases for the witness check, by name: valid
+    witnesses and each kind of first fault it reports or raises."""
+    t6 = transitive(6)
+    line = tuple(range(6))
+    cases = [
+        ("empty", t6, 2, ()),
+        ("one_vertex", t6, 3, (4,)),
+        ("k_above_length", t6, 10, (0, 2, 3, 5)),
+        ("k_above_length_missing", flip_edge(t6, 0, 5), 10, (0, 2, 3, 5)),
+        ("duplicate", t6, 2, (0, 1, 2, 1)),
+        ("out_of_range", t6, 2, (0, 6)),
+        ("negative_label", t6, 2, (0, -1)),
+        ("duplicate_before_out_of_range", t6, 2, (0, 1, 0, 9)),
+        ("out_of_range_before_duplicate", t6, 2, (9, 0, 0)),
+        ("missing_at_distance_1", flip_edge(t6, 2, 3), 2, line),
+        ("missing_at_distance_k", flip_edge(t6, 1, 4), 3, line),
+        ("missing_past_k", flip_edge(t6, 1, 5), 3, line),
+        ("missing_at_1_and_k", flip_edge(flip_edge(t6, 1, 4), 3, 4), 3, line),
+    ]
+    r = random_tournament(40, 3)
+    for k in (1, 2, 3):
+        cases.append((f"greedy_k{k}", r, k, greedy_power_path(r, k, seed=k).vertices))
+        t = random_tournament(9, k)
+        cases.append((f"exact_k{k}", t, k, longest_power_path_exact(t, k).path.vertices))
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
 class TestVerify:
     def test_transitive_full_sequence(self):
         ok, v = verify_power_path(transitive(5), PowerPath(2, (0, 1, 2, 3, 4)))
@@ -65,6 +104,36 @@ class TestVerify:
     def test_label_out_of_range(self):
         with pytest.raises(InvalidLabelError):
             verify_power_path(transitive(3), PowerPath(2, (0, 7)))
+
+    @pytest.mark.parametrize("t, k, verts", _verify_cases())
+    def test_matches_reference(self, t, k, verts):
+        p = PowerPath(k, verts)
+        assert _verify_outcome(verify_power_path, t, p) == _verify_outcome(
+            reference_verify_power_path, t, p
+        )
+
+    def test_matches_reference_on_random_sequences(self):
+        # Random label sequences, some with a duplicate or a label outside
+        # 0..n-1 spliced in; each outcome occurs, a valid witness included.
+        rng = Rng(11)
+        outcomes = set()
+        for seed in range(400):
+            n = 3 + seed % 7
+            t = random_tournament(n, seed)
+            verts = rng.sample(range(n), rng.randrange(n + 1))
+            if rng.randrange(3) == 0 and verts:
+                verts.insert(rng.randrange(len(verts) + 1), rng.choice(verts))
+            if rng.randrange(4) == 0:
+                verts.insert(rng.randrange(len(verts) + 1), rng.choice([-1, n, n + 5]))
+            p = PowerPath(1 + rng.randrange(5), tuple(verts))
+            want = _verify_outcome(reference_verify_power_path, t, p)
+            assert _verify_outcome(verify_power_path, t, p) == want, (seed, p)
+            if want[0] is False:
+                i, j = want[1]
+                outcomes.add("duplicate" if verts[i] == verts[j] else "missing arc")
+            else:
+                outcomes.add(want[0])
+        assert outcomes == {True, "duplicate", "missing arc", "InvalidLabelError"}
 
 
 def _pruned_cases():
@@ -373,6 +442,16 @@ class TestGreedy:
                 seq = _greedy_mask(t, mask, k, rng)
                 h.update(repr((name, k, seq, rng.getstate())).encode())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "build", [lambda t: greedy_power_path(t, 2), hamiltonian_path_insertion],
+        ids=["greedy", "insertion"],
+    )
+    def test_unverified_witness_raises_runtime_error(self, monkeypatch, build):
+        # Not an assert, which python -O would drop.
+        monkeypatch.setattr(ppath.exact, "verify_power_path", lambda t, p: (False, (0, 1)))
+        with pytest.raises(RuntimeError, match="unverified"):
+            build(random_tournament(8, 1))
 
     @pytest.mark.parametrize("n", [3072, 3073, 3074])
     def test_triangle_chain_floor_at_scale(self, n):

@@ -81,9 +81,10 @@ def _bench_stdout(run_s, same=True, failed=0):
     ]) + "\n"
 
 
-def _stand_in_checkouts(tmp_path, log):
+def _stand_in_checkouts(tmp_path, log, fail_call=0):
     # Each side's checkout holds a stand-in perfbench/run.py that logs its
-    # side and prints fabricated results, so no benchmark runs here.
+    # side and prints fabricated results, so no benchmark runs here; the
+    # ``fail_call``-th run of either side (counted from 1) exits 5 instead.
     for side, run_s in (("parent", 0.16), ("change", 0.10)):
         checkout = tmp_path / side
         (checkout / "perfbench").mkdir(parents=True)
@@ -95,6 +96,7 @@ def _stand_in_checkouts(tmp_path, log):
                             "bound": 0.02}]}))
         (checkout / "perfbench" / "run.py").write_text(
             f"import sys\nopen({str(log)!r}, 'a').write({side!r} + ' ' + sys.argv[4] + '\\n')\n"
+            f"if len(open({str(log)!r}).readlines()) == {fail_call}:\n    sys.exit(5)\n"
             f"print({_bench_stdout(run_s)!r}, end='')\n")
     return tmp_path / "parent", tmp_path / "change"
 
@@ -217,6 +219,37 @@ def test_bench_pairs_verdicts_on_fabricated_runs(tmp_path):
         "within_bound": True, "claim_met": True}
     assert {k: metrics["witness_vertices"][k] for k in ("within_bound", "claim_met")} == {
         "within_bound": True, "claim_met": False}
+
+
+def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
+    # The third run, the change's in pair 2 of seed 1, fails: pair 1 is
+    # summarised and written with the failed run, no run follows it, and
+    # the script exits 1.
+    log = tmp_path / "order.log"
+    parent, change = _stand_in_checkouts(tmp_path, log, fail_call=3)
+    out = tmp_path / "BENCH.json"
+    module = _load(SCRIPTS / "bench_pairs.py")
+    assert module.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "find_large", "--seeds", "1", "7", "--pairs", "3",
+                        "--traced-runs", "1", "--out", str(out)]) == 1
+    assert log.read_text().split()[::2] == ["parent", "change", "change"]
+    bench = json.loads(out.read_text())
+    assert list(bench["workloads"]["find_large"]) == ["seed1"]
+    seed1 = bench["workloads"]["find_large"]["seed1"]
+    assert seed1["pairs"] == 1
+    assert seed1["metrics"]["run_s"]["change"]["runs"] == [0.10]
+    assert "traced" not in bench
+    command = bench["failed_run"].pop("command")
+    assert command.endswith("perfbench/run.py --workload find_large --seed 1 "
+                            "--seconds 30 --trace 0")
+    assert bench["failed_run"] == {"workload": "find_large", "side": "change", "seed": 1,
+                                   "pair": 2, "exit_code": 5, "checkout": str(change)}
+    # A later invocation of the same workload that finishes drops the record.
+    log.unlink()
+    assert module.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "find_large", "--seeds", "1", "--pairs", "1",
+                        "--out", str(out)]) == 0
+    assert "failed_run" not in json.loads(out.read_text())
 
 
 def test_bench_pairs_alternates_sides(tmp_path):
