@@ -5,14 +5,12 @@ __version__ = "0.1.0"
 
 from .driver import find_kth_power_path
 from .exact import (
-    BudgetExceededError,
     ExactResult,
     PowerPath,
     SolveBudget,
     greedy_power_path,
     hamiltonian_path_insertion,
     longest_power_path_exact,
-    pp_value,
     verify_power_path,
 )
 from .search import (
@@ -26,8 +24,6 @@ from .search import (
 )
 from .tournament import (
     Tournament,
-    VertexSet,
-    induced,
     random_tournament,
     rotational,
     transitive,
@@ -36,14 +32,12 @@ from .trn import load_trn, read_trn, save_trn, write_trn
 
 __all__ = [
     "AnnealConfig",
-    "BudgetExceededError",
     "ExactResult",
     "PowerPath",
     "SearchRecord",
     "SolveBudget",
     "Tournament",
     "UseAnnealInsteadError",
-    "VertexSet",
     "anneal_min_pp",
     "canonical_fingerprint",
     "enumerate_min_pp",
@@ -51,10 +45,8 @@ __all__ = [
     "flip_edge",
     "greedy_power_path",
     "hamiltonian_path_insertion",
-    "induced",
     "load_trn",
     "longest_power_path_exact",
-    "pp_value",
     "random_tournament",
     "read_trn",
     "rotational",

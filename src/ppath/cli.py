@@ -271,6 +271,13 @@ def cmd_search(ns: argparse.Namespace) -> int:
         if ns.n > _ENUMERATION_MAX_N:
             raise UsageError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
                              "use --mode anneal")
+        # The anneal's flags, each with its default: anything else would be ignored.
+        for flag, value, default in (("--resume", ns.resume, None),
+                                     ("--checkpoint-every", ns.checkpoint_every, 0),
+                                     ("--stop-after", ns.stop_after, None),
+                                     ("--chains", ns.chains, 1)):
+            if value != default:
+                raise UsageError(f"{flag} requires --mode anneal")
     elif ns.n < 2:
         raise UsageError("--n must be >= 2 for --mode anneal")
     elif ns.chains < 1:
@@ -307,6 +314,11 @@ def cmd_search(ns: argparse.Namespace) -> int:
                     and all(type(r) is str for r in ck["rows"])):
                 raise UsageError("checkpoint is not a JSON object with a state "
                                  "object and a rows list of strings")
+            for row in ck["rows"]:
+                fields = row.split(",")
+                if len(fields) != 8 or not fields[3].isdecimal():
+                    raise UsageError(f"checkpoint row {row!r} is not a results.csv row "
+                                     "of 8 fields with an integer pp")
             chain = AnnealChain.from_state(ns.n, ns.k, cfgs[0], budget, ck["state"])
             prior_rows = ck["rows"]
         elif ns.chains == 1:

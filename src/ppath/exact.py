@@ -77,17 +77,6 @@ class ExactResult:
     states: int
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised by pp_value when the search budget ran out; carries the work."""
-
-    def __init__(self, result: ExactResult) -> None:
-        super().__init__(
-            f"budget exhausted after {result.states} states; "
-            f"best witness so far has {len(result.path)} vertices"
-        )
-        self.result = result
-
-
 def verify_power_path(
     t: Tournament, p: PowerPath
 ) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -446,10 +435,3 @@ def hamiltonian_path_insertion(t: Tournament) -> PowerPath:
         raise RuntimeError("internal error: unverified insertion witness")
     return path
 
-
-def pp_value(t: Tournament, budget: Optional[SolveBudget] = None) -> int:
-    """Vertex count of the longest square of a path (k=2), exact."""
-    result = longest_power_path_exact(t, 2, budget)
-    if not result.optimal:
-        raise BudgetExceededError(result)
-    return len(result.path)

@@ -336,7 +336,8 @@ class AnnealChain:
         """Chain resumed from a ``state_dict``; raises ValueError naming the
         first of n, k, the config fields and the budget field that differs
         from this chain's, or the first other field whose value has the wrong
-        type, or when the checkpoint's rows are not a tournament."""
+        type, or when the checkpoint's rows are not a tournament on n
+        vertices."""
         chain = cls(n, k, cfg, budget)
         for name, value in chain._identity().items():
             if state.get(name) != value:
@@ -350,6 +351,8 @@ class AnnealChain:
                 type(r) is not str for r in value
             ):
                 raise ValueError(f"checkpoint gives {name} the invalid value {value!r}")
+        if len(state["rows"]) != n:
+            raise ValueError(f"checkpoint has {len(state['rows'])} rows, not n = {n}")
         chain.rng.setstate(state["rng"])
         chain.t = Tournament.from_rows(int(r, 16) for r in state["rows"])
         chain.temperature = float.fromhex(state["temperature"])

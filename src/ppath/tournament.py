@@ -1,16 +1,16 @@
-"""Tournament representation, generators and induced subtournaments.
+"""Tournament representation and generators.
 
 A tournament on n vertices is stored as n row bitsets: bit j of ``rows[i]``
 is 1 exactly when the edge i->j is present. Vertex labels are 0-based.
-Tournaments and vertex sets are immutable; every operation here is a pure
-function of its inputs.
+Tournaments are immutable; every operation here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -23,51 +23,6 @@ class InvalidSizeError(ValueError):
 
 class InvalidResiduesError(ValueError):
     """Residue set is not an antisymmetric complete system mod n."""
-
-
-class EmptySetError(ValueError):
-    """Operation requires a nonempty vertex set."""
-
-
-@dataclass(frozen=True)
-class VertexSet:
-    """Subset of {0..host_n-1} stored as a bitmask."""
-
-    mask: int
-    host_n: int
-
-    def __post_init__(self) -> None:
-        if self.host_n < 0 or self.mask < 0 or self.mask >> self.host_n:
-            raise ValueError("vertex set not contained in host range")
-
-    @classmethod
-    def from_iterable(cls, members: Iterable[int], host_n: int) -> "VertexSet":
-        mask = 0
-        for v in members:
-            if not 0 <= v < host_n:
-                raise ValueError(f"vertex {v} outside host range 0..{host_n - 1}")
-            mask |= 1 << v
-        return cls(mask, host_n)
-
-    @classmethod
-    def full(cls, host_n: int) -> "VertexSet":
-        return cls((1 << host_n) - 1, host_n)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.mask
-        while m:
-            b = m & -m
-            yield b.bit_length() - 1
-            m ^= b
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.host_n and bool((self.mask >> v) & 1)
-
-    def members(self) -> tuple[int, ...]:
-        return tuple(self)
 
 
 def _rows_to_packed(rows: tuple[int, ...]) -> np.ndarray:
@@ -314,22 +269,3 @@ def random_tournament(n: int, seed: int) -> Tournament:
     rows ^= upper
     return _unchecked(_packed_to_rows(rows))
 
-
-def induced(t: Tournament, s: VertexSet) -> tuple[Tournament, tuple[int, ...]]:
-    """Subtournament on s with labels compressed to 0..|s|-1.
-
-    Returns (sub, labels) where labels[new] = old; relative label order is
-    preserved, so lifting a witness is ``tuple(labels[v] for v in vertices)``.
-    """
-    if len(s) == 0:
-        raise EmptySetError("cannot induce on the empty set")
-    labels = s.members()
-    m = len(labels)
-    rows = []
-    for u in labels:
-        row_u = t.rows[u]
-        r = 0
-        for j, v in enumerate(labels):
-            r |= ((row_u >> v) & 1) << j
-        rows.append(r)
-    return _unchecked(tuple(rows)), labels

@@ -1,6 +1,6 @@
 import math
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Optional
 
@@ -253,6 +253,15 @@ def reference_refinement_classes(t: Tournament) -> list[list[int]]:
     for v in range(n):
         classes.setdefault(color[v], []).append(v)
     return [classes[c] for c in sorted(classes)]
+
+
+def induced_rows(t: Tournament, members: Iterable[int]) -> tuple[int, ...]:
+    """Rows of t's subtournament on ``members``, its vertices relabeled
+    0..m-1 in ascending label order."""
+    labels = sorted(members)
+    return tuple(
+        sum(((t.rows[u] >> v) & 1) << j for j, v in enumerate(labels)) for u in labels
+    )
 
 
 def triangle_chain(n: int) -> Tournament:

@@ -272,6 +272,20 @@ class TestSearch:
         assert "--checkpoint-every must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_anneal_flags_rejected_in_enumerate_mode(self, tmp_path, capsys):
+        # Enumeration would ignore them, and never read a --resume file.
+        base = ["search", "--mode", "enumerate", "--n", 4]
+        for flags, message in [
+            (["--resume", tmp_path / "does-not-exist"], "--resume requires --mode anneal"),
+            (["--checkpoint-every", 5], "--checkpoint-every requires --mode anneal"),
+            (["--stop-after", 0], "--stop-after requires --mode anneal"),
+            (["--chains", 2], "--chains requires --mode anneal"),
+        ]:
+            assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+            assert not (tmp_path / "s").exists()
+        assert run(base + ["--chains", 1, "--out-dir", tmp_path / "s"]) == 0
+
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
@@ -304,15 +318,28 @@ class TestSearch:
         ck = json.loads((part / "checkpoint.json").read_text())
         capsys.readouterr()
         bad = tmp_path / "bad.json"
+
+        def hex_rows(n):
+            return [f"{r:x}" for r in random_tournament(n, 0).rows]
+
+        fields = ck["rows"][0].split(",")
+        no_pp = ",".join(fields[:3] + ["x"] + fields[4:])
         for checkpoint, message in [
             ([ck], "error: checkpoint is not a JSON object with a state object"),
             ({**ck, "state": {**ck["state"], "temperature": 5}},
              "error: checkpoint gives temperature the invalid value 5"),
             ({**ck, "rows": 7}, "error: checkpoint is not a JSON object with a state"),
+            ({**ck, "state": {**ck["state"], "rows": hex_rows(7)}},
+             "error: checkpoint has 7 rows, not n = 6"),
+            ({**ck, "state": {**ck["state"], "rows": hex_rows(5)}},
+             "error: checkpoint has 5 rows, not n = 6"),
+            ({**ck, "rows": ["x"]}, "error: checkpoint row 'x' is not a results.csv row"),
+            ({**ck, "rows": [no_pp]}, f"error: checkpoint row {no_pp!r} is not a results"),
         ]:
             bad.write_text(json.dumps(checkpoint))
             assert run(base + ["--resume", bad, "--out-dir", resumed]) == 2
-            assert message in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert message in err and err.count("\n") == 1
             assert not resumed.exists()
 
     def test_checkpoint_every_resumes_a_killed_run(self, tmp_path, monkeypatch):

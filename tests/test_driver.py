@@ -29,7 +29,7 @@ def blowup_triangle(m):
     return Tournament.from_rows(rows)
 
 
-class TestSplitAndJoin:
+class TestGreedyRoute:
     """Inputs above the exact threshold, which the finder gives to the
     greedy: its witnesses must verify, and on transitive hosts span every
     vertex."""

@@ -14,13 +14,13 @@ from conftest import (
     blowup,
     brute_first_longest,
     brute_longest_power,
+    induced_rows,
     reference_greedy_mask,
     reference_verify_power_path,
     relabel,
     triangle_chain,
 )
 from ppath.exact import (
-    BudgetExceededError,
     InvalidLabelError,
     PowerPath,
     SolveBudget,
@@ -28,7 +28,6 @@ from ppath.exact import (
     greedy_power_path,
     hamiltonian_path_insertion,
     longest_power_path_exact,
-    pp_value,
     verify_power_path,
 )
 from ppath.rng import Rng
@@ -36,8 +35,6 @@ from ppath.search import flip_edge
 from ppath.trn import load_trn
 from ppath.tournament import (
     Tournament,
-    VertexSet,
-    induced,
     random_tournament,
     rotational,
     transitive,
@@ -143,8 +140,7 @@ def _pruned_cases():
     cases = [(f"triangle_chain{n}", triangle_chain(n)) for n in range(1, 13)]
     for size in (1, 2, 3):
         for members in combinations(range(6), size):
-            sub, _ = induced(minimizer, VertexSet.from_iterable(members, 6))
-            cases.append((f"blowup{members}", blowup(sub.rows)))
+            cases.append((f"blowup{members}", blowup(induced_rows(minimizer, members))))
     return cases
 
 
@@ -462,25 +458,26 @@ class TestGreedy:
 
     def test_triangle_chain_is_extremal(self):
         for n in range(1, 8):
-            assert pp_value(triangle_chain(n)) == -(-2 * n // 3), n
+            res = longest_power_path_exact(triangle_chain(n), 2)
+            assert res.optimal and len(res.path) == -(-2 * n // 3), n
 
 
 class TestPpValue:
+    """pp(T), the vertex count of T's longest square of a path, as the exact
+    oracle finds it within its default budget."""
+
     def test_transitive(self):
-        assert pp_value(transitive(7)) == 7
+        res = longest_power_path_exact(transitive(7), 2)
+        assert res.optimal and len(res.path) == 7
 
     def test_triangle(self):
-        assert pp_value(rotational(3, {1})) == 2
+        res = longest_power_path_exact(rotational(3, {1}), 2)
+        assert res.optimal and len(res.path) == 2
 
     def test_quadratic_residue_regression(self):
         golden = json.loads((GOLDEN / "regression_constants.json").read_text())
-        assert pp_value(rotational(7, {1, 2, 4})) == golden["pp_rotational7_qr"]
-
-    def test_budget_propagates_with_work(self):
-        t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
-        with pytest.raises(BudgetExceededError) as info:
-            pp_value(t, SolveBudget(max_states=100))
-        assert verify_power_path(t, info.value.result.path)[0]
+        res = longest_power_path_exact(rotational(7, {1, 2, 4}), 2)
+        assert res.optimal and len(res.path) == golden["pp_rotational7_qr"]
 
 
 class TestStructuralInvariants:
@@ -490,7 +487,7 @@ class TestStructuralInvariants:
         t = random_tournament(n, seed)
         full = len(longest_power_path_exact(t, 2).path)
         members = [v for v in range(n) if (seed >> v) & 1] or [0]
-        sub, _ = induced(t, VertexSet.from_iterable(members, n))
+        sub = Tournament.from_rows(induced_rows(t, members))
         assert len(longest_power_path_exact(sub, 2).path) <= full
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))

@@ -1,6 +1,7 @@
 """Smoke tests for scripts/: they import and call the library directly, so a
 library signature change must not break them silently."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -66,6 +67,54 @@ def test_benchmark_trace_targets_resolve():
                 missing.add(f"{mod_name}.{path}")
                 break
     assert missing == gone
+
+
+def _ppath_uses(tree: ast.AST) -> set[str]:
+    """Dotted names of the ppath objects a module uses: each ``from ppath...
+    import name``, and each attribute chain on an ``import ppath.x [as m]``
+    binding (``m.f`` of ``import ppath.x as m`` is ``ppath.x.f``)."""
+    uses, bound = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ppath":
+            importlib.import_module(node.module)
+            uses.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "ppath":
+                    importlib.import_module(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound["ppath"] = "ppath"
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            uses.add(".".join([bound[node.id], *reversed(parts)]))
+    return uses
+
+
+def test_benchmark_imports_resolve():
+    # The benchmark also imports and calls ppath names outside the tracer's
+    # targets; a removed one would fail every benchmark run, not a test.
+    uses = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        uses |= _ppath_uses(ast.parse(path.read_text()))
+    assert {"ppath.cli.main", "ppath.search.anneal_min_pp", "ppath.search.AnnealConfig",
+            "ppath.exact.SolveBudget"} <= uses
+    # Importing a submodule binds it on its package, so every name resolves
+    # by attributes from ppath.
+    missing = set()
+    for name in uses:
+        owner = importlib.import_module("ppath")
+        for part in name.split(".")[1:]:
+            if not hasattr(owner, part):
+                missing.add(name)
+                break
+            owner = getattr(owner, part)
+    assert missing == set()
 
 
 def _bench_stdout(run_s, same=True, failed=0):

@@ -8,16 +8,13 @@ from hypothesis import strategies as st
 from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
-    EmptySetError,
     InvalidResiduesError,
     InvalidSizeError,
     Tournament,
-    VertexSet,
     _bit_transpose,
     _first_misoriented,
     _packed_to_rows,
     _rows_to_packed,
-    induced,
     random_tournament,
     rotational,
     transitive,
@@ -231,51 +228,6 @@ class TestSlabTranspose:
             assert rows.shape == (n, nbytes)
             assert _first_misoriented(rows) == naive_first_misoriented(mat) == min(pairs)
             assert np.array_equal(rows, before)
-
-
-class TestSetOperations:
-    def test_vertex_set_algebra(self):
-        a = VertexSet.from_iterable({2, 0, 1}, 6)
-        assert a.members() == (0, 1, 2) and len(a) == 3
-        assert 1 in a and 5 not in a and 6 not in a
-        with pytest.raises(ValueError):
-            VertexSet.from_iterable({9}, 6)
-
-
-class TestInduced:
-    def test_transitive_subset(self):
-        sub, labels = induced(transitive(5), VertexSet.from_iterable({1, 3, 4}, 5))
-        assert sub.rows == transitive(3).rows
-        assert labels == (1, 3, 4)
-
-    def test_full_set_identity(self):
-        t = random_tournament(9, 3)
-        sub, labels = induced(t, VertexSet.full(9))
-        assert sub.rows == t.rows and labels == tuple(range(9))
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptySetError):
-            induced(transitive(3), VertexSet(0, 3))
-
-    @given(
-        st.integers(min_value=2, max_value=16),
-        st.integers(min_value=0, max_value=2**32),
-        st.integers(min_value=0, max_value=2**32),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_lifted_paths_remain_valid(self, n, seed, subset_seed):
-        from ppath.exact import greedy_power_path, verify_power_path, PowerPath
-        from ppath.rng import Rng
-
-        t = random_tournament(n, seed)
-        rng = Rng(subset_seed)
-        members = [v for v in range(n) if rng.next_u64() & 1]
-        if not members:
-            members = [0]
-        sub, labels = induced(t, VertexSet.from_iterable(members, n))
-        p = greedy_power_path(sub, 2, seed=1)
-        lifted = PowerPath(2, tuple(labels[v] for v in p.vertices))
-        assert verify_power_path(t, lifted)[0]
 
 
 def test_rotational_single_vertex_empty_residues():
