@@ -41,9 +41,7 @@ CLI_COMMANDS = [
     ["search", "--mode", "enumerate", "--n", "5", "--out-dir", "enum"],
     ["search", "--mode", "enumerate", "--n", "7", "--out-dir", "enum7"],
     ["search", "--mode", "anneal", "--n", "6", "--seed", "4", "--iters", "40",
-     "--checkpoint-every", "15", "--out-dir", "one"],
-    ["search", "--mode", "anneal", "--n", "6", "--seed", "3", "--iters", "30",
-     "--chains", "2", "--out-dir", "two"],
+     "--out-dir", "one"],
     ["search", "--mode", "anneal", "--n", "10", "--iters", "30", "--seed", "3",
      "--out-dir", "anneal10"],
 ]

@@ -7,9 +7,9 @@ Every subcommand that writes files also writes a run manifest
 input bytes, reproducing the outputs byte-for-byte: no output depends on the
 clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error (a
 malformed replay manifest, one that records a flag this version no longer has
-at other than its old default, a changed replay input or a malformed
-checkpoint too, and any file that cannot be read or written: missing, a
-directory, no permission), 3 budget exhausted, 70 an emitted witness failed
+at other than its old default or a changed replay input too, and any file
+that cannot be read or written: missing, a directory, no permission), 3 the
+``solve --exact`` budget exhausted, 70 an emitted witness failed
 self-verification.
 """
 
@@ -36,9 +36,9 @@ from .exact import (
 from .rng import derive_seed
 from .search import (
     _ENUMERATION_MAX_N,
-    AnnealChain,
     AnnealConfig,
     SearchRecord,
+    anneal_min_pp,
     canonical_fingerprint,
     enumerate_min_pp,
 )
@@ -191,6 +191,8 @@ def cmd_find(ns: argparse.Namespace) -> int:
     t = load_trn(ns.input)
     out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
     for path in (out, ns.trace):
+        if path and Path(path).is_dir():
+            raise UsageError(f"{path} is a directory")
         if path and not Path(path).parent.is_dir():
             raise UsageError(f"no directory {Path(path).parent} for {path}")
     trace: Optional[list] = [] if ns.trace else None
@@ -231,35 +233,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # search
 
 
-def _record_tag(chain_id: int, rec: SearchRecord) -> str:
-    # A chain emits a record only when its best pp strictly drops, so the pp
-    # makes the tag unique even for several records of one iteration.
-    return f"c{chain_id:02d}_i{rec.iteration:06d}_p{rec.pp}"
-
-
-def _run_anneal_chain(args: tuple) -> list:
-    """Worker: one fresh chain run to its last iteration; returns its
-    (tag, record) pairs."""
-    chain_id, n, k, cfg, budget = args
-    chain = AnnealChain(n, k, cfg, budget)
-    return [(_record_tag(chain_id, rec), rec) for rec in chain.run()]
-
-
-def _chain_segments(chain: AnnealChain, ns: argparse.Namespace):
-    """Batches of one chain run here, in segments that end at every multiple
-    of --checkpoint-every and at the --stop-after point: each segment's
-    (tag, record) pairs, with the chain's state when a checkpoint is due
-    after it, or None."""
-    end = ns.iters if ns.stop_after is None else min(ns.iters, chain.iteration + ns.stop_after)
-    every = ns.checkpoint_every
-    while True:
-        steps = end - chain.iteration
-        if every:
-            steps = min(steps, every - chain.iteration % every)
-        specs = [(_record_tag(0, rec), rec) for rec in chain.run(steps)]
-        yield specs, chain.state_dict() if every or chain.iteration < ns.iters else None
-        if chain.iteration >= end:
-            return
+# The flags only the anneal reads; enumeration refuses them at other than
+# their defaults.
+_ANNEAL_ONLY = ("iters", "temp", "cool", "moves", "budget_states")
 
 
 def cmd_search(ns: argparse.Namespace) -> int:
@@ -271,61 +247,9 @@ def cmd_search(ns: argparse.Namespace) -> int:
         if ns.n > _ENUMERATION_MAX_N:
             raise UsageError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
                              "use --mode anneal")
-        # The anneal's flags, each with its default: anything else would be ignored.
-        for flag, value, default in (("--resume", ns.resume, None),
-                                     ("--checkpoint-every", ns.checkpoint_every, 0),
-                                     ("--stop-after", ns.stop_after, None),
-                                     ("--chains", ns.chains, 1)):
-            if value != default:
-                raise UsageError(f"{flag} requires --mode anneal")
-    elif ns.n < 2:
-        raise UsageError("--n must be >= 2 for --mode anneal")
-    elif ns.chains < 1:
-        raise UsageError("--chains must be >= 1")
-    elif ns.resume and ns.chains != 1:
-        raise UsageError("--resume requires --chains 1")
-    elif ns.checkpoint_every and ns.chains != 1:
-        raise UsageError("--checkpoint-every requires --chains 1")
-    elif ns.stop_after is not None and ns.chains != 1:
-        raise UsageError("--stop-after requires --chains 1")
-    elif ns.checkpoint_every < 0:
-        raise UsageError("--checkpoint-every must be >= 0")
-    elif ns.stop_after is not None and ns.stop_after < 0:
-        raise UsageError("--stop-after must be >= 0")
-    chain, prior_rows = None, []
-    if ns.mode == "anneal":
-        budget = SolveBudget(max_states=ns.budget_states)
-        cfgs = [
-            AnnealConfig(
-                iterations=ns.iters,
-                initial_temperature=ns.temp,
-                cooling_rate=ns.cool,
-                moves_per_step=ns.moves,
-                seed=derive_seed(ns.seed, "chain", c),
-            )
-            for c in range(ns.chains)
-        ]
-        if ns.resume:
-            # A malformed checkpoint, or one of another n, k, config or
-            # budget, is a usage error before any output exists.
-            ck = json.loads(Path(ns.resume).read_text())
-            if not (isinstance(ck, dict) and isinstance(ck.get("state"), dict)
-                    and isinstance(ck.get("rows"), list)
-                    and all(type(r) is str for r in ck["rows"])):
-                raise UsageError("checkpoint is not a JSON object with a state "
-                                 "object and a rows list of strings")
-            for row in ck["rows"]:
-                fields = row.split(",")
-                if len(fields) != 8 or not fields[3].isdecimal():
-                    raise UsageError(f"checkpoint row {row!r} is not a results.csv row "
-                                     "of 8 fields with an integer pp")
-            chain = AnnealChain.from_state(ns.n, ns.k, cfgs[0], budget, ck["state"])
-            prior_rows = ck["rows"]
-        elif ns.chains == 1:
-            chain = AnnealChain(ns.n, ns.k, cfgs[0], budget)
-    # Each mode gives batches of (tag, record) pairs, each with the
-    # checkpoint state due after it or None; the loop below writes them all.
-    if ns.mode == "enumerate":
+        for action in _subparser("search")._actions:
+            if action.dest in _ANNEAL_ONLY and getattr(ns, action.dest) != action.default:
+                raise UsageError(f"{action.option_strings[0]} requires --mode anneal")
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         rec = SearchRecord(
             n=ns.n,
@@ -338,31 +262,36 @@ def cmd_search(ns: argparse.Namespace) -> int:
             method="enumeration",
             tournament=witness_t,
         )
-        batches = [([("enum", rec)], None)]
-    elif chain is None:
-        results = _map(_run_anneal_chain,
-                       [(c, ns.n, ns.k, cfg, budget) for c, cfg in enumerate(cfgs)])
-        batches = [([spec for specs in results for spec in specs], None)]
+        specs = [("enum", rec)]
+    elif ns.n < 2:
+        raise UsageError("--n must be >= 2 for --mode anneal")
     else:
-        batches = _chain_segments(chain, ns)
+        cfg = AnnealConfig(
+            iterations=ns.iters,
+            initial_temperature=ns.temp,
+            cooling_rate=ns.cool,
+            moves_per_step=ns.moves,
+            seed=derive_seed(ns.seed, "chain", 0),
+        )
+        records = anneal_min_pp(ns.n, ns.k, cfg, SolveBudget(max_states=ns.budget_states))
+        # The chain records only a strict drop of its best pp, so the pp makes
+        # the tag unique even for several records of one iteration.
+        specs = [(f"c00_i{rec.iteration:06d}_p{rec.pp}", rec) for rec in records]
+    # --out-dir is made only once the records exist.
     out_dir = Path(ns.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = []
+    for tag, rec in specs:
+        _write_witness(rec.tournament, rec.witness, out_dir / f"w_{tag}.json")
+        save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
+        rows.append(f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},{int(rec.bound_flag)},"
+                    f"{rec.method},{rec.seed},w_{tag}.json")
     csv_path = out_dir / "results.csv"
-    rows = list(prior_rows)
-    for specs, state in batches:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for tag, rec in specs:
-            _write_witness(rec.tournament, rec.witness, out_dir / f"w_{tag}.json")
-            save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
-            rows.append(f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},{int(rec.bound_flag)},"
-                        f"{rec.method},{rec.seed},w_{tag}.json")
-        _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
-        if state is not None:
-            (out_dir / "checkpoint.json").write_bytes(_json_bytes({"state": state, "rows": rows}))
+    _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
     _write_manifest(out_dir / "manifest.json", ns, [csv_path])
-    best = min((int(r.split(",")[3]) for r in rows), default=-1)
     print(f"min_pp={mn} count={count}" if ns.mode == "enumerate"
-          else f"records={len(rows)} best_pp={best}")
-    return EXIT_BUDGET if state is not None and state["iteration"] < ns.iters else EXIT_OK
+          else f"records={len(rows)} best_pp={min((rec.pp for _, rec in specs), default=-1)}")
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +342,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
 _REMOVED_FLAGS = {
     "find": {"eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8},
     "solve": {"budget_ms": None},
+    "search": {"chains": 1, "checkpoint_every": 0, "resume": None, "stop_after": None},
 }
 
 
@@ -429,8 +359,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     # Every argument of the subcommand's parser must be recorded with a value
     # the parser could have produced, so a hand-edited manifest fails here,
     # before anything is written.
-    (subparsers,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
-    for action in subparsers.choices[sub]._actions:
+    for action in _subparser(sub)._actions:
         if action.dest == "help":
             continue
         flag = (action.option_strings or [action.dest])[0]
@@ -444,7 +373,7 @@ def cmd_replay(ns: argparse.Namespace) -> int:
             raise UsageError(f"manifest gives {flag} the invalid value {value!r}")
     # Any other recorded flag must hold its old default, or the run recorded
     # is not the run this version would make.
-    dests = {action.dest for action in subparsers.choices[sub]._actions}
+    dests = {action.dest for action in _subparser(sub)._actions}
     removed = _REMOVED_FLAGS.get(sub, {})
     for key, value in args.items():
         if key not in dests and (
@@ -515,11 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--temp", type=float, default=0.8)
     se.add_argument("--cool", type=float, default=0.95)
     se.add_argument("--moves", type=int, default=6)
-    se.add_argument("--chains", type=int, default=1)
-    se.add_argument("--checkpoint-every", type=int, default=0, dest="checkpoint_every")
-    se.add_argument("--resume", default=None)
-    se.add_argument("--stop-after", type=int, default=None, dest="stop_after",
-                    help="stop cleanly after this many iterations (exit 3 if iterations remain)")
     se.add_argument("--budget-states", type=int, default=400_000, dest="budget_states")
     se.add_argument("--out-dir", required=True, dest="out_dir")
 
@@ -535,6 +459,11 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("manifest")
 
     return ap
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    return subparsers.choices[name]
 
 
 _DISPATCH = {

@@ -49,8 +49,8 @@ def derive_seed(seed: int, *labels: int | str) -> int:
 class Rng:
     """Sequential SplitMix64 stream with the draw helpers the package needs.
 
-    State is a single 64-bit integer, exposed via getstate/setstate so
-    checkpoints can resume bit-exactly.
+    State is a single 64-bit integer, exposed via getstate/setstate so a
+    stream's position can be read, compared and restored exactly.
     """
 
     __slots__ = ("_state",)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .exact import (
@@ -256,27 +256,20 @@ class SearchRecord:
     tournament: Optional[Tournament] = None
 
 
-# Types of the ``state_dict`` fields outside ``_identity``; rows holds strings.
-_STATE_TYPES = {"rng": int, "rows": list, "temperature": str, "iteration": int,
-                "cur_pp": int, "best_pp": int}
-
-
 class AnnealChain:
     """Single seeded annealing chain over edge flips, minimizing exact pp.
 
-    Build a chain fresh with ``AnnealChain(n, k, cfg, budget)`` or from a
-    checkpoint with ``AnnealChain.from_state``; ``run`` drives it and yields
-    its records. A record is emitted whenever the current tournament changes
-    (the start, an accepted move or a reheat) to one whose solve finished
-    within the budget and whose pp is below every pp recorded so far, so
-    recorded pp strictly drops and is always exact. Each exact solve runs at
+    ``run`` drives the chain to its last iteration and yields its records. A
+    record is emitted whenever the current tournament changes (the start, an
+    accepted move or a reheat) to one whose solve finished within the budget
+    and whose pp is below every pp recorded so far, so recorded pp strictly
+    drops and is always exact. Each exact solve runs at
     twice the given budget; a move whose solve still exhausts it is rejected.
     An unsolved start or reheat tournament never makes a record, and its pp
     counts as n + 1, so the chain takes the first solved flip away from it.
     The objective caches each solve's ``ExactResult`` by the rows it solved,
-    so every distinct rows is solved once, and a resumed chain, whose cache
-    starts empty, gets the results the uninterrupted chain got. Fingerprints
-    are computed for records only.
+    so every distinct rows is solved once. Fingerprints are computed for
+    records only.
     When the budget cannot trip (it is at least the walk's
     Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states, 23,050 at n = 10, k = 2;
     a solve split into strong components walks each within that sum for the
@@ -292,8 +285,6 @@ class AnnealChain:
     pp does not depend on the labels, so the chain's decisions, records and
     rng draws are those of the chain that solves every flip in its own
     labels.
-    State (rng word, matrix, temperature, bookkeeping) round-trips through
-    ``state_dict``/``from_state`` for bit-exact resume.
     """
 
     def __init__(
@@ -310,7 +301,7 @@ class AnnealChain:
         self.budget = SolveBudget(budget.max_states * 2)
         self.rng = Rng(derive_seed(cfg.seed, "anneal"))
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        # run() draws the start; a chain built from a checkpoint has its own.
+        # run() draws the start unless one is set.
         self.t: Optional[Tournament] = None
         self.temperature = cfg.initial_temperature
         self.iteration = 0
@@ -323,43 +314,6 @@ class AnnealChain:
         # The current tournament's solve while its witness spans and flips
         # that keep that witness may reuse it.
         self._span: Optional[ExactResult] = None
-
-    @classmethod
-    def from_state(
-        cls,
-        n: int,
-        k: int,
-        cfg: AnnealConfig,
-        budget: Optional[SolveBudget],
-        state: dict,
-    ) -> "AnnealChain":
-        """Chain resumed from a ``state_dict``; raises ValueError naming the
-        first of n, k, the config fields and the budget field that differs
-        from this chain's, or the first other field whose value has the wrong
-        type, or when the checkpoint's rows are not a tournament on n
-        vertices."""
-        chain = cls(n, k, cfg, budget)
-        for name, value in chain._identity().items():
-            if state.get(name) != value:
-                raise ValueError(
-                    f"checkpoint does not match this chain: {name} is "
-                    f"{state.get(name)!r} there, {value!r} here"
-                )
-        for name, kind in _STATE_TYPES.items():
-            value = state.get(name)
-            if type(value) is not kind or kind is list and any(
-                type(r) is not str for r in value
-            ):
-                raise ValueError(f"checkpoint gives {name} the invalid value {value!r}")
-        if len(state["rows"]) != n:
-            raise ValueError(f"checkpoint has {len(state['rows'])} rows, not n = {n}")
-        chain.rng.setstate(state["rng"])
-        chain.t = Tournament.from_rows(int(r, 16) for r in state["rows"])
-        chain.temperature = float.fromhex(state["temperature"])
-        chain.iteration = state["iteration"]
-        chain.cur_pp = state["cur_pp"]
-        chain.best_pp = state["best_pp"]
-        return chain
 
     def _objective(self, t: Tournament) -> ExactResult:
         if self._never_trips:
@@ -452,41 +406,15 @@ class AnnealChain:
             out += self._move_to(t, self._objective(t))
         return out
 
-    def run(self, steps: Optional[int] = None) -> Iterator[SearchRecord]:
-        """Records of the next ``steps`` iterations (all remaining ones when
-        None), never past ``cfg.iterations``; a fresh chain first draws its
-        start tournament, whose record comes first when its solve finishes
-        within the budget."""
+    def run(self) -> Iterator[SearchRecord]:
+        """Records of the remaining iterations, up to ``cfg.iterations``; a
+        chain with no start first draws one, whose record comes first when
+        its solve finishes within the budget."""
         if self.t is None:
             t = random_tournament(self.n, derive_seed(self.cfg.seed, "anneal-init"))
             yield from self._move_to(t, self._objective(t))
-        end = self.cfg.iterations
-        if steps is not None:
-            end = min(end, self.iteration + steps)
-        while self.iteration < end:
+        while self.iteration < self.cfg.iterations:
             yield from self.step()
-
-    def _identity(self) -> dict:
-        """The ``state_dict`` fields a checkpoint must match to resume this
-        chain: n, k, every config field and the solve budget, in the order
-        ``from_state`` checks them."""
-        return {
-            "n": self.n,
-            "k": self.k,
-            **asdict(self.cfg),
-            "max_states": self.budget.max_states,
-        }
-
-    def state_dict(self) -> dict:
-        return {
-            **self._identity(),
-            "rng": self.rng.getstate(),
-            "rows": [f"{r:x}" for r in self.t.rows],
-            "temperature": self.temperature.hex(),
-            "iteration": self.iteration,
-            "cur_pp": self.cur_pp,
-            "best_pp": self.best_pp,
-        }
 
 
 def anneal_min_pp(

@@ -197,14 +197,11 @@ class ReferenceChain(AnnealChain):
             out += self._move_to(t, *self._objective(t))
         return out
 
-    def run(self, steps: Optional[int] = None) -> Iterator[SearchRecord]:
+    def run(self) -> Iterator[SearchRecord]:
         if self.t is None:
             t = random_tournament(self.n, derive_seed(self.cfg.seed, "anneal-init"))
             yield from self._move_to(t, *self._objective(t))
-        end = self.cfg.iterations
-        if steps is not None:
-            end = min(end, self.iteration + steps)
-        while self.iteration < end:
+        while self.iteration < self.cfg.iterations:
             yield from self.step()
 
 

@@ -9,7 +9,7 @@ import ppath.cli
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, longest_power_path_exact, verify_power_path
-from ppath.search import AnnealChain, flip_edge
+from ppath.search import flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
 
@@ -146,6 +146,19 @@ class TestFind:
         assert "error: no directory nodir" in capsys.readouterr().err
         assert list(work.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_directory_as_output_writes_nothing(self, tmp_path, monkeypatch, capsys, flag):
+        # find checks both output paths before it writes either, so a
+        # directory given as --trace leaves no witness behind.
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(40, 2), trn)
+        work = tmp_path / "work"
+        (work / "tdir").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert run(["find", "-k", 2, flag, "tdir", trn]) == 2
+        assert capsys.readouterr().err == "error: tdir is a directory\n"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
+
     def test_finder_never_beats_exact_k1(self, tmp_path, capsys):
         trn = tmp_path / "t12.trn"
         save_trn(random_tournament(12, 8), trn)
@@ -237,19 +250,6 @@ class TestSearch:
         assert "--n must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
-    def test_negative_stop_after_rejected(self, tmp_path, capsys):
-        assert run(["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 20,
-                    "--stop-after", -5, "--out-dir", tmp_path / "s"]) == 2
-        assert "--stop-after must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "s").exists()
-
-    def test_zero_chains_rejected(self, tmp_path, capsys):
-        for chains in (0, -1):
-            assert run(["search", "--mode", "anneal", "--n", 6, "--chains", chains,
-                        "--out-dir", tmp_path / "s"]) == 2
-            assert "--chains must be >= 1" in capsys.readouterr().err
-            assert not (tmp_path / "s").exists()
-
     def test_zero_k_rejected_in_both_modes(self, tmp_path, capsys):
         for mode in ("enumerate", "anneal"):
             assert run(["search", "--mode", mode, "--n", 4, "-k", 0,
@@ -257,34 +257,23 @@ class TestSearch:
             assert "-k must be >= 1" in capsys.readouterr().err
             assert not (tmp_path / "s").exists()
 
-    def test_single_chain_flags_rejected_with_two_chains(self, tmp_path, capsys):
-        base = ["search", "--mode", "anneal", "--n", 6, "--chains", 2]
-        for flags, message in [
-            (["--resume", tmp_path / "ck.json"], "--resume requires --chains 1"),
-            (["--checkpoint-every", 5], "--checkpoint-every requires --chains 1"),
-            (["--stop-after", 5], "--stop-after requires --chains 1"),
-        ]:
-            assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
-            assert message in capsys.readouterr().err
-            assert not (tmp_path / "s").exists()
-        assert run(["search", "--mode", "anneal", "--n", 6, "--checkpoint-every", -1,
-                    "--out-dir", tmp_path / "s"]) == 2
-        assert "--checkpoint-every must be >= 0" in capsys.readouterr().err
-        assert not (tmp_path / "s").exists()
-
     def test_anneal_flags_rejected_in_enumerate_mode(self, tmp_path, capsys):
-        # Enumeration would ignore them, and never read a --resume file.
-        base = ["search", "--mode", "enumerate", "--n", 4]
+        # Enumeration would ignore them; the first one off its default is named.
+        base = ["search", "--mode", "enumerate", "--n", 3]
         for flags, message in [
-            (["--resume", tmp_path / "does-not-exist"], "--resume requires --mode anneal"),
-            (["--checkpoint-every", 5], "--checkpoint-every requires --mode anneal"),
-            (["--stop-after", 0], "--stop-after requires --mode anneal"),
-            (["--chains", 2], "--chains requires --mode anneal"),
+            (["--budget-states", 1, "--iters", 5, "--temp", 9], "--iters requires --mode anneal"),
+            (["--iters", 0], "--iters requires --mode anneal"),
+            (["--temp", 0.5], "--temp requires --mode anneal"),
+            (["--cool", 0.9], "--cool requires --mode anneal"),
+            (["--moves", 1], "--moves requires --mode anneal"),
+            (["--budget-states", 1], "--budget-states requires --mode anneal"),
         ]:
             assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
             assert not (tmp_path / "s").exists()
-        assert run(base + ["--chains", 1, "--out-dir", tmp_path / "s"]) == 0
+        # Each at its default, the run is the plain enumeration.
+        assert run(base + ["--iters", 200, "--temp", 0.8, "--cool", 0.95, "--moves", 6,
+                           "--budget-states", 400_000, "--out-dir", tmp_path / "s"]) == 0
 
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -293,100 +282,20 @@ class TestSearch:
                         "--iters", 60, "--out-dir", d]) == 0
         assert (d1 / "results.csv").read_bytes() == (d2 / "results.csv").read_bytes()
 
-    def test_anneal_checkpoint_resume_identical(self, tmp_path):
-        full, part = tmp_path / "full", tmp_path / "part"
-        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120]
-        assert run(base + ["--out-dir", full]) == 0
-        assert run(base + ["--stop-after", 40, "--out-dir", part]) == 3
-        assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
-        assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
-
-    def test_resume_under_another_seed_is_usage_error(self, tmp_path, capsys):
-        part = tmp_path / "part"
-        base = ["search", "--mode", "anneal", "--n", 6, "--iters", 120, "--out-dir", part]
-        assert run(base + ["--seed", 5, "--stop-after", 2]) == 3
-        before = (part / "results.csv").read_bytes()
-        capsys.readouterr()
-        assert run(base + ["--seed", 6, "--resume", part / "checkpoint.json"]) == 2
-        assert "does not match this chain: seed " in capsys.readouterr().err
-        assert (part / "results.csv").read_bytes() == before
-
-    def test_malformed_checkpoint_is_usage_error(self, tmp_path, capsys):
-        part, resumed = tmp_path / "part", tmp_path / "resumed"
-        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120]
-        assert run(base + ["--stop-after", 2, "--out-dir", part]) == 3
-        ck = json.loads((part / "checkpoint.json").read_text())
-        capsys.readouterr()
-        bad = tmp_path / "bad.json"
-
-        def hex_rows(n):
-            return [f"{r:x}" for r in random_tournament(n, 0).rows]
-
-        fields = ck["rows"][0].split(",")
-        no_pp = ",".join(fields[:3] + ["x"] + fields[4:])
-        for checkpoint, message in [
-            ([ck], "error: checkpoint is not a JSON object with a state object"),
-            ({**ck, "state": {**ck["state"], "temperature": 5}},
-             "error: checkpoint gives temperature the invalid value 5"),
-            ({**ck, "rows": 7}, "error: checkpoint is not a JSON object with a state"),
-            ({**ck, "state": {**ck["state"], "rows": hex_rows(7)}},
-             "error: checkpoint has 7 rows, not n = 6"),
-            ({**ck, "state": {**ck["state"], "rows": hex_rows(5)}},
-             "error: checkpoint has 5 rows, not n = 6"),
-            ({**ck, "rows": ["x"]}, "error: checkpoint row 'x' is not a results.csv row"),
-            ({**ck, "rows": [no_pp]}, f"error: checkpoint row {no_pp!r} is not a results"),
-        ]:
-            bad.write_text(json.dumps(checkpoint))
-            assert run(base + ["--resume", bad, "--out-dir", resumed]) == 2
-            err = capsys.readouterr().err
-            assert message in err and err.count("\n") == 1
-            assert not resumed.exists()
-
-    def test_checkpoint_every_resumes_a_killed_run(self, tmp_path, monkeypatch):
-        full, part = tmp_path / "full", tmp_path / "part"
-        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 120,
-                "--checkpoint-every", 10]
-        assert run(base + ["--out-dir", full]) == 0
-
-        step = AnnealChain.step
-
-        def dies_after_35(chain):
-            if chain.iteration == 35:
-                raise RuntimeError("killed")
-            return step(chain)
-
-        monkeypatch.setattr(AnnealChain, "step", dies_after_35)
-        with pytest.raises(RuntimeError, match="killed"):
-            run(base + ["--out-dir", part])
-        monkeypatch.setattr(AnnealChain, "step", step)
-        ck = json.loads((part / "checkpoint.json").read_text())
-        assert ck["state"]["iteration"] == 30
-        assert run(base + ["--resume", part / "checkpoint.json", "--out-dir", part]) == 0
-        assert (full / "results.csv").read_bytes() == (part / "results.csv").read_bytes()
-
     @pytest.mark.parametrize("mode, target, name", [
         (["enumerate"], ppath.cli, "enumerate_min_pp"),
-        (["anneal", "--chains", 2], AnnealChain, "run"),
-    ], ids=["enumerate", "two-chains"])
+        (["anneal"], ppath.cli, "anneal_min_pp"),
+    ], ids=["enumerate", "anneal"])
     def test_failed_run_creates_no_out_dir(self, tmp_path, monkeypatch, mode, target, name):
         # --out-dir is made by the first write, so a run that raises before
         # it has records leaves none.
         def killed(*args, **kwargs):
             raise RuntimeError("killed")
 
-        monkeypatch.setenv("PPATH_THREADS", "1")
         monkeypatch.setattr(target, name, killed)
         with pytest.raises(RuntimeError, match="killed"):
             run(["search", "--mode", *mode, "--n", 5, "--out-dir", tmp_path / "s"])
         assert not (tmp_path / "s").exists()
-
-    def test_stop_after_reaching_last_iteration_is_complete(self, tmp_path):
-        full, stopped = tmp_path / "full", tmp_path / "stopped"
-        base = ["search", "--mode", "anneal", "--n", 6, "--seed", 5, "--iters", 40]
-        assert run(base + ["--out-dir", full]) == 0
-        assert run(base + ["--stop-after", 40, "--out-dir", stopped]) == 0
-        assert not (stopped / "checkpoint.json").exists()
-        assert (full / "results.csv").read_bytes() == (stopped / "results.csv").read_bytes()
 
     def test_anneal_witnesses_stored(self, tmp_path):
         # Seed 18 at n = 10 improves on its initial tournament in the first
@@ -620,12 +529,53 @@ class TestReplay:
             tmp_path, ["search", "--mode", "enumerate", "--n", 4, "--out-dir", d],
             d / "manifest.json")
 
-    def test_search_anneal_two_chains_replay_byte_identical(self, tmp_path):
+    def test_search_anneal_replay_byte_identical(self, tmp_path):
         d = tmp_path / "s"
         self._assert_replay_reproduces(
             tmp_path, ["search", "--mode", "anneal", "--n", 6, "--seed", 3, "--iters", 30,
-                       "--chains", 2, "--out-dir", d],
+                       "--out-dir", d],
             d / "manifest.json")
+
+
+def _old_search_manifest(out_dir, chains):
+    """The manifest of ``search --mode anneal --n 6 --seed 3 --iters 30``, as
+    written while search had --chains, --checkpoint-every, --resume and
+    --stop-after, with --chains at ``chains``."""
+    return (
+        '{\n "args": {\n  "budget_states": 400000,\n'
+        f'  "chains": {chains},\n  "checkpoint_every": 0,\n  "cool": 0.95,\n'
+        '  "iters": 30,\n  "k": 2,\n  "mode": "anneal",\n  "moves": 6,\n  "n": 6,\n'
+        f'  "out_dir": "{out_dir}",\n  "resume": null,\n  "seed": 3,\n'
+        '  "stop_after": null,\n  "temp": 0.8\n },\n "input_hashes": {},\n'
+        f' "outputs": [\n  "{out_dir}/results.csv"\n ],\n "seed": 3,\n'
+        ' "subcommand": "search",\n "tool": "ppath",\n "version": "0.1.0"\n}\n'
+    ).encode()
+
+
+class TestOldSearchManifests:
+    def test_checkpoint_flags_at_defaults_replay_byte_identical(self, tmp_path):
+        # At their old defaults the removed flags record the one plain chain
+        # that search runs today.
+        d = tmp_path / "s"
+        assert run(["search", "--mode", "anneal", "--n", 6, "--seed", 3, "--iters", 30,
+                    "--out-dir", d]) == 0
+        manifest = d / "manifest.json"
+        outputs = {p: p.read_bytes() for p in d.iterdir() if p != manifest}
+        for p in outputs:
+            p.unlink()
+        old = _old_search_manifest(d, 1)
+        manifest.write_bytes(old)
+        assert run(["replay", manifest]) == 0
+        assert manifest.read_bytes() == old
+        assert {p: p.read_bytes() for p in d.iterdir() if p != manifest} == outputs
+
+    def test_two_chains_is_refused(self, tmp_path, capsys):
+        d, manifest = tmp_path / "s", tmp_path / "m.json"
+        manifest.write_bytes(_old_search_manifest(d, 2))
+        assert run(["replay", manifest]) == 2
+        assert capsys.readouterr().err == (
+            "error: manifest records --chains 2, which this version no longer has\n")
+        assert list(tmp_path.iterdir()) == [manifest]
 
 
 class TestManifests:
@@ -670,8 +620,7 @@ class TestManifests:
         assert json.loads((d / "manifest.json").read_text()) == {
             "subcommand": "search",
             "args": {"mode": "anneal", "n": 5, "k": 2, "seed": 2, "iters": 10,
-                     "temp": 0.8, "cool": 0.95, "moves": 6, "chains": 1,
-                     "checkpoint_every": 0, "resume": None, "stop_after": None,
+                     "temp": 0.8, "cool": 0.95, "moves": 6,
                      "budget_states": 400_000, "out_dir": str(d)},
             "seed": 2,
             "tool": "ppath",
@@ -750,17 +699,6 @@ def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
                     "--method", "greedy", "--out", out]) == 0
         rows[workers] = out.read_bytes()
     assert rows["1"] == rows["3"]
-
-
-def test_anneal_worker_fanout_is_byte_deterministic(tmp_path, monkeypatch):
-    csvs = {}
-    for workers in ("1", "2"):
-        monkeypatch.setenv("PPATH_THREADS", workers)
-        d = tmp_path / f"s{workers}"
-        assert run(["search", "--mode", "anneal", "--n", 6, "--chains", 2,
-                    "--seed", 3, "--iters", 30, "--out-dir", d]) == 0
-        csvs[workers] = (d / "results.csv").read_bytes()
-    assert csvs["1"] == csvs["2"]
 
 
 class TestEdgeCases:
