@@ -16,7 +16,6 @@ from .exact import (
 from .search import (
     AnnealConfig,
     SearchRecord,
-    UseAnnealInsteadError,
     anneal_min_pp,
     canonical_fingerprint,
     enumerate_min_pp,
@@ -37,7 +36,6 @@ __all__ = [
     "SearchRecord",
     "SolveBudget",
     "Tournament",
-    "UseAnnealInsteadError",
     "anneal_min_pp",
     "canonical_fingerprint",
     "enumerate_min_pp",

@@ -5,12 +5,14 @@ Every subcommand that writes files also writes a run manifest
 ``<output>.manifest.json`` or, for search, ``<out-dir>/manifest.json``;
 ``ppath replay manifest.json`` re-executes the recorded run on its recorded
 input bytes, reproducing the outputs byte-for-byte: no output depends on the
-clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error (a
-malformed replay manifest, one that records a flag this version no longer has
-at other than its old default or a changed replay input too, and any file
-that cannot be read or written: missing, a directory, no permission), 3 the
-``solve --exact`` budget exhausted, 70 an emitted witness failed
-self-verification.
+clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error, any
+``ValueError``, ``KeyError`` or ``OSError`` (a malformed replay manifest, one
+that records a flag this version no longer has at other than its old default
+or a changed replay input too, and any file that cannot be read or written:
+missing, a directory, no permission; every destination, manifest included,
+is checked before the first write), 3 the ``solve --exact`` budget
+exhausted, 70 an internal fault, any ``RuntimeError``: a witness failed
+self-verification, or another self-check of the library failed.
 """
 
 from __future__ import annotations
@@ -54,14 +56,6 @@ MAX_EXACT_N = 18
 
 _SEARCH_CSV_HEADER = "n,k,fingerprint,pp,bound_flag,method,seed,witness_file"
 _TABLE_CSV_HEADER = "n,seed,method,length"
-
-
-class UsageError(Exception):
-    pass
-
-
-class InternalError(Exception):
-    pass
 
 
 def workers_from_env() -> int:
@@ -110,6 +104,20 @@ def _write_manifest(path: Path, ns: argparse.Namespace, outputs: list, inputs=()
     }))
 
 
+def _manifest_path(out: Path) -> Path:
+    return out.with_suffix(out.suffix + ".manifest.json")
+
+
+def _check_destinations(*paths) -> None:
+    """Refuse, before anything is written, a destination that is a directory
+    or whose parent directory is missing; a None or empty path is skipped."""
+    for path in filter(None, paths):
+        if Path(path).is_dir():
+            raise ValueError(f"{path} is a directory")
+        if not Path(path).parent.is_dir():
+            raise ValueError(f"no directory {Path(path).parent} for {path}")
+
+
 def _sha256(name: str) -> str:
     return hashlib.sha256(Path(name).read_bytes()).hexdigest()
 
@@ -117,7 +125,7 @@ def _sha256(name: str) -> str:
 def _write_witness(t: Tournament, witness: PowerPath, out: Path) -> None:
     """Write the witness JSON, once it verifies against ``t``."""
     if not verify_power_path(t, witness)[0]:
-        raise InternalError("emitted witness failed self-verification")
+        raise RuntimeError("emitted witness failed self-verification")
     out.write_bytes(_json_bytes({"k": witness.k, "vertices": list(witness.vertices)}))
 
 
@@ -131,7 +139,7 @@ def _read_witness(path: Path) -> PowerPath:
     if not (isinstance(data, dict) and type(data.get("k")) is int
             and isinstance(data.get("vertices"), list)
             and all(type(v) is int for v in data["vertices"])):
-        raise UsageError("witness is not a JSON object with an integer k and "
+        raise ValueError("witness is not a JSON object with an integer k and "
                          "a list of integer vertices")
     return PowerPath(data["k"], tuple(data["vertices"]))
 
@@ -143,20 +151,21 @@ def _read_witness(path: Path) -> PowerPath:
 def cmd_gen(ns: argparse.Namespace) -> int:
     out = Path(ns.out)
     if ns.n < 1:
-        raise UsageError("--n must be >= 1")
+        raise ValueError("--n must be >= 1")
     if ns.type == "transitive":
         t = transitive(ns.n)
     elif ns.type == "random":
         t = random_tournament(ns.n, ns.seed)
     elif ns.type == "rotational":
         if not ns.residues:
-            raise UsageError("rotational requires --residues")
+            raise ValueError("rotational requires --residues")
         residues = {int(x) for x in ns.residues.split(",")}
         t = rotational(ns.n, residues)
     else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown type {ns.type}")
+        raise ValueError(f"unknown type {ns.type}")
+    _check_destinations(out, _manifest_path(out))
     save_trn(t, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out])
+    _write_manifest(_manifest_path(out), ns, [out])
     print(f"{out} n={t.n}")
     return EXIT_OK
 
@@ -168,6 +177,7 @@ def cmd_gen(ns: argparse.Namespace) -> int:
 def cmd_solve(ns: argparse.Namespace) -> int:
     t = load_trn(ns.input)
     out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
+    _check_destinations(out, _manifest_path(out))
     exceeded = False
     if ns.exact:
         res = longest_power_path_exact(t, ns.k, SolveBudget(ns.budget_states))
@@ -178,7 +188,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         path = greedy_power_path(t, ns.k, seed=ns.seed)
         method = "greedy"
     _write_witness(t, path, out)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out], [ns.input])
+    _write_manifest(_manifest_path(out), ns, [out], [ns.input])
     print(f"pp={len(path)} method={method} verified=true")
     return EXIT_BUDGET if exceeded else EXIT_OK
 
@@ -190,11 +200,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 def cmd_find(ns: argparse.Namespace) -> int:
     t = load_trn(ns.input)
     out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
-    for path in (out, ns.trace):
-        if path and Path(path).is_dir():
-            raise UsageError(f"{path} is a directory")
-        if path and not Path(path).parent.is_dir():
-            raise UsageError(f"no directory {Path(path).parent} for {path}")
+    _check_destinations(out, ns.trace, _manifest_path(out))
     trace: Optional[list] = [] if ns.trace else None
     path = find_kth_power_path(t, ns.k, seed=ns.seed, trace=trace)
     _write_witness(t, path, out)
@@ -206,7 +212,7 @@ def cmd_find(ns: argparse.Namespace) -> int:
         )
         Path(ns.trace).write_text(lines)
         outputs.append(ns.trace)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, outputs, [ns.input])
+    _write_manifest(_manifest_path(out), ns, outputs, [ns.input])
     print(f"len={len(path)} k={ns.k} verified=true")
     return EXIT_OK
 
@@ -240,16 +246,16 @@ _ANNEAL_ONLY = ("iters", "temp", "cool", "moves", "budget_states")
 
 def cmd_search(ns: argparse.Namespace) -> int:
     if ns.k < 1:
-        raise UsageError("-k must be >= 1")
+        raise ValueError("-k must be >= 1")
     if ns.mode == "enumerate":
         if ns.n < 1:
-            raise UsageError("--n must be >= 1")
+            raise ValueError("--n must be >= 1")
         if ns.n > _ENUMERATION_MAX_N:
-            raise UsageError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
+            raise ValueError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
                              "use --mode anneal")
         for action in _subparser("search")._actions:
             if action.dest in _ANNEAL_ONLY and getattr(ns, action.dest) != action.default:
-                raise UsageError(f"{action.option_strings[0]} requires --mode anneal")
+                raise ValueError(f"{action.option_strings[0]} requires --mode anneal")
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         rec = SearchRecord(
             n=ns.n,
@@ -264,7 +270,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
         )
         specs = [("enum", rec)]
     elif ns.n < 2:
-        raise UsageError("--n must be >= 2 for --mode anneal")
+        raise ValueError("--n must be >= 2 for --mode anneal")
     else:
         cfg = AnnealConfig(
             iterations=ns.iters,
@@ -280,6 +286,8 @@ def cmd_search(ns: argparse.Namespace) -> int:
     # --out-dir is made only once the records exist.
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = [f"w_{tag}.{ext}" for tag, _ in specs for ext in ("json", "trn")]
+    _check_destinations(*(out_dir / name for name in [*names, "results.csv", "manifest.json"]))
     rows = []
     for tag, rec in specs:
         _write_witness(rec.tournament, rec.witness, out_dir / f"w_{tag}.json")
@@ -315,20 +323,21 @@ def _table_cell(args: tuple) -> str:
 def cmd_table(ns: argparse.Namespace) -> int:
     sizes = [int(x) for x in ns.n_list.split(",") if x]
     if not sizes or ns.trials < 0:
-        raise UsageError("need a nonempty --n-list and --trials >= 0")
+        raise ValueError("need a nonempty --n-list and --trials >= 0")
     if ns.method == "exact" and max(sizes) > MAX_EXACT_N:
-        raise UsageError(
+        raise ValueError(
             f"--method exact is limited to n <= {MAX_EXACT_N} (got {max(sizes)})"
         )
+    out = Path(ns.out)
+    _check_destinations(out, _manifest_path(out))
     cells = [
         (n, trial, ns.method, ns.k, ns.seed)
         for n in sizes
         for trial in range(ns.trials)
     ]
     rows = _map(_table_cell, cells)
-    out = Path(ns.out)
     _write_csv(out, _TABLE_CSV_HEADER, rows)
-    _write_manifest(out.with_suffix(out.suffix + ".manifest.json"), ns, [out])
+    _write_manifest(_manifest_path(out), ns, [out])
     print(f"rows={len(rows)} out={out}")
     return EXIT_OK
 
@@ -349,13 +358,13 @@ _REMOVED_FLAGS = {
 def cmd_replay(ns: argparse.Namespace) -> int:
     manifest = json.loads(Path(ns.manifest).read_text())
     if not isinstance(manifest, dict):
-        raise UsageError("manifest is not a JSON object")
+        raise ValueError("manifest is not a JSON object")
     sub = manifest["subcommand"]
     if not isinstance(sub, str) or sub not in _DISPATCH or sub == "replay":
-        raise UsageError(f"cannot replay subcommand {sub!r}")
+        raise ValueError(f"cannot replay subcommand {sub!r}")
     args = manifest["args"]
     if not isinstance(args, dict):
-        raise UsageError("manifest args is not a JSON object")
+        raise ValueError("manifest args is not a JSON object")
     # Every argument of the subcommand's parser must be recorded with a value
     # the parser could have produced, so a hand-edited manifest fails here,
     # before anything is written.
@@ -364,13 +373,13 @@ def cmd_replay(ns: argparse.Namespace) -> int:
             continue
         flag = (action.option_strings or [action.dest])[0]
         if action.dest not in args:
-            raise UsageError(f"manifest args lack {flag}")
+            raise ValueError(f"manifest args lack {flag}")
         value = args[action.dest]
         kind = bool if action.nargs == 0 else action.type or str
         if value is None and action.default is None and not action.required:
             continue
         if type(value) is not kind or action.choices and value not in action.choices:
-            raise UsageError(f"manifest gives {flag} the invalid value {value!r}")
+            raise ValueError(f"manifest gives {flag} the invalid value {value!r}")
     # Any other recorded flag must hold its old default, or the run recorded
     # is not the run this version would make.
     dests = {action.dest for action in _subparser(sub)._actions}
@@ -379,16 +388,16 @@ def cmd_replay(ns: argparse.Namespace) -> int:
         if key not in dests and (
             key not in removed or (type(value), value) != (type(removed[key]), removed[key])
         ):
-            raise UsageError(
+            raise ValueError(
                 f"manifest records --{key.replace('_', '-')} {json.dumps(value)}, "
                 "which this version no longer has")
     # A run replayed on other input bytes would overwrite its record.
     hashes = manifest.get("input_hashes")
     if not isinstance(hashes, dict) or any(type(h) is not str for h in hashes.values()):
-        raise UsageError("manifest input_hashes is not a JSON object of strings")
+        raise ValueError("manifest input_hashes is not a JSON object of strings")
     for name, digest in hashes.items():
         if not Path(name).is_file() or _sha256(name) != digest:
-            raise UsageError(f"input {name} changed since the manifest was written")
+            raise ValueError(f"input {name} changed since the manifest was written")
     return _DISPATCH[sub](argparse.Namespace(**{**args, "subcommand": sub}))
 
 
@@ -485,10 +494,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _DISPATCH[ns.subcommand](ns)
-    except InternalError as exc:
+    except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,7 +12,6 @@ Fixed (tournament, seed) yields an identical route trace and witness.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional
 
 from .exact import (
@@ -32,10 +31,6 @@ DEFAULT_EXACT_THRESHOLD = 16
 DEFAULT_EXACT_STATES = 150_000
 
 
-def _node_id(host_n: int, mask: int) -> str:
-    return hashlib.sha256(f"{host_n}:{mask:x}".encode()).hexdigest()[:12]
-
-
 def find_kth_power_path(
     t: Tournament,
     k: int,
@@ -46,7 +41,7 @@ def find_kth_power_path(
 
     k = 1 is the insertion Hamiltonian path; at most DEFAULT_EXACT_THRESHOLD
     vertices are solved exactly under DEFAULT_EXACT_STATES; otherwise the
-    greedy seeded from ``seed``. ``trace`` gets one record: the node id, the
+    greedy seeded from ``seed``. ``trace`` gets one record: the
     route ("insertion", "base" for the exact solve, or "greedy") and the
     length.
     """
@@ -61,8 +56,7 @@ def find_kth_power_path(
         rng = Rng(derive_seed(derive_seed(seed, "find"), "greedy"))
         route, path = "greedy", PowerPath(k, _greedy_mask(t, t.full_mask, k, rng))
     if not verify_power_path(t, path)[0]:
-        raise RuntimeError("internal error: unverified witness leaving driver")
+        raise RuntimeError("unverified witness leaving driver")
     if trace is not None:
-        node = _node_id(t.n, t.full_mask)
-        trace.append({"node": node, "route": route, "len": len(path)})
+        trace.append({"route": route, "len": len(path)})
     return path

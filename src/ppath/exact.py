@@ -34,10 +34,6 @@ from .rng import Rng, derive_seed
 from .tournament import Tournament
 
 
-class InvalidLabelError(ValueError):
-    """Witness references a vertex outside the host tournament."""
-
-
 @dataclass(frozen=True)
 class PowerPath:
     """A k-th power witness: vertex sequence plus its order k."""
@@ -103,7 +99,7 @@ def verify_power_path(
     seen: dict[int, int] = {}
     for pos, v in enumerate(verts):
         if not 0 <= v < t.n:
-            raise InvalidLabelError(f"vertex {v} outside 0..{t.n - 1}")
+            raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
         if v in seen:
             return False, (seen[v], pos)
         seen[v] = pos
@@ -415,7 +411,7 @@ def greedy_power_path(t: Tournament, k: int, seed: int = 0) -> PowerPath:
     rng = Rng(derive_seed(seed, "greedy"))
     path = PowerPath(k, _greedy_mask(t, t.full_mask, k, rng))
     if not verify_power_path(t, path)[0]:
-        raise RuntimeError("internal error: unverified greedy witness")
+        raise RuntimeError("unverified greedy witness")
     return path
 
 
@@ -432,6 +428,6 @@ def hamiltonian_path_insertion(t: Tournament) -> PowerPath:
             order.append(v)
     path = PowerPath(1, tuple(order))
     if not verify_power_path(t, path)[0]:
-        raise RuntimeError("internal error: unverified insertion witness")
+        raise RuntimeError("unverified insertion witness")
     return path
 

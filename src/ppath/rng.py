@@ -49,8 +49,9 @@ def derive_seed(seed: int, *labels: int | str) -> int:
 class Rng:
     """Sequential SplitMix64 stream with the draw helpers the package needs.
 
-    State is a single 64-bit integer, exposed via getstate/setstate so a
-    stream's position can be read, compared and restored exactly.
+    State is a single 64-bit integer, exposed via getstate so a stream's
+    position can be read and compared exactly; ``Rng(getstate())`` is a
+    stream that goes on from that position.
     """
 
     __slots__ = ("_state",)
@@ -60,9 +61,6 @@ class Rng:
 
     def getstate(self) -> int:
         return self._state
-
-    def setstate(self, state: int) -> None:
-        self._state = state & _MASK
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK

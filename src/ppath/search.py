@@ -30,10 +30,6 @@ _ENUMERATION_MAX_N = 7
 _ENUMERATION_BUDGET = SolveBudget(max_states=5_000_000)
 
 
-class UseAnnealInsteadError(ValueError):
-    """Exhaustive enumeration is only feasible up to n = 7."""
-
-
 def flip_edge(t: Tournament, i: int, j: int) -> Tournament:
     """Tournament with the orientation of pair {i, j} reversed."""
     if i == j:
@@ -184,7 +180,7 @@ def enumerate_min_pp(n: int, k: int) -> tuple[int, Tournament, int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _ENUMERATION_MAX_N:
-        raise UseAnnealInsteadError(
+        raise ValueError(
             f"enumeration beyond n = {_ENUMERATION_MAX_N} is infeasible")
     for x in range(1, n):
         reps = certify(x, k, n)[-1]

@@ -17,14 +17,6 @@ import numpy as np
 from .rng import _label_value, derive_seed
 
 
-class InvalidSizeError(ValueError):
-    """Vertex count outside the operation's domain."""
-
-
-class InvalidResiduesError(ValueError):
-    """Residue set is not an antisymmetric complete system mod n."""
-
-
 def _rows_to_packed(rows: tuple[int, ...]) -> np.ndarray:
     """Packed rows: an n x ceil(n/8) uint8 array whose row i is
     ``rows[i].to_bytes(ceil(n/8), "little")``, so bit j of ``rows[i]``
@@ -110,7 +102,7 @@ def _first_misoriented(packed: np.ndarray) -> Optional[tuple[int, int]]:
 def _validate_rows(rows: tuple[int, ...]) -> None:
     n = len(rows)
     if n < 1:
-        raise InvalidSizeError("tournament needs at least one vertex")
+        raise ValueError("tournament needs at least one vertex")
     for i, r in enumerate(rows):
         if r < 0 or r >> n:
             raise ValueError(f"row {i} has bits outside 0..{n - 1}")
@@ -164,7 +156,7 @@ def _unchecked(rows: tuple[int, ...]) -> Tournament:
 def transitive(n: int) -> Tournament:
     """Acyclic tournament with i -> j exactly when i < j."""
     if n < 1:
-        raise InvalidSizeError("n must be >= 1")
+        raise ValueError("n must be >= 1")
     full = (1 << n) - 1
     return _unchecked(tuple(full ^ ((1 << (i + 1)) - 1) for i in range(n)))
 
@@ -172,15 +164,15 @@ def transitive(n: int) -> Tournament:
 def rotational(n: int, residues: Iterable[int]) -> Tournament:
     """Vertex-transitive tournament with i -> j iff (j - i) mod n in residues."""
     if n < 1 or n % 2 == 0:
-        raise InvalidSizeError("n must be odd and positive")
+        raise ValueError("n must be odd and positive")
     res = {r % n for r in residues}
     if 0 in res:
-        raise InvalidResiduesError("residues must be nonzero mod n")
+        raise ValueError("residues must be nonzero mod n")
     if len(res) != (n - 1) // 2:
-        raise InvalidResiduesError(f"need exactly {(n - 1) // 2} distinct residues")
+        raise ValueError(f"need exactly {(n - 1) // 2} distinct residues")
     for d in res:
         if (n - d) in res:
-            raise InvalidResiduesError(f"residues contain both {d} and {n - d}")
+            raise ValueError(f"residues contain both {d} and {n - d}")
     rows = [0] * n
     for i in range(n):
         for d in res:
@@ -239,7 +231,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     triangle is (S ^ U) transposed, so the rows are U ^ transpose(S ^ U).
     """
     if n < 1:
-        raise InvalidSizeError("n must be >= 1")
+        raise ValueError("n must be >= 1")
     base = derive_seed(seed, _TOURNAMENT, n)
     nwords = (n * (n - 1) // 2 + 63) // 64
     z = np.arange(1, nwords + 1, dtype=np.uint64) * _GAMMA + base

@@ -16,10 +16,10 @@ orientation is checked once, on the packed rows and their bit transpose
 to the checks that name its first defect: the newline count, the row
 lengths, then a per-cell classifier.
 
-Defects raise MalformedHeader (first or count line), NonSquareMatrix (row
-count, row length, final newline), BadDiagonal ('-' off the diagonal or a
-digit on it), TrnError (any other character) or OrientationViolation (a pair
-oriented both ways or neither way); of several defects, any may be reported.
+A defect raises ValueError, whose message names it: the first or count
+line, the row count, a row's length or the final newline, '-' off the
+diagonal or a digit on it, any other character, or a pair oriented both ways
+or neither way; of several defects, any may be reported.
 """
 
 from __future__ import annotations
@@ -45,26 +45,6 @@ _CELL[[ord("0"), ord("1"), ord("-")]] = [0, 1, 2]
 _DIAGONAL = np.array([4, 4, 0, 3], dtype=np.uint8)
 
 
-class TrnError(ValueError):
-    """Base class for .trn parse failures."""
-
-
-class MalformedHeader(TrnError):
-    pass
-
-
-class NonSquareMatrix(TrnError):
-    pass
-
-
-class OrientationViolation(TrnError):
-    pass
-
-
-class BadDiagonal(TrnError):
-    pass
-
-
 def write_trn(t: Tournament) -> bytearray:
     """The .trn bytes of ``t``, in the one buffer they are written into."""
     n = t.n
@@ -82,14 +62,14 @@ def write_trn(t: Tournament) -> bytearray:
 def read_trn(data: bytes) -> Tournament:
     second = data.find(b"\n", len(_HEADER) + 1)
     if not data.startswith(_HEADER + b"\n") or second < 0:
-        raise MalformedHeader("first line must be 'TRN 1'")
+        raise ValueError("first line must be 'TRN 1'")
     count = data[len(_HEADER) + 1 : second]
     try:
         n = int(count)
     except ValueError:
-        raise MalformedHeader(f"bad vertex count line: {count!r}") from None
+        raise ValueError(f"bad vertex count line: {count!r}") from None
     if n < 1:
-        raise MalformedHeader("vertex count must be >= 1")
+        raise ValueError("vertex count must be >= 1")
     body = second + 1
     if (
         len(data) - body == n * (n + 1)
@@ -105,28 +85,28 @@ def read_trn(data: bytes) -> Tournament:
             if bad is None:
                 return _unchecked(_packed_to_rows(packed))
             way = "both ways" if mat[bad] else "neither way"
-            raise OrientationViolation(f"pair ({bad[0]},{bad[1]}) oriented {way}")
+            raise ValueError(f"pair ({bad[0]},{bad[1]}) oriented {way}")
     raise _body_defect(data, body, n)
 
 
-def _body_defect(data: bytes, body: int, n: int) -> TrnError:
+def _body_defect(data: bytes, body: int, n: int) -> ValueError:
     """The first defect of a body that failed the fast checks of ``read_trn``."""
     if data.count(b"\n", body) != n or not data.endswith(b"\n"):
-        return NonSquareMatrix(f"expected exactly {n} matrix rows plus final newline")
+        return ValueError(f"expected exactly {n} matrix rows plus final newline")
     if len(data) - body != n * (n + 1) or data[body + n :: n + 1] != b"\n" * n:
         lines = data[body:].split(b"\n")
         i = next(i for i, line in enumerate(lines) if len(line) != n)
-        return NonSquareMatrix(f"row {i} has {len(lines[i])} chars, expected {n}")
+        return ValueError(f"row {i} has {len(lines[i])} chars, expected {n}")
     # Some cell is invalid: classify them all to name the first.
     grid = np.frombuffer(data, np.uint8, offset=body).reshape(n, n + 1)
     codes = _CELL[grid[:, :n]]
     np.fill_diagonal(codes, _DIAGONAL[codes.diagonal()])
     i, j = divmod(int(np.argmax(codes > 1)), n)
     if codes[i, j] == 2:
-        return BadDiagonal(f"'-' off the diagonal at ({i},{j})")
+        return ValueError(f"'-' off the diagonal at ({i},{j})")
     if codes[i, j] == 4:
-        return BadDiagonal(f"diagonal ({i},{i}) must be '-'")
-    return TrnError(f"invalid character {chr(grid[i, j])!r} at ({i},{j})")
+        return ValueError(f"diagonal ({i},{i}) must be '-'")
+    return ValueError(f"invalid character {chr(grid[i, j])!r} at ({i},{j})")
 
 
 def load_trn(path: str | Path) -> Tournament:

@@ -7,7 +7,6 @@ from typing import Optional
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from ppath.exact import (  # noqa: E402
-    InvalidLabelError,
     PowerPath,
     longest_power_path_exact,
 )
@@ -118,7 +117,7 @@ def reference_verify_power_path(
     """The witness check as first written: one position at a time.
 
     Kept as the reference ``exact.verify_power_path`` must match, its result
-    and its ``InvalidLabelError`` alike: the first out-of-range label raises
+    and its ``ValueError`` alike: the first out-of-range label raises
     unless a duplicate comes before it, a duplicate returns its two
     positions, and then the first missing arc (i, j), i < j <= i + k, in
     order of i and then j.
@@ -126,7 +125,7 @@ def reference_verify_power_path(
     seen: dict[int, int] = {}
     for pos, v in enumerate(p.vertices):
         if not 0 <= v < t.n:
-            raise InvalidLabelError(f"vertex {v} outside 0..{t.n - 1}")
+            raise ValueError(f"vertex {v} outside 0..{t.n - 1}")
         if v in seen:
             return False, (seen[v], pos)
         seen[v] = pos

@@ -6,9 +6,12 @@ import sys
 import pytest
 
 import ppath.cli
+import ppath.driver
+import ppath.exact
+import ppath.search
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
-from ppath.exact import PowerPath, longest_power_path_exact, verify_power_path
+from ppath.exact import PowerPath, SolveBudget, longest_power_path_exact, verify_power_path
 from ppath.search import flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
@@ -131,7 +134,7 @@ class TestFind:
         assert tr1.read_bytes() == tr2.read_bytes()
         for line in tr1.read_text().splitlines():
             rec = json.loads(line)
-            assert set(rec) == {"node", "route", "len"}
+            assert set(rec) == {"route", "len"}
 
     @pytest.mark.parametrize("out, trace", [("w.json", "nodir/tr.jsonl"),
                                             ("nodir/w.json", "tr.jsonl")])
@@ -286,16 +289,28 @@ class TestSearch:
         (["enumerate"], ppath.cli, "enumerate_min_pp"),
         (["anneal"], ppath.cli, "anneal_min_pp"),
     ], ids=["enumerate", "anneal"])
-    def test_failed_run_creates_no_out_dir(self, tmp_path, monkeypatch, mode, target, name):
-        # --out-dir is made by the first write, so a run that raises before
+    def test_failed_run_creates_no_out_dir(self, tmp_path, monkeypatch, capsys,
+                                           mode, target, name):
+        # --out-dir is made by the first write, so a run that fails before
         # it has records leaves none.
         def killed(*args, **kwargs):
             raise RuntimeError("killed")
 
         monkeypatch.setattr(target, name, killed)
-        with pytest.raises(RuntimeError, match="killed"):
-            run(["search", "--mode", *mode, "--n", 5, "--out-dir", tmp_path / "s"])
+        assert run(["search", "--mode", *mode, "--n", 5, "--out-dir", tmp_path / "s"]) == 70
+        assert capsys.readouterr().err == "internal error: killed\n"
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("mode", [["enumerate", "--n", 4], ["anneal", "--n", 6, "--iters", 5]],
+                             ids=["enumerate", "anneal"])
+    def test_directory_at_results_csv_writes_nothing(self, tmp_path, capsys, mode):
+        # Every destination, the w_* files, results.csv and the manifest, is
+        # checked once the records exist and before the first is written.
+        out_dir = tmp_path / "s"
+        (out_dir / "results.csv").mkdir(parents=True)
+        assert run(["search", "--mode", *mode, "--out-dir", out_dir]) == 2
+        assert capsys.readouterr().err == f"error: {out_dir / 'results.csv'} is a directory\n"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_anneal_witnesses_stored(self, tmp_path):
         # Seed 18 at n = 10 improves on its initial tournament in the first
@@ -678,6 +693,26 @@ class TestWitnessGate:
                 in capsys.readouterr().err)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
 
+    @pytest.mark.parametrize("argv, target, name, value, message", [
+        (["find", "-k", 2], ppath.driver, "verify_power_path", lambda t, p: (False, (0, 0)),
+         "unverified witness leaving driver"),
+        (["solve", "--greedy", "-k", 2], ppath.exact, "verify_power_path",
+         lambda t, p: (False, (0, 0)), "unverified greedy witness"),
+        (["search", "--mode", "enumerate", "--n", 5, "--out-dir"], ppath.search,
+         "_ENUMERATION_BUDGET", SolveBudget(max_states=1),
+         "enumeration budget too small for exactness"),
+    ], ids=["find-driver", "solve-greedy", "search-certify-budget"])
+    def test_library_self_check_is_exit_70(self, tmp_path, capsys, monkeypatch,
+                                          argv, target, name, value, message):
+        # A self-check inside the library fails before the CLI's own gate.
+        monkeypatch.setattr(target, name, value)
+        trn = tmp_path / "t.trn"
+        save_trn(random_tournament(12, 3), trn)
+        assert run(argv + [tmp_path / "s" if argv[0] == "search" else trn]) == 70
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
+
 
 def test_module_entrypoint_smoke(tmp_path):
     out = tmp_path / "t.trn"
@@ -718,6 +753,26 @@ class TestEdgeCases:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, out", [
+        (["gen", "--type", "transitive", "--n", 5, "--out", "o.trn"], "o.trn"),
+        (["solve", "--exact", "-k", 2, "--out", "w.json", "{trn}"], "w.json"),
+        (["find", "-k", 2, "--out", "w.json", "--trace", "tr.jsonl", "{trn}"], "w.json"),
+        (["table", "--n-list", 5, "--trials", 1, "--method", "greedy", "--out", "t.csv"],
+         "t.csv"),
+    ], ids=["gen", "solve", "find", "table"])
+    def test_directory_at_manifest_path_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                       argv, out):
+        # The manifest path is checked with the other destinations, before
+        # the first write.
+        trn = tmp_path / "t.trn"
+        save_trn(random_tournament(20, 1), trn)
+        work = tmp_path / "work"
+        (work / f"{out}.manifest.json").mkdir(parents=True)
+        monkeypatch.chdir(work)
+        assert run([str(a).format(trn=trn) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {out}.manifest.json is a directory\n"
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
 
     def test_gen_rotational_single_vertex(self, tmp_path):
         out = tmp_path / "one.trn"

@@ -84,7 +84,7 @@ class TestFindSquarePath:
             trace = []
             path = find_kth_power_path(t, k, seed=7, trace=trace)
             (rec,) = trace
-            assert set(rec) == {"node", "route", "len"}
+            assert set(rec) == {"route", "len"}
             assert rec["route"] == route and rec["len"] == len(path)
 
     def test_output_never_beats_oracle_lowered_base(self, monkeypatch):

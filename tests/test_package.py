@@ -1,19 +1,27 @@
 import ppath
+import ppath.cli
 import ppath.exact
+import ppath.search
 import ppath.tournament
+import ppath.trn
 
 # Exports that left with the cluster digraph, the regularity probe, the
 # ordering dichotomy, the common out-neighborhood, the good pairs and chains,
 # the bipartite-pair densities, the vertex sets and induced subtournaments,
-# and the pp-only solve; none of them may come back as a stale entry.
+# the pp-only solve, and the exception classes that ValueError (bad input)
+# and RuntimeError (a failed self-check) replace; none of them may come back
+# as a stale entry.
 REMOVED = {
-    "BipartitePair", "BudgetExceededError", "ClusterDigraph", "EmptySetError",
-    "GoodPair", "OrderingCertificate", "OrientedGraph", "RegularityParams",
-    "VertexSet", "bipartite_pair", "build_cluster_digraph", "chain_power_path",
-    "common_out_neighborhood", "concatenate_along_cluster_path",
-    "directed_density", "find_good_pair", "good_pair_threshold", "induced",
-    "is_good_pair", "order_or_long_path", "pp_value", "random_oriented_graph",
-    "random_split", "sampled_regular",
+    "BadDiagonal", "BipartitePair", "BudgetExceededError", "ClusterDigraph",
+    "EmptySetError", "GoodPair", "InternalError", "InvalidLabelError",
+    "InvalidResiduesError", "InvalidSizeError", "MalformedHeader",
+    "NonSquareMatrix", "OrderingCertificate", "OrientationViolation",
+    "OrientedGraph", "RegularityParams", "TrnError", "UsageError",
+    "UseAnnealInsteadError", "VertexSet", "bipartite_pair",
+    "build_cluster_digraph", "chain_power_path", "common_out_neighborhood",
+    "concatenate_along_cluster_path", "directed_density", "find_good_pair",
+    "good_pair_threshold", "induced", "is_good_pair", "order_or_long_path",
+    "pp_value", "random_oriented_graph", "random_split", "sampled_regular",
 }
 
 
@@ -23,5 +31,6 @@ def test_exports_resolve_and_removed_names_are_gone():
     assert [n for n in ppath.__all__ if not hasattr(ppath, n)] == []
     assert REMOVED.isdisjoint(ppath.__all__)
     assert [n for n in REMOVED if hasattr(ppath, n)] == []
-    # Nor do the modules that defined the test-only ones keep them.
-    assert [n for n in REMOVED if hasattr(ppath.tournament, n) or hasattr(ppath.exact, n)] == []
+    # Nor do the modules that defined them keep them.
+    modules = (ppath.cli, ppath.exact, ppath.search, ppath.tournament, ppath.trn)
+    assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []

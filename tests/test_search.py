@@ -19,7 +19,6 @@ from ppath.rng import Rng, derive_seed
 from ppath.search import (
     AnnealChain,
     AnnealConfig,
-    UseAnnealInsteadError,
     anneal_min_pp,
     canonical_fingerprint,
     enumerate_min_pp,
@@ -139,7 +138,7 @@ class TestEnumerate:
             assert (mn, cnt, wit.rows) == pinned
 
     def test_large_n_rejected(self):
-        with pytest.raises(UseAnnealInsteadError):
+        with pytest.raises(ValueError, match="^enumeration beyond n = 7 is infeasible$"):
             enumerate_min_pp(8, 2)
 
 

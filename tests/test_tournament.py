@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from conftest import reference_random_rows
 from ppath.rng import derive_seed
 from ppath.tournament import (
-    InvalidResiduesError,
-    InvalidSizeError,
     Tournament,
     _bit_transpose,
     _first_misoriented,
@@ -55,7 +53,7 @@ class TestTransitive:
         assert [transitive(4).out_degree(v) for v in range(4)] == [3, 2, 1, 0]
 
     def test_zero_rejected(self):
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
             transitive(0)
 
 
@@ -78,13 +76,13 @@ class TestRotational:
                 assert (t.rows[x] & t.rows[y]).bit_count() == 1
 
     def test_bad_residues(self):
-        with pytest.raises(InvalidResiduesError):
+        with pytest.raises(ValueError, match="^residues contain both 1 and 4$"):
             rotational(5, {1, 4})  # 4 = -1 mod 5
-        with pytest.raises(InvalidResiduesError):
-            rotational(5, {1})  # wrong count
-        with pytest.raises(InvalidResiduesError):
+        with pytest.raises(ValueError, match="^need exactly 2 distinct residues$"):
+            rotational(5, {1})
+        with pytest.raises(ValueError, match="^residues must be nonzero mod n$"):
             rotational(5, {0, 1})
-        with pytest.raises(InvalidSizeError):
+        with pytest.raises(ValueError, match="^n must be odd and positive$"):
             rotational(4, {1})
 
 
