@@ -41,9 +41,8 @@ def find_kth_power_path(
 
     k = 1 is the insertion Hamiltonian path; at most DEFAULT_EXACT_THRESHOLD
     vertices are solved exactly under DEFAULT_EXACT_STATES; otherwise the
-    greedy seeded from ``seed``. ``trace`` gets one record: the
-    route ("insertion", "base" for the exact solve, or "greedy") and the
-    length.
+    greedy seeded from ``seed``. ``trace`` gets one record: the route
+    ("insertion", "base" for the exact solve, or "greedy") and the length.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

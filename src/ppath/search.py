@@ -180,8 +180,7 @@ def enumerate_min_pp(n: int, k: int) -> tuple[int, Tournament, int]:
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > _ENUMERATION_MAX_N:
-        raise ValueError(
-            f"enumeration beyond n = {_ENUMERATION_MAX_N} is infeasible")
+        raise ValueError(f"enumeration beyond n = {_ENUMERATION_MAX_N} is infeasible")
     for x in range(1, n):
         reps = certify(x, k, n)[-1]
         if reps:
