@@ -8,9 +8,9 @@ input bytes, reproducing the outputs byte-for-byte: no output depends on the
 clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error, any
 ``ValueError``, ``KeyError`` or ``OSError`` (a malformed replay manifest, one
 that records a flag this version no longer has at other than its old default
-or a changed replay input too, and any file that cannot be read or written:
-missing, a directory, no permission; every destination, manifest included,
-is checked before the first write), 3 the ``solve --exact`` budget
+or a changed or unhashed replay input too, and any file that cannot be read
+or written: missing, a directory, no permission; every destination, manifest
+included, is checked before the first write), 3 the ``solve --exact`` budget
 exhausted, 70 an internal fault, any ``RuntimeError``: a witness failed
 self-verification, or another self-check of the library failed.
 """
@@ -45,7 +45,7 @@ from .search import (
     enumerate_min_pp,
 )
 from .tournament import Tournament, random_tournament, rotational, transitive
-from .trn import load_trn, save_trn
+from .trn import load_trn, save_trn, write_trn
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -122,11 +122,11 @@ def _sha256(name: str) -> str:
     return hashlib.sha256(Path(name).read_bytes()).hexdigest()
 
 
-def _write_witness(t: Tournament, witness: PowerPath, out: Path) -> None:
-    """Write the witness JSON, once it verifies against ``t``."""
+def _witness_json(t: Tournament, witness: PowerPath) -> bytes:
+    """The witness JSON, once it verifies against ``t``."""
     if not verify_power_path(t, witness)[0]:
         raise RuntimeError("emitted witness failed self-verification")
-    out.write_bytes(_json_bytes({"k": witness.k, "vertices": list(witness.vertices)}))
+    return _json_bytes({"k": witness.k, "vertices": list(witness.vertices)})
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
@@ -187,7 +187,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     else:
         path = greedy_power_path(t, ns.k, seed=ns.seed)
         method = "greedy"
-    _write_witness(t, path, out)
+    out.write_bytes(_witness_json(t, path))
     _write_manifest(_manifest_path(out), ns, [out], [ns.input])
     print(f"pp={len(path)} method={method} verified=true")
     return EXIT_BUDGET if exceeded else EXIT_OK
@@ -203,7 +203,7 @@ def cmd_find(ns: argparse.Namespace) -> int:
     _check_destinations(out, ns.trace, _manifest_path(out))
     trace: Optional[list] = [] if ns.trace else None
     path = find_kth_power_path(t, ns.k, seed=ns.seed, trace=trace)
-    _write_witness(t, path, out)
+    out.write_bytes(_witness_json(t, path))
     outputs = [out]
     if ns.trace:
         lines = "".join(
@@ -239,11 +239,6 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 # search
 
 
-# The flags only the anneal reads; enumeration refuses them at other than
-# their defaults.
-_ANNEAL_ONLY = ("iters", "temp", "cool", "moves", "budget_states")
-
-
 def cmd_search(ns: argparse.Namespace) -> int:
     if ns.k < 1:
         raise ValueError("-k must be >= 1")
@@ -253,9 +248,9 @@ def cmd_search(ns: argparse.Namespace) -> int:
         if ns.n > _ENUMERATION_MAX_N:
             raise ValueError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
                              "use --mode anneal")
-        for action in _subparser("search")._actions:
-            if action.dest in _ANNEAL_ONLY and getattr(ns, action.dest) != action.default:
-                raise ValueError(f"{action.option_strings[0]} requires --mode anneal")
+        # Enumeration would ignore --iters, which only the anneal reads.
+        if ns.iters != _subparser("search").get_default("iters"):
+            raise ValueError("--iters requires --mode anneal")
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         rec = SearchRecord(
             n=ns.n,
@@ -274,26 +269,29 @@ def cmd_search(ns: argparse.Namespace) -> int:
     else:
         cfg = AnnealConfig(
             iterations=ns.iters,
-            initial_temperature=ns.temp,
-            cooling_rate=ns.cool,
-            moves_per_step=ns.moves,
+            initial_temperature=0.8,
+            cooling_rate=0.95,
+            moves_per_step=6,
             seed=derive_seed(ns.seed, "chain", 0),
         )
-        records = anneal_min_pp(ns.n, ns.k, cfg, SolveBudget(max_states=ns.budget_states))
+        records = anneal_min_pp(ns.n, ns.k, cfg)
         # The chain records only a strict drop of its best pp, so the pp makes
         # the tag unique even for several records of one iteration.
         specs = [(f"c00_i{rec.iteration:06d}_p{rec.pp}", rec) for rec in records]
+    # Every witness is checked before the first write.
+    files = {}
+    rows = []
+    for tag, rec in specs:
+        files[f"w_{tag}.json"] = _witness_json(rec.tournament, rec.witness)
+        files[f"w_{tag}.trn"] = write_trn(rec.tournament)
+        rows.append(f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},{int(rec.bound_flag)},"
+                    f"{rec.method},{rec.seed},w_{tag}.json")
     # --out-dir is made only once the records exist.
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = [f"w_{tag}.{ext}" for tag, _ in specs for ext in ("json", "trn")]
-    _check_destinations(*(out_dir / name for name in [*names, "results.csv", "manifest.json"]))
-    rows = []
-    for tag, rec in specs:
-        _write_witness(rec.tournament, rec.witness, out_dir / f"w_{tag}.json")
-        save_trn(rec.tournament, out_dir / f"w_{tag}.trn")
-        rows.append(f"{rec.n},{rec.k},{rec.fingerprint},{rec.pp},{int(rec.bound_flag)},"
-                    f"{rec.method},{rec.seed},w_{tag}.json")
+    _check_destinations(*(out_dir / name for name in [*files, "results.csv", "manifest.json"]))
+    for name, data in files.items():
+        (out_dir / name).write_bytes(data)
     csv_path = out_dir / "results.csv"
     _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
     _write_manifest(out_dir / "manifest.json", ns, [csv_path])
@@ -351,7 +349,8 @@ def cmd_table(ns: argparse.Namespace) -> int:
 _REMOVED_FLAGS = {
     "find": {"eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8},
     "solve": {"budget_ms": None},
-    "search": {"chains": 1, "checkpoint_every": 0, "resume": None, "stop_after": None},
+    "search": {"chains": 1, "checkpoint_every": 0, "resume": None, "stop_after": None,
+               "temp": 0.8, "cool": 0.95, "moves": 6, "budget_states": 400_000},
 }
 
 
@@ -398,6 +397,11 @@ def cmd_replay(ns: argparse.Namespace) -> int:
     for name, digest in hashes.items():
         if not Path(name).is_file() or _sha256(name) != digest:
             raise ValueError(f"input {name} changed since the manifest was written")
+    # Inputs no hash covers could be any bytes.
+    inputs = [args["input"]] if "input" in dests else []
+    if sorted(hashes) != inputs:
+        raise ValueError(f"manifest input_hashes name {sorted(hashes)}, "
+                         f"not the run's inputs {inputs}")
     return _DISPATCH[sub](argparse.Namespace(**{**args, "subcommand": sub}))
 
 
@@ -450,10 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("-k", type=int, default=2)
     se.add_argument("--seed", type=int, default=0)
     se.add_argument("--iters", type=int, default=200)
-    se.add_argument("--temp", type=float, default=0.8)
-    se.add_argument("--cool", type=float, default=0.95)
-    se.add_argument("--moves", type=int, default=6)
-    se.add_argument("--budget-states", type=int, default=400_000, dest="budget_states")
     se.add_argument("--out-dir", required=True, dest="out_dir")
 
     tb = sub.add_parser("table", help="experiment CSV: length statistics vs n")

@@ -160,9 +160,10 @@ def longest_power_path_exact(
 
     Without a ``target`` below n, a tournament that is not strong is solved
     one strong component at a time, in condensation order; a one-vertex
-    component needs no walk. Each component beats every later one, so a k-th
-    power of a path visits them in that order, pp is the sum of theirs, and
-    the least maximum witness is the concatenation of theirs. ``states``
+    component's walk ends at its first child, in 0 states and before any
+    budget check. Each component beats every later one, so a k-th power of
+    a path visits them in that order, pp is the sum of theirs, and the
+    least maximum witness is the concatenation of theirs. ``states``
     sums the components' walks, which share the budget. When a component's
     walk trips, the earlier components' witnesses are followed by the longer
     of two tails, the first on a tie: its best prefix, then greedy (seeded 0)
@@ -184,9 +185,6 @@ def longest_power_path_exact(
     path: list[int] = []
     states = 0
     for i, block in enumerate(blocks):
-        if not block & (block - 1):
-            path.append(block.bit_length() - 1)
-            continue
         res = _walk(t, k, max_states - states, block.bit_count(), block)
         states += res.states
         if not res.optimal:

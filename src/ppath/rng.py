@@ -63,18 +63,14 @@ class Rng:
         return self._state
 
     def next_u64(self) -> int:
+        z = splitmix64(self._state)
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return z
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
-        if n & (n - 1) == 0:
-            return self.next_u64() & (n - 1)
         span = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

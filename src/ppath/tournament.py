@@ -8,13 +8,12 @@ inputs.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .rng import _label_value, derive_seed
+from .rng import derive_seed
 
 
 def _rows_to_packed(rows: tuple[int, ...]) -> np.ndarray:
@@ -188,30 +187,23 @@ _MIX = tuple(
     for s, m in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB))
 )
 _LAST = np.array(31, np.uint64)
-# The stream label's FNV-1a hash, taken once rather than by every call.
-_TOURNAMENT = _label_value("tournament")
 _ALL = np.array(2**64 - 1, np.uint64)
 _ONE = np.array(1, np.uint64)
 _63 = np.array(63, np.uint64)
 
 
-@functools.cache
 def _reads(n: int, ones: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(at, low, high) for the 2n rows ``random_tournament`` reads at n
     vertices, with its all-ones run from word ``ones`` on: row r is the
     words from byte ``at[r]`` on, shifted down ``low[r]`` bits, and
     ``high[r]`` is 63 - low[r]. Row i < n is the upper triangle's, from bit
     i (2n - 3 - i) / 2 + 63 on; row n + i is its mask, from 1 + i bits
-    before the all-ones run. Cached: they cost a dozen numpy calls, and the
-    same few sizes are asked for again and again."""
+    before the all-ones run."""
     i = np.arange(n, dtype=np.uint64)
     # max(.., 0) keeps the factor unsigned at n = 1, where i is only 0.
     start = np.concatenate(((max(2 * n - 3, 0) - i) * i // 2 + 63, 64 * ones - 1 - i))
     low = (start & 7)[:, None]
-    reads = (start >> 3, low, _63 - low)
-    for a in reads:
-        a.setflags(write=False)
-    return reads
+    return start >> 3, low, _63 - low
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -232,7 +224,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = derive_seed(seed, _TOURNAMENT, n)
+    base = derive_seed(seed, "tournament", n)
     nwords = (n * (n - 1) // 2 + 63) // 64
     z = np.arange(1, nwords + 1, dtype=np.uint64) * _GAMMA + base
     for shift, mult in _MIX:

@@ -1,9 +1,9 @@
 """Bit-exact .trn on-disk format for tournaments.
 
-Layout: line 1 ``TRN 1``; line 2 the decimal vertex count; then n lines of
-exactly n characters over {'0','1','-'} with '-' only on the diagonal and
-char j of line i equal to '1' iff i->j. Lines end with '\n'; no trailing
-whitespace anywhere.
+Layout: line 1 ``TRN 1``; line 2 the decimal vertex count, with no sign,
+spaces or leading zeros; then n lines of exactly n characters over
+{'0','1','-'} with '-' only on the diagonal and char j of line i equal to
+'1' iff i->j. Lines end with '\n'; no trailing whitespace anywhere.
 
 The codec is vectorised: it maps the n x (n+1) byte grid of the body to and
 from packed rows (``tournament._rows_to_packed``) in numpy. ``write_trn``
@@ -66,6 +66,10 @@ def read_trn(data: bytes) -> Tournament:
     count = data[len(_HEADER) + 1 : second]
     try:
         n = int(count)
+        # Only what write_trn writes: int() also takes '+', spaces,
+        # underscores and leading zeros.
+        if count != b"%d" % n:
+            raise ValueError
     except ValueError:
         raise ValueError(f"bad vertex count line: {count!r}") from None
     if n < 1:

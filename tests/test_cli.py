@@ -261,22 +261,22 @@ class TestSearch:
             assert not (tmp_path / "s").exists()
 
     def test_anneal_flags_rejected_in_enumerate_mode(self, tmp_path, capsys):
-        # Enumeration would ignore them; the first one off its default is named.
+        # Enumeration would ignore --iters; the retired schedule flags are
+        # not flags at all, in either mode.
         base = ["search", "--mode", "enumerate", "--n", 3]
-        for flags, message in [
-            (["--budget-states", 1, "--iters", 5, "--temp", 9], "--iters requires --mode anneal"),
-            (["--iters", 0], "--iters requires --mode anneal"),
-            (["--temp", 0.5], "--temp requires --mode anneal"),
-            (["--cool", 0.9], "--cool requires --mode anneal"),
-            (["--moves", 1], "--moves requires --mode anneal"),
-            (["--budget-states", 1], "--budget-states requires --mode anneal"),
-        ]:
+        for flags in (["--iters", 5], ["--iters", 0]):
             assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
-            assert capsys.readouterr().err == f"error: {message}\n"
+            assert capsys.readouterr().err == "error: --iters requires --mode anneal\n"
             assert not (tmp_path / "s").exists()
-        # Each at its default, the run is the plain enumeration.
-        assert run(base + ["--iters", 200, "--temp", 0.8, "--cool", 0.95, "--moves", 6,
-                           "--budget-states", 400_000, "--out-dir", tmp_path / "s"]) == 0
+        for mode in ("enumerate", "anneal"):
+            for flag, value in [("--temp", 0.8), ("--cool", 0.95), ("--moves", 6),
+                                ("--budget-states", 400_000)]:
+                assert run(["search", "--mode", mode, "--n", 3, flag, value,
+                            "--out-dir", tmp_path / "s"]) == 2
+                assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+                assert not (tmp_path / "s").exists()
+        # At its default, the run is the plain enumeration.
+        assert run(base + ["--iters", 200, "--out-dir", tmp_path / "s"]) == 0
 
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -392,6 +392,7 @@ class TestReplay:
         gen = ["gen", "--type", "transitive", "--n", 5, "--out", tmp_path / "x.trn"]
         search = ["search", "--mode", "enumerate", "--n", 3, "--out-dir", tmp_path / "s"]
         solve = ["solve", "--exact", "--out", tmp_path / "w.json", trn]
+        find = ["find", "--out", tmp_path / "w.json", trn]
         gone = tmp_path / "gone.trn"
         for manifest, message in [
             ({"subcommand": "gen", "args": {"type": "transitive"}},
@@ -405,7 +406,9 @@ class TestReplay:
              "error: manifest gives --type the invalid value 'bogus'"),
             (parsed(search, mode="bogus"),
              "error: manifest gives --mode the invalid value 'bogus'"),
-            (parsed(search, temp=1), "error: manifest gives --temp the invalid value 1"),
+            (parsed(search, iters=1.0), "error: manifest gives --iters the invalid value 1.0"),
+            (parsed(search, temp=1),
+             "error: manifest records --temp 1, which this version no longer has"),
             (parsed(gen), "error: manifest input_hashes is not a JSON object of strings"),
             (parsed(solve, [digest]), "error: manifest input_hashes is not a JSON object"),
             (parsed(solve, {str(trn): 5}), "error: manifest input_hashes is not a JSON"),
@@ -413,6 +416,12 @@ class TestReplay:
              f"error: input {trn} changed since the manifest was written"),
             (parsed(solve, {str(trn): digest, str(gone): digest}),
              f"error: input {gone} changed since the manifest was written"),
+            # Without its hash, the input could be any file: replay would
+            # overwrite the recorded witness with one of other bytes.
+            (parsed(find, {}),
+             f"error: manifest input_hashes name [], not the run's inputs ['{trn}']"),
+            (parsed(gen, {str(trn): digest}),
+             f"error: manifest input_hashes name ['{trn}'], not the run's inputs []"),
         ]:
             man.write_text(json.dumps(manifest))
             assert run(["replay", man]) == 2
@@ -555,7 +564,8 @@ class TestReplay:
 def _old_search_manifest(out_dir, chains):
     """The manifest of ``search --mode anneal --n 6 --seed 3 --iters 30``, as
     written while search had --chains, --checkpoint-every, --resume and
-    --stop-after, with --chains at ``chains``."""
+    --stop-after, with --chains at ``chains``, and --temp, --cool, --moves and
+    --budget-states."""
     return (
         '{\n "args": {\n  "budget_states": 400000,\n'
         f'  "chains": {chains},\n  "checkpoint_every": 0,\n  "cool": 0.95,\n'
@@ -584,12 +594,46 @@ class TestOldSearchManifests:
         assert manifest.read_bytes() == old
         assert {p: p.read_bytes() for p in d.iterdir() if p != manifest} == outputs
 
+    def test_schedule_flags_at_defaults_replay_byte_identical(self, tmp_path):
+        # A manifest written once the run-control flags were gone, while the
+        # schedule flags were still there, replays the same chain.
+        d = tmp_path / "s"
+        assert run(["search", "--mode", "anneal", "--n", 6, "--seed", 3, "--iters", 30,
+                    "--out-dir", d]) == 0
+        manifest = d / "manifest.json"
+        outputs = {p: p.read_bytes() for p in d.iterdir() if p != manifest}
+        for p in outputs:
+            p.unlink()
+        run_control = (b'"chains"', b'"checkpoint_every"', b'"resume"', b'"stop_after"')
+        old = b"".join(line for line in _old_search_manifest(d, 1).splitlines(keepends=True)
+                       if not line.lstrip().startswith(run_control))
+        manifest.write_bytes(old)
+        assert run(["replay", manifest]) == 0
+        assert manifest.read_bytes() == old
+        assert {p: p.read_bytes() for p in d.iterdir() if p != manifest} == outputs
+
     def test_two_chains_is_refused(self, tmp_path, capsys):
         d, manifest = tmp_path / "s", tmp_path / "m.json"
         manifest.write_bytes(_old_search_manifest(d, 2))
         assert run(["replay", manifest]) == 2
         assert capsys.readouterr().err == (
             "error: manifest records --chains 2, which this version no longer has\n")
+        assert list(tmp_path.iterdir()) == [manifest]
+
+    @pytest.mark.parametrize("recorded, flag", [
+        ((b'"temp": 0.8', b'"temp": 0.5'), "--temp 0.5"),
+        ((b'"cool": 0.95', b'"cool": 0.9'), "--cool 0.9"),
+        ((b'"moves": 6', b'"moves": 6.0'), "--moves 6.0"),
+        ((b'"budget_states": 400000', b'"budget_states": 5'), "--budget-states 5"),
+    ], ids=["temp", "cool", "moves", "budget-states"])
+    def test_schedule_flag_off_its_default_is_refused(self, tmp_path, capsys, recorded, flag):
+        # The anneal runs at the schedule and budget these flags had by
+        # default; a manifest that records another value names another run.
+        d, manifest = tmp_path / "s", tmp_path / "m.json"
+        manifest.write_bytes(_old_search_manifest(d, 1).replace(*recorded))
+        assert run(["replay", manifest]) == 2
+        assert capsys.readouterr().err == (
+            f"error: manifest records {flag}, which this version no longer has\n")
         assert list(tmp_path.iterdir()) == [manifest]
 
 
@@ -635,8 +679,7 @@ class TestManifests:
         assert json.loads((d / "manifest.json").read_text()) == {
             "subcommand": "search",
             "args": {"mode": "anneal", "n": 5, "k": 2, "seed": 2, "iters": 10,
-                     "temp": 0.8, "cool": 0.95, "moves": 6,
-                     "budget_states": 400_000, "out_dir": str(d)},
+                     "out_dir": str(d)},
             "seed": 2,
             "tool": "ppath",
             "version": "0.1.0",
@@ -692,6 +735,25 @@ class TestWitnessGate:
         assert ("internal error: emitted witness failed self-verification"
                 in capsys.readouterr().err)
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
+
+    def test_later_search_witness_failing_writes_nothing(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # Seed 18 at n = 10 makes two records in its first step; only the
+        # second witness fails, and every witness is checked before any write.
+        calls = []
+
+        def second_fails(t, p):
+            calls.append(p)
+            return (True, None) if len(calls) != 2 else (False, (0, 0))
+
+        monkeypatch.setattr(ppath.cli, "verify_power_path", second_fails)
+        assert run(["search", "--mode", "anneal", "--n", 10, "--seed", 18, "--iters", 1,
+                    "--out-dir", tmp_path / "s"]) == 70
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "internal error: emitted witness failed self-verification\n")
+        assert len(calls) == 2
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     @pytest.mark.parametrize("argv, target, name, value, message", [
         (["find", "-k", 2], ppath.driver, "verify_power_path", lambda t, p: (False, (0, 0)),

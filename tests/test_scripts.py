@@ -5,6 +5,7 @@ import ast
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,26 @@ def test_benchmark_imports_resolve():
                 break
             owner = getattr(owner, part)
     assert missing == set()
+
+
+def test_benchmark_commands_parse(tmp_path, monkeypatch):
+    # Every command line the benchmark passes to ppath.cli.main must parse,
+    # so a removed or renamed flag fails here, not every benchmark run.
+    from ppath.cli import build_parser
+
+    # Its dataclasses look their module up in sys.modules.
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)
+    spec.loader.exec_module(workloads)
+    ops = [op for make in workloads.WORKLOADS.values() for op in make(tmp_path, 1)]
+    ops += [make(tmp_path) for make in workloads.PROBES.values()]
+    ops += workloads.self_check_ops(tmp_path)
+    argvs = [cmd for op in ops for cmd in op.commands if isinstance(cmd, list)]
+    assert {argv[0] for argv in argvs} == {"gen", "find", "solve", "search"}
+    for argv in argvs:
+        build_parser().parse_args(argv)
 
 
 def _bench_stdout(run_s, same=True, failed=0):

@@ -65,8 +65,16 @@ def test_malformed_header():
         read_trn(b"TRN 1\nxx\n-1\n0-\n")
     with pytest.raises(ValueError, match="^vertex count must be >= 1$"):
         read_trn(b"TRN 1\n0\n")
+    with pytest.raises(ValueError, match="^vertex count must be >= 1$"):
+        read_trn(b"TRN 1\n-3\n")
     with pytest.raises(ValueError, match="^first line must be 'TRN 1'$"):
         read_trn(b"")
+    # The count line is what write_trn writes, str(n), and nothing int() would
+    # also take.
+    for count in (b" 3", b"3 ", b"+3", b"03", b"3\r"):
+        with pytest.raises(ValueError) as info:
+            read_trn(b"TRN 1\n" + count + b"\n-11\n0-1\n00-\n")
+        assert str(info.value) == f"bad vertex count line: {count!r}"
 
 
 def test_non_square():
