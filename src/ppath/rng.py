@@ -71,6 +71,9 @@ class Rng:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:
             raise ValueError("randrange bound must be positive")
+        # Above 2^64 the span below is 0 and no word would ever be accepted.
+        if n > 1 << 64:
+            raise ValueError("randrange bound must be at most 2^64")
         span = (1 << 64) - ((1 << 64) % n)
         while True:
             u = self.next_u64()

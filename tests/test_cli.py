@@ -2,6 +2,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -114,6 +116,34 @@ class TestSolve:
         bad = tmp_path / "bad.trn"
         bad.write_bytes(b"TRN 1\n2\n-1\n1-\n")
         assert run(["solve", "--exact", "-k", 2, bad]) == 2
+
+    @pytest.mark.parametrize("mode, flag, value, error", [
+        ("--greedy", "--budget-states", 5, "--budget-states requires --exact"),
+        ("--exact", "--seed", 9, "--seed requires --greedy"),
+    ])
+    def test_flag_the_mode_ignores_is_refused(self, tmp_path, capsys, mode, flag, value,
+                                              error):
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(10, 1), trn)
+        assert run(["solve", mode, flag, value, trn]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == [trn]
+        # At its default, the flag changes nothing.
+        dest = flag[2:].replace("-", "_")
+        assert run(["solve", mode, flag, ppath.cli._subparser("solve").get_default(dest),
+                    trn]) == 0
+        # A manifest that records another value records a run this version
+        # refuses, so replay exits 2 and rewrites nothing.
+        out = tmp_path / "r.trn.witness.json"
+        manifest = tmp_path / "r.trn.witness.json.manifest.json"
+        recorded = json.loads(manifest.read_text())
+        recorded["args"][dest] = value
+        manifest.write_text(json.dumps(recorded))
+        out.unlink()
+        capsys.readouterr()
+        assert run(["replay", manifest]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
 
 
 class TestFind:
@@ -455,9 +485,11 @@ class TestReplay:
         assert run(["replay", manifest]) == 0
         assert snapshot() == before
 
-    def test_find_trace_replay_byte_identical(self, tmp_path):
+    # 1100 vertices make an input above _THREADED_HASH_BYTES.
+    @pytest.mark.parametrize("n", [300, 1100])
+    def test_find_trace_replay_byte_identical(self, tmp_path, n):
         trn = tmp_path / "t.trn"
-        save_trn(random_tournament(300, 2), trn)
+        save_trn(random_tournament(n, 2), trn)
         self._assert_replay_reproduces(
             tmp_path, ["find", "-k", 2, "--seed", 1, "--trace", tmp_path / "tr.jsonl", trn],
             tmp_path / "t.trn.witness.json.manifest.json", inputs=[trn])
@@ -698,14 +730,14 @@ class TestManifests:
             return json.loads((tmp_path / f"{out}.manifest.json").read_text())["args"]
 
         exact, greedy, named = tmp_path / "e.json", tmp_path / "g.json", tmp_path / "x.json"
-        assert run(["solve", "--exact", "-k", 3, "--seed", 5, "--budget-states", 99_999,
+        assert run(["solve", "--exact", "-k", 3, "--budget-states", 99_999,
                     "--out", exact, trn]) == 0
-        assert run(["solve", "--greedy", "--out", greedy, trn]) == 0
+        assert run(["solve", "--greedy", "--seed", 5, "--out", greedy, trn]) == 0
         assert args("e.json") == {"exact": True, "greedy": False, "k": 3,
-                                  "budget_states": 99_999, "seed": 5, "out": str(exact),
+                                  "budget_states": 99_999, "seed": 0, "out": str(exact),
                                   "input": str(trn)}
         assert args("g.json") == {"exact": False, "greedy": True, "k": 2,
-                                  "budget_states": 1_000_000, "seed": 0, "out": str(greedy),
+                                  "budget_states": 1_000_000, "seed": 5, "out": str(greedy),
                                   "input": str(trn)}
         assert run(["find", "-k", 3, "--seed", 4, "--trace", trace, "--out", named, trn]) == 0
         assert run(["find", trn]) == 0
@@ -713,6 +745,85 @@ class TestManifests:
                                   "input": str(trn)}
         assert args("t.trn.witness.json") == {"k": 2, "seed": 0, "trace": None, "out": None,
                                               "input": str(trn)}
+
+
+class TestInputHash:
+    """solve and find hash an input of at least _THREADED_HASH_BYTES on a
+    second thread, and a smaller one on the calling thread; the manifest is
+    the same either way."""
+
+    @pytest.fixture
+    def hash_threads(self, monkeypatch):
+        """The names of the threads each _sha256 call ran on."""
+        names = []
+        sha256 = ppath.cli._sha256
+
+        def spy(name):
+            names.append(threading.current_thread().name)
+            return sha256(name)
+
+        monkeypatch.setattr(ppath.cli, "_sha256", spy)
+        return names
+
+    # A 600-vertex file is below the constant and a 1100-vertex one above it;
+    # each is more than one 256 KiB read.
+    @pytest.mark.parametrize("n, threaded", [(600, False), (1100, True)])
+    @pytest.mark.parametrize("argv", [["find"], ["solve", "--greedy"]],
+                             ids=["find", "solve-greedy"])
+    def test_input_hashes_are_the_file_sha256(self, tmp_path, hash_threads, n, threaded,
+                                              argv):
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(n, 3), trn)
+        data = trn.read_bytes()
+        assert (len(data) >= ppath.cli._THREADED_HASH_BYTES) == threaded
+        assert len(data) > 1 << 18
+        assert run([*argv, trn]) == 0
+        manifest = json.loads((tmp_path / "r.trn.witness.json.manifest.json").read_text())
+        assert manifest["input_hashes"] == {str(trn): hashlib.sha256(data).hexdigest()}
+        assert (hash_threads[0] != threading.main_thread().name) == threaded
+        assert len(hash_threads) == 1
+
+    def test_malformed_large_input_leaves_no_thread(self, tmp_path, monkeypatch, capsys):
+        # The hash is slowed so that load_trn fails while the thread still runs.
+        sha256 = ppath.cli._sha256
+
+        def slow(name):
+            time.sleep(0.2)
+            return sha256(name)
+
+        monkeypatch.setattr(ppath.cli, "_sha256", slow)
+        bad = tmp_path / "bad.trn"
+        bad.write_bytes(b"3\n" + b"x" * ppath.cli._THREADED_HASH_BYTES)
+        threads = threading.active_count()
+        assert run(["find", bad]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert threading.active_count() == threads
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize("n", [600, 1100])
+    def test_hash_error_exits_2(self, tmp_path, monkeypatch, capsys, n):
+        def unreadable(name):
+            raise PermissionError(f"cannot read {name}")
+
+        monkeypatch.setattr(ppath.cli, "_sha256", unreadable)
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(n, 3), trn)
+        threads = threading.active_count()
+        assert run(["find", trn]) == 2
+        assert capsys.readouterr().err == f"error: cannot read {trn}\n"
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("argv", [["find"], ["solve", "--exact"], ["solve", "--greedy"]],
+                             ids=["find", "solve-exact", "solve-greedy"])
+    def test_input_is_loaded_once(self, tmp_path, monkeypatch, argv):
+        # The benchmark's tracer times the input read by wrapping cli.load_trn.
+        calls = []
+        load = ppath.cli.load_trn
+        monkeypatch.setattr(ppath.cli, "load_trn", lambda path: calls.append(path) or load(path))
+        trn = tmp_path / "r.trn"
+        save_trn(random_tournament(12, 3), trn)
+        assert run([*argv, trn]) == 0
+        assert calls == [str(trn)]
 
 
 class TestWitnessGate:

@@ -1,3 +1,6 @@
+import threading
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +31,30 @@ def test_randrange_in_bounds(seed, bound):
     rng = Rng(seed)
     for _ in range(10):
         assert 0 <= rng.randrange(bound) < bound
+
+
+def test_randrange_takes_two_to_the_64():
+    # Every word is accepted, so the draw is the word itself.
+    assert Rng(1).randrange(2**64) == Rng(1).next_u64()
+
+
+@pytest.mark.parametrize("bound", [2**64 + 1, 2**65, 3 * 2**64])
+def test_randrange_refuses_bounds_above_two_to_the_64(bound):
+    # A draw that accepts no word never returns, so it runs on a thread
+    # joined with a timeout: a hang fails the test rather than the suite.
+    raised = []
+
+    def draw():
+        try:
+            Rng(1).randrange(bound)
+        except ValueError as exc:
+            raised.append(str(exc))
+
+    worker = threading.Thread(target=draw, daemon=True)
+    worker.start()
+    worker.join(timeout=5)
+    assert not worker.is_alive()
+    assert raised == ["randrange bound must be at most 2^64"]
 
 
 def test_shuffle_and_sample_are_permutations():
