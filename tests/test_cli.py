@@ -485,13 +485,19 @@ class TestReplay:
         assert run(["replay", manifest]) == 0
         assert snapshot() == before
 
-    # 1100 vertices make an input above _THREADED_HASH_BYTES.
-    @pytest.mark.parametrize("n", [300, 1100])
-    def test_find_trace_replay_byte_identical(self, tmp_path, n):
+    def test_find_trace_replay_byte_identical(self, tmp_path):
         trn = tmp_path / "t.trn"
-        save_trn(random_tournament(n, 2), trn)
+        save_trn(random_tournament(300, 2), trn)
         self._assert_replay_reproduces(
             tmp_path, ["find", "-k", 2, "--seed", 1, "--trace", tmp_path / "tr.jsonl", trn],
+            tmp_path / "t.trn.witness.json.manifest.json", inputs=[trn])
+
+    def test_find_replay_of_threaded_hash_input_byte_identical(self, tmp_path):
+        # 1100 vertices make an input above _THREADED_HASH_BYTES.
+        trn = tmp_path / "t.trn"
+        save_trn(random_tournament(1100, 2), trn)
+        self._assert_replay_reproduces(
+            tmp_path, ["find", "-k", 2, "--seed", 1, trn],
             tmp_path / "t.trn.witness.json.manifest.json", inputs=[trn])
 
     def test_table_replay_rows_identical(self, tmp_path):
