@@ -26,7 +26,9 @@ at least 9 of every 10 pairs, and its median beats the parent's by more
 than the parent's q3 - q1). Per workload and seed also
 ``all_same_as_pinned``, ``failed`` (failed ops over all runs) and
 ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
-side on the first seed, under ``traced.<workload>``. A workload already in
+side on the first seed, under ``traced.<workload>``, with ``counts_equal``:
+for each metric whose unit is ``count``, whether every traced run of both
+sides reads the same value. A workload already in
 the output file is replaced; the others are kept, so one file can gather
 several invocations on the same two trees. When a run exits nonzero, the
 pairs finished before it are summarised and written as above, with a
@@ -125,6 +127,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> dict:
         "max_failed_frac": max((r["failed_frac"] or 0.0) for r in runs),
         "metrics": metrics,
     }
+
+
+def counts_equal(pairs: list[tuple[dict, dict]]) -> dict[str, bool]:
+    """For each metric of unit ``count`` in (parent run, change run) pairs,
+    whether every run of both sides reads the same value."""
+    runs = [r for pair in pairs for r in pair]
+    return {name: len({r["metrics"][name] for r in runs}) == 1
+            for name, unit in runs[0]["units"].items() if unit == "count"}
 
 
 def verdict(metric: dict, bound: float) -> dict:
@@ -268,6 +278,8 @@ def main(argv=None) -> int:
                     "runs in the order made.",
             **{side: [pair[i]["metrics"] for pair in pairs] for i, side in enumerate(SIDES)},
         }
+        if pairs:
+            out["traced"][args.workload]["counts_equal"] = counts_equal(pairs)
     if failed:
         out["failed_run"] = failed
     args.out.write_text(json.dumps(out, indent=1) + "\n")

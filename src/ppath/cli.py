@@ -209,6 +209,11 @@ def _read_witness(path: Path) -> PowerPath:
 
 
 def cmd_gen(ns: argparse.Namespace) -> int:
+    # Each type reads at most one of these flags; the others would ignore it.
+    if ns.residues is not None and ns.type != "rotational":
+        raise ValueError("--residues requires --type rotational")
+    if ns.seed != _subparser("gen").get_default("seed") and ns.type != "random":
+        raise ValueError("--seed requires --type random")
     out = Path(ns.out)
     if ns.n < 1:
         raise ValueError("--n must be >= 1")
@@ -490,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a tournament .trn file")
     g.add_argument("--type", required=True, choices=["random", "transitive", "rotational"])
     g.add_argument("--n", type=int, required=True)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=0, help="random only")
     g.add_argument("--residues", default=None, help="comma list, rotational only")
     g.add_argument("--out", required=True)
 

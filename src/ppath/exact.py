@@ -9,12 +9,12 @@ on exhaustion it returns the best witness found so far, flagged as a lower
 bound. The witness is the first maximum-length prefix the walk visits, which
 is the lexicographically least maximum sequence. The walk stops at the first
 spanning prefix, and skips a state whose unused reachable vertices cannot
-make a prefix longer than the best one so far. The first bound counts the
-unused vertices reachable by out-arcs; for k >= 2, when it keeps a state,
-a second one counts only those that a chain of consecutive pairs can reach,
-each new vertex beaten by the two before it. A ``target`` makes it a
-decision procedure: the walk also stops at the first prefix of ``target``
-vertices, so ``target = X + 1`` answers "is pp > X?" without finding pp.
+make a prefix longer than the best one so far. For k = 1 they are the
+unused vertices reachable by out-arcs; for k >= 2 only those that a chain
+of consecutive pairs can reach, each new vertex beaten by the two before
+it. A ``target`` makes it a decision procedure: the walk also stops at the
+first prefix of ``target`` vertices, so ``target = X + 1`` answers "is
+pp > X?" without finding pp.
 Each expanded prefix keeps on its stack frame the memo-key bits of its last
 k - 1 labels and the AND of their rows, so trying a child costs a few
 big-int operations whatever k is. Without a ``target`` below n the walk runs
@@ -136,20 +136,19 @@ def longest_power_path_exact(
 
     The first n-vertex prefix ends the walk. A state is pruned (it enters the
     memo unexpanded, and counts in ``states``) when its prefix length plus
-    the vertices reachable from its candidates by out-arcs among the unused
-    vertices is at most the best length so far: no completion of it can be
-    longer, and the best length only grows, so the witness is unchanged.
-    For k >= 2 a state that bound keeps, and whose candidates alone fit in
-    the room left, is tried against a second one: the pair closure. It
-    starts from the pairs (v, x), v the state's last vertex and x a
-    candidate, and a pair (a, y) leads to (y, c) for every unused c that
-    both a and y beat. Each later vertex of a k-th power of a path, k >= 2,
-    is a common out-neighbour of the two before it, so every continuation
-    uses only second vertices of reached pairs; the state is pruned when
-    there are at most as many of them as the room left. Both bounds only
-    skip subtrees with no prefix longer than the best one, so best lengths
-    grow exactly as without them; only ``states`` and budget trip points
-    depend on them.
+    the unused vertices its continuations can reach is at most the best
+    length so far: no completion of it can be longer, and the best length
+    only grows, so the witness is unchanged. For k = 1 those vertices are
+    the closure of the state's candidates under out-arcs among the unused
+    vertices. For k >= 2 they are the pair closure: it starts from the pairs
+    (v, x), v the state's last vertex and x a candidate, and a pair (a, y)
+    leads to (y, c) for every unused c that both a and y beat. Each later
+    vertex of a k-th power of a path, k >= 2, is a common out-neighbour of
+    the two before it, so every continuation uses only second vertices of
+    reached pairs. Each of those is an out-neighbour of an earlier one, so
+    the pair closure lies inside the out-arc closure and prunes every state
+    the out-arc closure would; only ``states`` and budget trip points
+    depend on the bound.
 
     ``target`` (None means n; a value above n acts as n; below 1 raises
     ValueError) ends the walk at the first prefix of ``target`` vertices.
@@ -266,47 +265,37 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
                 return ExactResult(PowerPath(k, best), False, states)
             free = full ^ child_used
             nxt = w & rows[v] & free
-            # Every later vertex is an out-neighbour of the one before it, so
-            # all of them lie in the closure of nxt under out-arcs in free.
             room = best_len - d
-            reach = frontier = nxt
-            while frontier and reach.bit_count() <= room:
-                c = frontier & -frontier
-                grown = rows[c.bit_length() - 1] & free & ~reach
-                reach |= grown
-                frontier = (frontier ^ c) | grown
-            if reach.bit_count() > room and k > 1 and nxt.bit_count() <= room:
-                # The pair closure: from (v, x), x in nxt, a pair (a, y) leads
-                # to (y, c) for c in rows[a] & rows[y] & free. succ[y] gathers
-                # the c of the pairs (y, c) reached so far, done[y] those
-                # already followed; it stops once reach exceeds room.
-                succ = [0] * n
-                done = [0] * n
-                rv = rows[v] & free
-                m = reach = todo = nxt
-                while m:
-                    c = m & -m
-                    m ^= c
-                    x = c.bit_length() - 1
-                    succ[x] = rv & rows[x]
-                while todo:
-                    c = todo & -todo
-                    todo ^= c
-                    a = c.bit_length() - 1
-                    grown = succ[a] & ~done[a]
-                    done[a] = succ[a]
+            reach = nxt
+            if k == 1:
+                # Every later vertex is an out-neighbour of the one before
+                # it, so all of them lie in the closure of nxt under out-arcs
+                # in free.
+                frontier = nxt
+                while frontier and reach.bit_count() <= room:
+                    c = frontier & -frontier
+                    grown = rows[c.bit_length() - 1] & free & ~reach
                     reach |= grown
-                    if reach.bit_count() > room:
-                        break
+                    frontier = (frontier ^ c) | grown
+            elif nxt.bit_count() <= room:
+                # The pair closure: a pair (a, y) leads to (y, c) for c in
+                # rows[a] & rows[y] & free, from the pairs (v, x), x in nxt.
+                # succ[y] gathers the c reached; an entry (a, gained) holds
+                # the pairs (a, y), y in gained, not yet followed.
+                succ = [0] * n
+                work = [(v, nxt)]
+                while work and reach.bit_count() <= room:
+                    a, grown = work.pop()
                     ra = rows[a] & free
                     while grown:
                         c = grown & -grown
                         grown ^= c
                         y = c.bit_length() - 1
-                        pair = ra & rows[y]
-                        if pair & ~succ[y]:
-                            succ[y] |= pair
-                            todo |= c
+                        gained = ra & rows[y] & ~succ[y]
+                        if gained:
+                            succ[y] |= gained
+                            reach |= gained
+                            work.append((y, gained))
             if reach.bit_count() <= room:
                 memo.add(child)
                 states += 1

@@ -46,6 +46,40 @@ class TestGen:
     def test_missing_flags_exit_2(self, tmp_path):
         assert run(["gen", "--type", "transitive", "--out", tmp_path / "x.trn"]) == 2
 
+    @pytest.mark.parametrize("gen_type, flag, value, error", [
+        ("random", "--residues", "1,2", "--residues requires --type rotational"),
+        ("transitive", "--residues", "1,2", "--residues requires --type rotational"),
+        ("transitive", "--seed", 4, "--seed requires --type random"),
+        ("rotational", "--seed", 3, "--seed requires --type random"),
+    ])
+    def test_flag_the_type_ignores_is_refused(self, tmp_path, capsys, gen_type, flag,
+                                              value, error):
+        out = tmp_path / "g.trn"
+        argv = ["gen", "--type", gen_type, "--n", 5, "--out", out]
+        if gen_type == "rotational":
+            argv[-2:-2] = ["--residues", "1,2"]
+        assert run(argv[:-2] + [flag, value] + argv[-2:]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert list(tmp_path.iterdir()) == []
+        # Without the flag the type runs; a manifest that records the flag
+        # records a run this version refuses, so replay exits 2 and rewrites
+        # nothing.
+        assert run(argv) == 0
+        manifest = tmp_path / "g.trn.manifest.json"
+        recorded = json.loads(manifest.read_text())
+        recorded["args"][flag[2:]] = value
+        manifest.write_text(json.dumps(recorded))
+        out.unlink()
+        capsys.readouterr()
+        assert run(["replay", manifest]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not out.exists()
+
+    def test_seed_at_its_default_is_accepted(self, tmp_path):
+        out = tmp_path / "t.trn"
+        assert run(["gen", "--type", "transitive", "--n", 4, "--seed", 0, "--out", out]) == 0
+        assert out.read_bytes() == write_trn(transitive(4))
+
 
 class TestSolve:
     def test_exact_transitive(self, tmp_path, capsys):

@@ -320,6 +320,22 @@ class TestExactSolver:
         assert res.optimal and res.states == 0
         assert res.path.vertices == tuple(range(1500))
 
+    @pytest.mark.parametrize("build, k, expected", [
+        pytest.param(lambda t: t, 2, (16, 398), id="blowup18"),
+        pytest.param(lambda t: relabel(t, list(range(17, -1, -1))), 2, (16, 398),
+                     id="blowup18_reversed"),
+        pytest.param(lambda t: flip_edge(triangle_chain(21), 0, 20), 2, (14, 37_579),
+                     id="strong_chain21"),
+        pytest.param(lambda t: random_tournament(40, 1), 3, (40, 9_676), id="random40_k3"),
+    ])
+    def test_walk_matches_pinned_counts_at_benchmark_sizes(self, build, k, expected):
+        # (len(path), states) past the digest's n <= 17: the 18-vertex
+        # blow-ups solve_exact runs, a strong chain and a k = 3 walk.
+        t = build(blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows))
+        res = longest_power_path_exact(t, k)
+        assert res.optimal and (len(res.path), res.states) == expected
+        assert verify_power_path(t, res.path)[0]
+
     def test_results_match_pinned_digest(self):
         # (path, optimal, states) of every solve of the grid. Re-pinned when
         # a tripped component came to keep greedy over itself and the rest

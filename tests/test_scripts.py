@@ -291,6 +291,39 @@ def test_bench_pairs_verdicts_on_fabricated_runs(tmp_path):
         "within_bound": True, "claim_met": False}
 
 
+def test_bench_pairs_counts_equal_on_fabricated_runs(tmp_path):
+    module = _load(SCRIPTS / "bench_pairs.py")
+
+    def traced(run_s, states, calls):
+        run = module.parse_run(_bench_stdout(run_s))
+        run["metrics"].update({"exact.states": states, "exact.calls": calls})
+        run["units"].update({"exact.states": "count", "exact.calls": "count"})
+        return run
+
+    # Only metrics of unit count are compared: run_s differs in every run.
+    pairs = [(traced(0.16, 1522, 4), traced(0.10, 1522, 4)),
+             (traced(0.15, 1522, 4), traced(0.11, 1522, 5))]
+    assert module.counts_equal(pairs) == {
+        "witness_vertices": True, "exact.states": True, "exact.calls": False}
+
+    # bench_pairs.py writes it under traced.<workload>. A traced run's last
+    # line also holds trace.run_s, which the progress lines print.
+    parent, change = _stand_in_checkouts(tmp_path, tmp_path / "order.log")
+    plain = _bench_stdout(0.10)
+    traced_out = plain.replace('"metrics": {', '"metrics": {"trace.run_s": '
+                               '{"value": 0.2, "unit": "s"}, ')
+    for checkout in (parent, change):
+        (checkout / "perfbench" / "run.py").write_text(
+            f"import sys\nprint({traced_out!r} if sys.argv[8] == '1' else {plain!r}, end='')\n")
+    out = tmp_path / "BENCH.json"
+    assert module.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "find_large", "--seeds", "1", "--pairs", "1",
+                        "--traced-runs", "2", "--out", str(out)]) == 0
+    traced_runs = json.loads(out.read_text())["traced"]["find_large"]
+    assert len(traced_runs["parent"]) == len(traced_runs["change"]) == 2
+    assert traced_runs["counts_equal"] == {"witness_vertices": True}
+
+
 def test_bench_pairs_keeps_finished_pairs_when_a_run_fails(tmp_path):
     # The third run, the change's in pair 2 of seed 1, fails: pair 1 is
     # summarised and written with the failed run, no run follows it, and
