@@ -280,20 +280,20 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
             elif nxt.bit_count() <= room:
                 # The pair closure: a pair (a, y) leads to (y, c) for c in
                 # rows[a] & rows[y] & free, from the pairs (v, x), x in nxt.
-                # succ[y] gathers the c reached; an entry (a, gained) holds
-                # the pairs (a, y), y in gained, not yet followed.
-                succ = [0] * n
+                # unseen[y] has the bits of the c with (y, c) not reached
+                # yet; an entry (a, gained) holds the pairs (a, y), y in
+                # gained, not yet followed.
+                unseen = [-1] * n
                 work = [(v, nxt)]
                 while work and reach.bit_count() <= room:
                     a, grown = work.pop()
                     ra = rows[a] & free
                     while grown:
-                        c = grown & -grown
-                        grown ^= c
-                        y = c.bit_length() - 1
-                        gained = ra & rows[y] & ~succ[y]
+                        y = grown.bit_length() - 1
+                        grown ^= 1 << y
+                        gained = ra & rows[y] & unseen[y]
                         if gained:
-                            succ[y] |= gained
+                            unseen[y] ^= gained
                             reach |= gained
                             work.append((y, gained))
             if reach.bit_count() <= room:
