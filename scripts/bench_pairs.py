@@ -28,9 +28,9 @@ than the parent's q3 - q1). Per workload and seed also
 ``max_failed_frac``. ``--traced-runs N`` adds N ``--trace 1`` runs per
 side on the first seed, under ``traced.<workload>``, with ``counts_equal``:
 for each metric whose unit is ``count``, whether every traced run of both
-sides reads the same value. A workload already in
-the output file is replaced; the others are kept, so one file can gather
-several invocations on the same two trees. When a run exits nonzero, the
+sides reads the same value. A workload already in the output file is
+replaced; the others are kept, so one file can gather several invocations
+on the same two trees. When a run exits nonzero, the
 pairs finished before it are summarised and written as above, with a
 ``failed_run`` record (workload, side, seed, 1-based pair, exit code,
 command and checkout), and the script exits 1.
