@@ -15,8 +15,9 @@ The output keeps the layout of ``BENCH_pr16.json``. ``parent`` and
 checkout with uncommitted edits reads ``<commit>-dirty tree <id>``, where
 ``<id>`` is the first 12 hex digits of the git tree of every file in it that
 git does not ignore, untracked ones included: a commit of exactly those
-files has that tree (``git rev-parse HEAD^{tree}``). ``claimed`` holds the
-workload and metric of ``--claim``. Per workload and seed,
+files has that tree (``git rev-parse HEAD^{tree}``). ``src_lines`` holds
+each side's ``wc -l src/ppath/*.py`` total. ``claimed`` holds the workload
+and metric of ``--claim``. Per workload and seed,
 for each end-to-end metric, each side's inclusive quartiles and runs,
 ``change_wins`` (pairs the change is better in the metric's direction) and
 ``ties``, and a verdict: ``within_bound`` (the change's median is no worse
@@ -218,6 +219,12 @@ def _git_rev(checkout: Path):
     return None if tree is None else f"{rev} tree {tree[:12]}"
 
 
+def _src_lines(checkout: Path) -> int:
+    """The total ``wc -l`` of the checkout's ``src/ppath/*.py``."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (checkout / "src" / "ppath").glob("*.py"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -248,6 +255,7 @@ def main(argv=None) -> int:
         if out.get(side, rev) != rev:
             ap.error(f"{args.out} holds runs of {side} {out[side]}, not of {rev}")
         out[side] = rev
+    out["src_lines"] = {side: _src_lines(checkout) for side, checkout in checkouts.items()}
     if args.claim is not None:
         out["claimed"] = {"workload": workload, "metric": metric}
     out["command"] = (f"python3 perfbench/run.py --workload <workload> --seed <seed> "

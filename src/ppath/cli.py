@@ -72,15 +72,12 @@ _TABLE_CSV_HEADER = "n,seed,method,length"
 
 
 def workers_from_env() -> int:
-    """Worker cap from PPATH_THREADS (0 = auto)."""
+    """Worker cap from PPATH_THREADS (0 = auto); any other value than an
+    integer >= 0 is refused."""
     raw = os.environ.get("PPATH_THREADS", "1")
-    try:
-        w = int(raw)
-    except ValueError:
-        return 1
-    if w == 0:
-        return os.cpu_count() or 1
-    return max(1, w)
+    if not raw.isdecimal():
+        raise ValueError(f"PPATH_THREADS must be an integer >= 0, not {raw!r}")
+    return int(raw) or os.cpu_count() or 1
 
 
 def _map(fn, jobs: list) -> list:

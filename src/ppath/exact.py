@@ -9,12 +9,11 @@ on exhaustion it returns the best witness found so far, flagged as a lower
 bound. The witness is the first maximum-length prefix the walk visits, which
 is the lexicographically least maximum sequence. The walk stops at the first
 spanning prefix, and skips a state whose unused reachable vertices cannot
-make a prefix longer than the best one so far. For k = 1 they are the
-unused vertices reachable by out-arcs; for k >= 2 only those that a chain
-of consecutive pairs can reach, each new vertex beaten by the two before
-it. A ``target`` makes it a decision procedure: the walk also stops at the
-first prefix of ``target`` vertices, so ``target = X + 1`` answers "is
-pp > X?" without finding pp.
+make a prefix longer than the best one so far: those that a chain of
+consecutive pairs can reach, each new vertex beaten by the one before it
+and, for k >= 2, by the two before it. A ``target`` makes it a decision
+procedure: the walk also stops at the first prefix of ``target`` vertices,
+so ``target = X + 1`` answers "is pp > X?" without finding pp.
 Each expanded prefix keeps on its stack frame the memo-key bits of its last
 k - 1 labels and the AND of their rows, so trying a child costs a few
 big-int operations whatever k is. Without a ``target`` below n the walk runs
@@ -138,17 +137,15 @@ def longest_power_path_exact(
     memo unexpanded, and counts in ``states``) when its prefix length plus
     the unused vertices its continuations can reach is at most the best
     length so far: no completion of it can be longer, and the best length
-    only grows, so the witness is unchanged. For k = 1 those vertices are
-    the closure of the state's candidates under out-arcs among the unused
-    vertices. For k >= 2 they are the pair closure: it starts from the pairs
-    (v, x), v the state's last vertex and x a candidate, and a pair (a, y)
-    leads to (y, c) for every unused c that both a and y beat. Each later
-    vertex of a k-th power of a path, k >= 2, is a common out-neighbour of
+    only grows, so the witness is unchanged. Those vertices are the pair
+    closure: it starts from the pairs (v, x), v the state's last vertex and
+    x a candidate, and a pair (a, y) leads to (y, c) for every unused c that
+    y beats and, for k >= 2, a beats too. Each later vertex of a k-th power
+    of a path is an out-neighbour of the one before it and, for k >= 2, of
     the two before it, so every continuation uses only second vertices of
-    reached pairs. Each of those is an out-neighbour of an earlier one, so
-    the pair closure lies inside the out-arc closure and prunes every state
-    the out-arc closure would; only ``states`` and budget trip points
-    depend on the bound.
+    reached pairs. For k = 1 the pair closure is the closure of the
+    candidates under out-arcs among the unused vertices; only ``states``
+    and budget trip points depend on the bound.
 
     ``target`` (None means n; a value above n acts as n; below 1 raises
     ValueError) ends the walk at the first prefix of ``target`` vertices.
@@ -226,14 +223,16 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
     the first new state past ``max_states`` (which may be 0)."""
     n = t.n
     rows = t.rows
-    shift = max(7, n.bit_length())
-    # A state's key is the bit 1, its tail's labels in ``shift`` bits each,
-    # and the used set in the low n bits. An expanded prefix keeps ``base``,
-    # the key bits of its last k - 1 labels, and ``w``, the AND of their rows,
-    # so a child v costs ``base | v << n | used`` and ``w & rows[v] & ~used``.
-    top = 1 << shift * (k - 1)
-    mask = top - 1
+    shift = n.bit_length()
+    # A state's key is its tail's labels in ``shift`` bits each above the
+    # used set in the low n bits; the used set fixes the tail's length,
+    # min(|used|, k). An expanded prefix keeps ``base``, the key bits of its
+    # last k - 1 labels, and ``w``, the AND of their rows, so a child v costs
+    # ``base | v << n | used`` and ``w & rows[v] & ~used``.
+    mask = (1 << shift * (k - 1)) - 1
     high = shift + n
+    # For k = 1 a restricts nothing, so the pair closure is the out-arc closure.
+    lead = rows if k > 1 else [full] * n
     memo: set[int] = set()
     states = 0
     best: tuple[int, ...] = ()
@@ -243,8 +242,7 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
     used = 0
     # The empty prefix is the root: every vertex extends it, and it is no state.
     cand = w = full
-    base = 1 << high
-    key = 0
+    base = key = 0
     stack: list[tuple[int, int, int, int]] = []
     while True:
         if cand:
@@ -267,19 +265,9 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
             nxt = w & rows[v] & free
             room = best_len - d
             reach = nxt
-            if k == 1:
-                # Every later vertex is an out-neighbour of the one before
-                # it, so all of them lie in the closure of nxt under out-arcs
-                # in free.
-                frontier = nxt
-                while frontier and reach.bit_count() <= room:
-                    c = frontier & -frontier
-                    grown = rows[c.bit_length() - 1] & free & ~reach
-                    reach |= grown
-                    frontier = (frontier ^ c) | grown
-            elif nxt.bit_count() <= room:
+            if nxt.bit_count() <= room:
                 # The pair closure: a pair (a, y) leads to (y, c) for c in
-                # rows[a] & rows[y] & free, from the pairs (v, x), x in nxt.
+                # lead[a] & rows[y] & free, from the pairs (v, x), x in nxt.
                 # unseen[y] has the bits of the c with (y, c) not reached
                 # yet; an entry (a, gained) holds the pairs (a, y), y in
                 # gained, not yet followed.
@@ -287,7 +275,7 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
                 work = [(v, nxt)]
                 while work and reach.bit_count() <= room:
                     a, grown = work.pop()
-                    ra = rows[a] & free
+                    ra = lead[a] & free
                     while grown:
                         y = grown.bit_length() - 1
                         grown ^= 1 << y
@@ -306,11 +294,10 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
             used = child_used
             key = child
             cand = nxt
+            base = (child >> n & mask) << high
             if d < k:
-                base = (child ^ used) << shift
                 w &= rows[v]
             else:
-                base = ((child >> n & mask) | top) << high
                 w = full
                 for u in prefix[d - k + 1:]:
                     w &= rows[u]

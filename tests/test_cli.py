@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -928,11 +930,15 @@ class TestWitnessGate:
 
 
 def test_module_entrypoint_smoke(tmp_path):
+    # The child imports this checkout's src first, never an installed copy.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = tmp_path / "t.trn"
     proc = subprocess.run(
         [sys.executable, "-m", "ppath", "gen", "--type", "transitive",
          "--n", "3", "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert out.exists()
@@ -947,6 +953,24 @@ def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
                     "--method", "greedy", "--out", out]) == 0
         rows[workers] = out.read_bytes()
     assert rows["1"] == rows["3"]
+
+
+@pytest.mark.parametrize("workers", ["abc", "-3", "1.5", ""])
+def test_malformed_worker_count_is_refused(tmp_path, monkeypatch, capsys, workers):
+    monkeypatch.setenv("PPATH_THREADS", workers)
+    out = tmp_path / "tab.csv"
+    assert run(["table", "--n-list", "4", "--trials", 2, "--method", "greedy",
+                "--out", out]) == 2
+    assert "PPATH_THREADS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_worker_count_means_auto(tmp_path, monkeypatch):
+    monkeypatch.setenv("PPATH_THREADS", "0")
+    assert ppath.cli.workers_from_env() >= 1
+    out = tmp_path / "tab.csv"
+    assert run(["table", "--n-list", "4", "--trials", 2, "--method", "greedy",
+                "--out", out]) == 0
 
 
 class TestEdgeCases:

@@ -155,9 +155,15 @@ def _stand_in_checkouts(tmp_path, log, fail_call=0):
     # Each side's checkout holds a stand-in perfbench/run.py that logs its
     # side and prints fabricated results, so no benchmark runs here; the
     # ``fail_call``-th run of either side (counted from 1) exits 5 instead.
-    for side, run_s in (("parent", 0.16), ("change", 0.10)):
+    # Its src/ppath holds 5 lines of .py files on the parent side and 3 on
+    # the change side, and a .txt file that is not counted.
+    for side, run_s, py_lines in (("parent", 0.16, (3, 2)), ("change", 0.10, (3,))):
         checkout = tmp_path / side
         (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "src" / "ppath").mkdir(parents=True)
+        for i, lines in enumerate(py_lines):
+            (checkout / "src" / "ppath" / f"m{i}.py").write_text("x = 1\n" * lines)
+        (checkout / "src" / "ppath" / "notes.txt").write_text("not code\n")
         (checkout / "BENCHMARK.json").write_text(json.dumps({
             "run_seconds": 30,
             "workloads": [{"name": "find_large"}, {"name": "solve_exact"}],
@@ -223,6 +229,7 @@ def test_bench_pairs_summary_on_fabricated_runs(tmp_path):
     dirty, _, tree = bench["change"].partition(" tree ")
     assert dirty == _git(change, "rev-parse", "--short=7", "HEAD") + "-dirty"
     assert bench["claimed"] == {"workload": "find_large", "metric": "run_s"}
+    assert bench["src_lines"] == {"parent": 5, "change": 3}
     # A claim outside BENCHMARK.json, or runs of another tree added to the
     # same file (an untracked file makes one, and so does a commit), exit 2
     # and leave the file as it was.

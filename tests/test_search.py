@@ -143,19 +143,23 @@ class TestEnumerate:
 
 
 class TestCertify:
-    @pytest.mark.parametrize("x, n_max, sizes", [
-        (3, 8, [1, 1, 2, 2, 0]),
-        (4, 7, [1, 1, 2, 4, 5, 1, 0]),
-        (5, 8, [1, 1, 2, 4, 12, 19, 6, 0]),
+    @pytest.mark.parametrize("x, k, n_max, sizes", [
+        (3, 2, 8, [1, 1, 2, 2, 0]),
+        (4, 2, 7, [1, 1, 2, 4, 5, 1, 0]),
+        (5, 2, 8, [1, 1, 2, 4, 12, 19, 6, 0]),
         # Every class (A000568): the dedup keeps exactly one per class.
-        (7, 7, [1, 1, 2, 4, 12, 56, 456]),
+        (7, 2, 7, [1, 1, 2, 4, 12, 56, 456]),
+        # Every tournament has a Hamiltonian path, so none on 7 vertices has
+        # pp_1 <= 6; a k = 1 walk run with the k >= 2 closure keeps 25.
+        (6, 1, 7, [1, 1, 2, 4, 12, 56, 0]),
+        (4, 3, 12, [1, 1, 2, 4, 10, 20, 19, 8, 2, 1, 1, 0]),
     ])
-    def test_level_sizes(self, x, n_max, sizes):
-        levels = search.certify(x, 2, n_max)
+    def test_level_sizes(self, x, k, n_max, sizes):
+        levels = search.certify(x, k, n_max)
         assert [len(level) for level in levels] == sizes
         for m, level in enumerate(levels, 1):
             for t in level:
-                assert t.n == m and len(longest_power_path_exact(t, 2).path) <= x
+                assert t.n == m and len(longest_power_path_exact(t, k).path) <= x
 
     def test_tripped_solve_raises(self, monkeypatch):
         monkeypatch.setattr(search, "_ENUMERATION_BUDGET", SolveBudget(max_states=1))
