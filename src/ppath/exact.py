@@ -231,7 +231,7 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
     # ``base | v << n | used`` and ``w & rows[v] & ~used``.
     mask = (1 << shift * (k - 1)) - 1
     high = shift + n
-    # For k = 1 a restricts nothing, so the pair closure is the out-arc closure.
+    # At k = 1 a pair (a, y) needs no arc a -> c, so the closure is the out-arc closure.
     lead = rows if k > 1 else [full] * n
     memo: set[int] = set()
     states = 0

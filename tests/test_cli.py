@@ -945,14 +945,15 @@ def test_module_entrypoint_smoke(tmp_path):
 
 
 def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
+    # 0 means one worker per CPU.
     rows = {}
-    for workers in ("1", "3"):
+    for workers in ("1", "3", "0"):
         monkeypatch.setenv("PPATH_THREADS", workers)
         out = tmp_path / f"tab{workers}.csv"
         assert run(["table", "--n-list", "4,6", "--trials", 3,
                     "--method", "greedy", "--out", out]) == 0
         rows[workers] = out.read_bytes()
-    assert rows["1"] == rows["3"]
+    assert rows["1"] == rows["3"] == rows["0"]
 
 
 @pytest.mark.parametrize("workers", ["abc", "-3", "1.5", ""])
@@ -963,14 +964,6 @@ def test_malformed_worker_count_is_refused(tmp_path, monkeypatch, capsys, worker
                 "--out", out]) == 2
     assert "PPATH_THREADS" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-
-
-def test_zero_worker_count_means_auto(tmp_path, monkeypatch):
-    monkeypatch.setenv("PPATH_THREADS", "0")
-    assert ppath.cli.workers_from_env() >= 1
-    out = tmp_path / "tab.csv"
-    assert run(["table", "--n-list", "4", "--trials", 2, "--method", "greedy",
-                "--out", out]) == 0
 
 
 class TestEdgeCases:
