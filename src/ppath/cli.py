@@ -10,7 +10,8 @@ clock. Exit codes: 0 ok, 1 verification failure, 2 usage/format error, any
 that records a flag this version no longer has at other than its old default
 or a changed or unhashed replay input too, and any file that cannot be read
 or written: missing, a directory, no permission; every destination, manifest
-included, is checked before the first write), 3 the ``solve --exact`` budget
+included, is checked before the first write, and one that is the input or
+another destination is refused), 3 the ``solve --exact`` budget
 exhausted, 70 an internal fault, any ``RuntimeError``: a witness failed
 self-verification, or another self-check of the library failed.
 
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__
-from .driver import find_kth_power_path
+from .driver import DEFAULT_EXACT_THRESHOLD, find_kth_power_path
 from .exact import (
     PowerPath,
     SolveBudget,
@@ -71,32 +72,6 @@ _SEARCH_CSV_HEADER = "n,k,fingerprint,pp,bound_flag,method,seed,witness_file"
 _TABLE_CSV_HEADER = "n,seed,method,length"
 
 
-def workers_from_env() -> int:
-    """Worker cap from PPATH_THREADS (0 = auto); any other value than an
-    integer >= 0 is refused."""
-    raw = os.environ.get("PPATH_THREADS", "1")
-    if not raw.isdecimal():
-        raise ValueError(f"PPATH_THREADS must be an integer >= 0, not {raw!r}")
-    return int(raw) or os.cpu_count() or 1
-
-
-def _map(fn, jobs: list) -> list:
-    """[fn(j) for j in jobs], fanned out over a fork pool of up to
-    PPATH_THREADS workers; serial when one worker suffices or no pool starts."""
-    workers = workers_from_env()
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing
-
-        try:
-            with multiprocessing.get_context("fork").Pool(
-                min(workers, len(jobs))
-            ) as pool:
-                return pool.map(fn, jobs)
-        except OSError:
-            pass
-    return [fn(j) for j in jobs]
-
-
 def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n").encode()
 
@@ -119,14 +94,20 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
 
 
-def _check_destinations(*paths) -> None:
-    """Refuse, before anything is written, a destination that is a directory
-    or whose parent directory is missing; a None or empty path is skipped."""
+def _check_destinations(*paths, source: Optional[str] = None) -> None:
+    """Refuse, before anything is written, a destination that is a directory,
+    whose parent directory is missing, or that resolves to the input
+    ``source`` or to another destination; a None or empty path is skipped."""
+    taken = {Path(source).resolve(): "the input"} if source else {}
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise ValueError(f"{path} is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"no directory {Path(path).parent} for {path}")
+        where = Path(path).resolve()
+        if where in taken:
+            raise ValueError(f"{path} would overwrite {taken[where]}")
+        taken[where] = "another output"
 
 
 def _sha256(name: str) -> str:
@@ -245,7 +226,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
     with _hashing(ns.input) as input_hashes:
         t = load_trn(ns.input)
         out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
-        _check_destinations(out, _manifest_path(out))
+        _check_destinations(out, _manifest_path(out), source=ns.input)
         exceeded = False
         if ns.exact:
             res = longest_power_path_exact(t, ns.k, SolveBudget(ns.budget_states))
@@ -269,7 +250,7 @@ def cmd_find(ns: argparse.Namespace) -> int:
     with _hashing(ns.input) as input_hashes:
         t = load_trn(ns.input)
         out = Path(ns.out) if ns.out else Path(ns.input + ".witness.json")
-        _check_destinations(out, ns.trace, _manifest_path(out))
+        _check_destinations(out, ns.trace, _manifest_path(out), source=ns.input)
         trace: Optional[list] = [] if ns.trace else None
         path = find_kth_power_path(t, ns.k, seed=ns.seed, trace=trace)
         out.write_bytes(_witness_json(t, path))
@@ -373,20 +354,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
 # table
 
 
-def _table_cell(args: tuple) -> str:
-    n, trial, method, k, base_seed = args
-    cell_seed = derive_seed(base_seed, "table", n, trial)
-    t = random_tournament(n, cell_seed)
-    if method == "exact":
-        res = longest_power_path_exact(t, k)
-        length = len(res.path)
-    elif method == "greedy":
-        length = len(greedy_power_path(t, k, seed=cell_seed))
-    else:
-        length = len(find_kth_power_path(t, k, seed=cell_seed))
-    return f"{n},{cell_seed},{method},{length}"
-
-
 def cmd_table(ns: argparse.Namespace) -> int:
     sizes = [int(x) for x in ns.n_list.split(",") if x]
     if not sizes or ns.trials < 0:
@@ -397,12 +364,18 @@ def cmd_table(ns: argparse.Namespace) -> int:
         )
     out = Path(ns.out)
     _check_destinations(out, _manifest_path(out))
-    cells = [
-        (n, trial, ns.method, ns.k, ns.seed)
-        for n in sizes
-        for trial in range(ns.trials)
-    ]
-    rows = _map(_table_cell, cells)
+    rows = []
+    for n in sizes:
+        for trial in range(ns.trials):
+            cell_seed = derive_seed(ns.seed, "table", n, trial)
+            t = random_tournament(n, cell_seed)
+            if ns.method == "exact":
+                path = longest_power_path_exact(t, ns.k).path
+            elif ns.method == "greedy":
+                path = greedy_power_path(t, ns.k, seed=cell_seed)
+            else:
+                path = find_kth_power_path(t, ns.k, seed=cell_seed)
+            rows.append(f"{n},{cell_seed},{ns.method},{len(path)}")
     _write_csv(out, _TABLE_CSV_HEADER, rows)
     _write_manifest(_manifest_path(out), ns, [out])
     print(f"rows={len(rows)} out={out}")
@@ -506,7 +479,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.add_argument("input")
 
-    f = sub.add_parser("find", help="k-power finder: exact up to 16 vertices, greedy above")
+    f = sub.add_parser("find", help=(
+        "k-power finder: the insertion path at k = 1, else exact up to "
+        f"{DEFAULT_EXACT_THRESHOLD} vertices, greedy above"))
     f.add_argument("-k", type=int, default=2)
     f.add_argument("--seed", type=int, default=0)
     f.add_argument("--trace", default=None)

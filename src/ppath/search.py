@@ -35,12 +35,9 @@ def flip_edge(t: Tournament, i: int, j: int) -> Tournament:
     if i == j:
         raise ValueError("cannot flip a self-pair")
     rows = list(t.rows)
-    if (rows[i] >> j) & 1:
-        rows[i] &= ~(1 << j)
-        rows[j] |= 1 << i
-    else:
-        rows[i] |= 1 << j
-        rows[j] &= ~(1 << i)
+    # Exactly one of the two bits is set, so toggling both moves it.
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
     return _unchecked(tuple(rows))
 
 

@@ -48,28 +48,18 @@ _ROUNDS = tuple(
 )
 
 
-def _blocks(packed: np.ndarray) -> np.ndarray:
-    """The 8 x 8 bit blocks of packed rows, each as one uint64: x[R, C, 0]
-    holds byte C of rows 8R..8R+7, row 8R + r in byte r. The rows are padded
-    with zero rows to whole 8-row slabs; ``packed`` is only read."""
-    n, nbytes = packed.shape
-    slabs = np.zeros((nbytes, 8, nbytes), np.uint8)
-    slabs.reshape(-1, nbytes)[:n] = packed
-    return slabs.transpose(0, 2, 1).copy().view("<u8")
-
-
-def _transpose_blocks(x: np.ndarray) -> np.ndarray:
-    """Each 8 x 8 bit block of ``x`` transposed by the three ``_ROUNDS``."""
-    for shift, mask, spread in _ROUNDS:
-        x = x ^ ((x >> shift ^ x) & mask) * spread
-    return x
-
-
 def _bit_transpose(packed: np.ndarray) -> np.ndarray:
     """Packed rows of the transpose of the n x n bit matrix ``packed``:
     block (R, C) of it is block (C, R) of ``packed``, transposed."""
     n, nbytes = packed.shape
-    x = _transpose_blocks(_blocks(packed))
+    # The 8 x 8 bit blocks, each one uint64: x[R, C, 0] holds byte C of rows
+    # 8R..8R+7, row 8R + r in byte r, the rows padded with zero rows to whole
+    # 8-row slabs.
+    slabs = np.zeros((nbytes, 8, nbytes), np.uint8)
+    slabs.reshape(-1, nbytes)[:n] = packed
+    x = slabs.transpose(0, 2, 1).copy().view("<u8")
+    for shift, mask, spread in _ROUNDS:
+        x = x ^ ((x >> shift ^ x) & mask) * spread
     # The bytes of x[C, R] are bytes C of the transpose's rows 8R..8R+7.
     x = x.astype("<u8", copy=False).view(np.uint8)
     return np.ascontiguousarray(x.transpose(1, 2, 0)).reshape(-1, nbytes)[:n]
@@ -81,17 +71,13 @@ def _first_misoriented(packed: np.ndarray) -> Optional[tuple[int, int]]:
     ``packed`` holds the rows as ``_rows_to_packed`` does, with no bit at
     column n or past it. A pair is oriented exactly once when its bit is set
     in just one of the matrix and its transpose, so their XOR, always 0 on
-    the diagonal, must have its n (n - 1) other bits set. It is counted
-    block by block, with no need to write the transpose out in rows; only
-    when the count falls short are the pairs unpacked to find the first bad
-    one.
+    the diagonal, must have its n (n - 1) other bits set; only when the count
+    falls short are the pairs unpacked to find the first bad one.
     """
     n = len(packed)
-    x = _blocks(packed)
-    once = _transpose_blocks(x.transpose(1, 0, 2)) ^ x
+    once = _bit_transpose(packed) ^ packed
     if int.from_bytes(once.tobytes(), "little").bit_count() == n * (n - 1):
         return None
-    once = _bit_transpose(packed) ^ packed
     bad = np.unpackbits(once, axis=1, count=n, bitorder="little") == 0
     np.fill_diagonal(bad, False)
     # bad is symmetric, so its first flagged cell lies above the diagonal.

@@ -944,26 +944,15 @@ def test_module_entrypoint_smoke(tmp_path):
     assert out.exists()
 
 
-def test_worker_fanout_is_row_deterministic(tmp_path, monkeypatch):
-    # 0 means one worker per CPU.
-    rows = {}
-    for workers in ("1", "3", "0"):
-        monkeypatch.setenv("PPATH_THREADS", workers)
-        out = tmp_path / f"tab{workers}.csv"
-        assert run(["table", "--n-list", "4,6", "--trials", 3,
-                    "--method", "greedy", "--out", out]) == 0
-        rows[workers] = out.read_bytes()
-    assert rows["1"] == rows["3"] == rows["0"]
-
-
-@pytest.mark.parametrize("workers", ["abc", "-3", "1.5", ""])
-def test_malformed_worker_count_is_refused(tmp_path, monkeypatch, capsys, workers):
+@pytest.mark.parametrize("workers", ["3", "abc"])
+def test_table_ignores_ppath_threads(tmp_path, monkeypatch, workers):
+    # table runs in one process and reads no environment variable, so a worker
+    # count, well-formed or not, changes no byte and no exit code.
+    argv = ["table", "--n-list", "4,6", "--trials", 3, "--method", "greedy", "--out"]
+    assert run(argv + [tmp_path / "plain.csv"]) == 0
     monkeypatch.setenv("PPATH_THREADS", workers)
-    out = tmp_path / "tab.csv"
-    assert run(["table", "--n-list", "4", "--trials", 2, "--method", "greedy",
-                "--out", out]) == 2
-    assert "PPATH_THREADS" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert run(argv + [tmp_path / "set.csv"]) == 0
+    assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
 class TestEdgeCases:
@@ -1003,6 +992,28 @@ class TestEdgeCases:
         assert run([str(a).format(trn=trn) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {out}.manifest.json is a directory\n"
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]
+
+    @pytest.mark.parametrize("argv, error", [
+        (["find", "-k", 2, "--out", "{tmp}/r.trn", "r.trn"],
+         "{tmp}/r.trn would overwrite the input"),
+        (["solve", "--exact", "-k", 2, "--out", "r.trn", "r.trn"],
+         "r.trn would overwrite the input"),
+        (["find", "-k", 2, "--trace", "w.json", "--out", "w.json", "r.trn"],
+         "w.json would overwrite another output"),
+        (["find", "-k", 2, "--trace", "w.json.manifest.json", "--out", "w.json", "r.trn"],
+         "w.json.manifest.json would overwrite another output"),
+    ], ids=["find-out-is-input", "solve-out-is-input", "find-trace-is-out",
+            "find-trace-is-manifest"])
+    def test_destination_on_input_or_other_output_writes_nothing(self, tmp_path, monkeypatch,
+                                                                 capsys, argv, error):
+        # Destinations are compared as resolved paths, before the first write.
+        monkeypatch.chdir(tmp_path)
+        save_trn(random_tournament(20, 1), tmp_path / "r.trn")
+        before = (tmp_path / "r.trn").read_bytes()
+        assert run([str(a).format(tmp=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["r.trn"]
+        assert (tmp_path / "r.trn").read_bytes() == before
 
     def test_gen_rotational_single_vertex(self, tmp_path):
         out = tmp_path / "one.trn"

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import ppath
 import ppath.cli
 import ppath.exact
@@ -34,3 +37,34 @@ def test_exports_resolve_and_removed_names_are_gone():
     # Nor do the modules that defined them keep them.
     modules = (ppath.cli, ppath.exact, ppath.search, ppath.tournament, ppath.trn)
     assert [(m.__name__, n) for m in modules for n in REMOVED if hasattr(m, n)] == []
+
+
+# What the package must not use: these reads of the environment, and the
+# multiprocessing package.
+ENV_READS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _banned(node: ast.AST) -> list[str]:
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "multiprocessing"]
+    if isinstance(node, ast.ImportFrom):
+        if (node.module or "").split(".")[0] == "multiprocessing":
+            return [node.module]
+        if node.module == "os":
+            return [f"os.{a.name}" for a in node.names if a.name in ENV_READS]
+    elif (isinstance(node, ast.Attribute) and node.attr in ENV_READS
+          and isinstance(node.value, ast.Name) and node.value.id == "os"):
+        return [f"os.{node.attr}"]
+    return []
+
+
+def test_package_reads_no_environment_and_starts_no_process():
+    # A knob read from the environment, or a second process path, can come
+    # back only together with a change to this test.
+    sources = sorted(Path(ppath.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    found = [(source.name, name)
+             for source in sources
+             for node in ast.walk(ast.parse(source.read_text(), str(source)))
+             for name in _banned(node)]
+    assert found == []
