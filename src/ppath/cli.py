@@ -94,17 +94,31 @@ def _manifest_path(out: Path) -> Path:
     return out.with_suffix(out.suffix + ".manifest.json")
 
 
+def _file_identity(path) -> tuple:
+    """What every name of one file shares, links included: the file's device
+    and inode, or, for a file not made yet, its directory's and its name.
+    Two ``os.stat`` calls at most, where ``Path.resolve`` makes one per path
+    component."""
+    path = os.fspath(path)
+    try:
+        st = os.stat(path)
+        return st.st_dev, st.st_ino
+    except FileNotFoundError:
+        st = os.stat(os.path.dirname(path) or ".")
+        return st.st_dev, st.st_ino, os.path.basename(path)
+
+
 def _check_destinations(*paths, source: Optional[str] = None) -> None:
     """Refuse, before anything is written, a destination that is a directory,
-    whose parent directory is missing, or that resolves to the input
-    ``source`` or to another destination; a None or empty path is skipped."""
-    taken = {Path(source).resolve(): "the input"} if source else {}
+    whose parent directory is missing, or that is the input ``source`` or
+    another destination under any name; a None or empty path is skipped."""
+    taken = {_file_identity(source): "the input"} if source else {}
     for path in filter(None, paths):
         if Path(path).is_dir():
             raise ValueError(f"{path} is a directory")
         if not Path(path).parent.is_dir():
             raise ValueError(f"no directory {Path(path).parent} for {path}")
-        where = Path(path).resolve()
+        where = _file_identity(path)
         if where in taken:
             raise ValueError(f"{path} would overwrite {taken[where]}")
         taken[where] = "another output"

@@ -1006,13 +1006,27 @@ class TestEdgeCases:
             "find-trace-is-manifest"])
     def test_destination_on_input_or_other_output_writes_nothing(self, tmp_path, monkeypatch,
                                                                  capsys, argv, error):
-        # Destinations are compared as resolved paths, before the first write.
+        # Destinations are compared before the first write, whatever the path
+        # that names them.
         monkeypatch.chdir(tmp_path)
         save_trn(random_tournament(20, 1), tmp_path / "r.trn")
         before = (tmp_path / "r.trn").read_bytes()
         assert run([str(a).format(tmp=tmp_path) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {error.format(tmp=tmp_path)}\n"
         assert [p.name for p in tmp_path.iterdir()] == ["r.trn"]
+        assert (tmp_path / "r.trn").read_bytes() == before
+
+    @pytest.mark.parametrize("link", [os.link, os.symlink], ids=["hard", "symbolic"])
+    def test_destination_linked_to_input_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                        link):
+        # Two names of one file are one destination.
+        monkeypatch.chdir(tmp_path)
+        save_trn(random_tournament(20, 1), tmp_path / "r.trn")
+        before = (tmp_path / "r.trn").read_bytes()
+        link("r.trn", "w.json")
+        assert run(["find", "-k", 2, "--out", "w.json", "r.trn"]) == 2
+        assert capsys.readouterr().err == "error: w.json would overwrite the input\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.trn", "w.json"]
         assert (tmp_path / "r.trn").read_bytes() == before
 
     def test_gen_rotational_single_vertex(self, tmp_path):
