@@ -312,9 +312,10 @@ def cmd_search(ns: argparse.Namespace) -> int:
         if ns.n > _ENUMERATION_MAX_N:
             raise ValueError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
                              "use --mode anneal")
-        # Enumeration would ignore --iters, which only the anneal reads.
-        if ns.iters != _subparser("search").get_default("iters"):
-            raise ValueError("--iters requires --mode anneal")
+        # Enumeration would ignore --seed and --iters, which only the anneal reads.
+        for flag in ("seed", "iters"):
+            if getattr(ns, flag) != _subparser("search").get_default(flag):
+                raise ValueError(f"--{flag} requires --mode anneal")
         mn, witness_t, count = enumerate_min_pp(ns.n, ns.k)
         rec = SearchRecord(
             n=ns.n,

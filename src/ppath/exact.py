@@ -80,7 +80,7 @@ def verify_power_path(
     Positions are 0-based indices into the vertex sequence. Duplicates are
     reported before missing edges. Sequences of length 0 or 1 are valid.
     A witness is first checked in one pass over each distance 1..k; only when
-    that fails does a position-by-position walk name the first violation.
+    that fails are the same pairs scanned again for the least missing one.
     """
     verts = p.vertices
     k = p.k
@@ -102,13 +102,12 @@ def verify_power_path(
         if v in seen:
             return False, (seen[v], pos)
         seen[v] = pos
-    for i in range(len(verts)):
-        hi = min(i + k, len(verts) - 1)
-        vi = verts[i]
-        for j in range(i + 1, hi + 1):
-            if not (rows[vi] >> verts[j]) & 1:
-                return False, (i, j)
-    return True, None
+    return False, min(
+        (i, i + d)
+        for d in range(1, min(k + 1, len(verts)))
+        for i, (a, b) in enumerate(zip(verts, verts[d:]))
+        if not rows[a] >> b & 1
+    )
 
 
 def longest_power_path_exact(
@@ -160,14 +159,18 @@ def longest_power_path_exact(
     budget check. Each component beats every later one, so a k-th power of
     a path visits them in that order, pp is the sum of theirs, and the
     least maximum witness is the concatenation of theirs. ``states``
-    sums the components' walks, which share the budget. When a component's
-    walk trips, the earlier components' witnesses are followed by the longer
-    of two tails, the first on a tie: its best prefix, then greedy (seeded 0)
-    over the later components, whose vertices that prefix all beats; or
-    greedy (seeded 0) over the tripped and later components together. A walk
-    left with few or no states thus still ends in a greedy path through its
-    component. A decision solve walks the whole tournament: split up, it
-    would first have to solve every earlier component exactly.
+    sums the components' walks, which share the budget. A decision solve
+    walks the whole tournament as one component: split up, it would first
+    have to solve every earlier component exactly.
+
+    Every solve, strong or split, decision or not, trips by one rule. When a
+    component's walk trips, the earlier components' witnesses are followed
+    by the longer of two tails, the first on a tie: its best prefix, then
+    greedy (seeded 0) over the later components, whose vertices that prefix
+    all beats; or greedy (seeded 0) over the tripped and later components
+    together. A walk left with few or no states thus still ends in a greedy
+    path through its component, and a tripped decision solve may return
+    more than ``target`` vertices while it reads optimal=False.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -176,20 +179,18 @@ def longest_power_path_exact(
     max_states = (budget or DEFAULT_BUDGET).max_states
     goal = t.n if target is None else min(target, t.n)
     blocks = [t.full_mask] if goal < t.n else _strong_components(t)
-    if len(blocks) == 1:
-        return _walk(t, k, max_states, goal, t.full_mask)
     path: list[int] = []
     states = 0
     for i, block in enumerate(blocks):
-        res = _walk(t, k, max_states - states, block.bit_count(), block)
-        states += res.states
-        if not res.optimal:
+        best, optimal, spent = _walk(t, k, max_states - states, min(goal, block.bit_count()), block)
+        states += spent
+        if not optimal:
             rest = sum(blocks[i + 1:])
-            walked = res.path.vertices + _greedy_mask(t, rest, k, Rng(0))
+            walked = best + _greedy_mask(t, rest, k, Rng(0))
             greedy = _greedy_mask(t, block | rest, k, Rng(0))
             path += max(walked, greedy, key=len)
             return ExactResult(PowerPath(k, tuple(path)), False, states)
-        path += res.path.vertices
+        path += best
     return ExactResult(PowerPath(k, tuple(path)), True, states)
 
 
@@ -217,10 +218,13 @@ def _strong_components(t: Tournament) -> list[int]:
     return blocks[::-1]
 
 
-def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> ExactResult:
-    """The walk of ``longest_power_path_exact`` inside the vertex mask
-    ``full``; it stops at the first prefix of ``goal`` vertices and trips at
-    the first new state past ``max_states`` (which may be 0)."""
+def _walk(
+    t: Tournament, k: int, max_states: int, goal: int, full: int
+) -> tuple[tuple[int, ...], bool, int]:
+    """(best prefix, finished within the budget, states) of the walk of
+    ``longest_power_path_exact`` inside the vertex mask ``full``; it stops at
+    the first prefix of ``goal`` vertices and trips at the first new state
+    past ``max_states`` (which may be 0)."""
     n = t.n
     rows = t.rows
     shift = n.bit_length()
@@ -255,12 +259,12 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
                 best = (*prefix, v)
                 best_len = d
                 if d == goal:
-                    return ExactResult(PowerPath(k, best), True, states)
+                    return best, True, states
             child = base | v << n | child_used
             if child in memo:
                 continue
             if states >= max_states:
-                return ExactResult(PowerPath(k, best), False, states)
+                return best, False, states
             free = full ^ child_used
             nxt = w & rows[v] & free
             room = best_len - d
@@ -303,14 +307,14 @@ def _walk(t: Tournament, k: int, max_states: int, goal: int, full: int) -> Exact
                     w &= rows[u]
         elif stack:
             if states >= max_states:
-                return ExactResult(PowerPath(k, best), False, states)
+                return best, False, states
             memo.add(key)
             states += 1
             cand, key, base, w = stack.pop()
             used ^= 1 << prefix.pop()
             depth -= 1
         else:
-            return ExactResult(PowerPath(k, best), True, states)
+            return best, True, states
 
 
 def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:

@@ -59,10 +59,7 @@ def _refinement_classes(t: Tournament) -> list[list[int]]:
         if new_color == color:
             break
         color = new_color
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(color[v], []).append(v)
-    return [classes[c] for c in sorted(classes)]
+    return [[v for v in range(n) if color[v] == c] for c in sorted(set(color))]
 
 
 def _canonical_bits(t: Tournament) -> int:
@@ -70,50 +67,28 @@ def _canonical_bits(t: Tournament) -> int:
     refinement classes in canonical class order.
 
     The vertex placed at position p contributes a p-bit column (edges from
-    the already-placed vertices, earliest first). Only minimum-column
-    candidates are explored at each position, branching on ties, and the
-    overall minimum string wins, so isomorphic tournaments agree.
+    the already-placed vertices, earliest first). Positions are filled level
+    by level: every partial relabeling still tied for the least columns so
+    far is extended by each unplaced vertex of the position's class, and only
+    the extensions with the least new column are kept. A prefix that is not
+    least never leads to the least string, so isomorphic tournaments agree.
     """
-    n = t.n
     rows = t.rows
-    classes = _refinement_classes(t)
-    class_of_slot: list[int] = []
-    for ci, cls in enumerate(classes):
-        class_of_slot.extend([ci] * len(cls))
-
-    best: Optional[tuple[int, ...]] = None
-
-    def rec(placed: list[int], used_mask: int, cols: list[int]) -> None:
-        nonlocal best
-        pos = len(placed)
-        if pos == n:
-            key = tuple(cols)
-            if best is None or key < best:
-                best = key
-            return
-        scored = []
-        for v in classes[class_of_slot[pos]]:
-            if (used_mask >> v) & 1:
-                continue
-            col = 0
-            for u in placed:
-                col = (col << 1) | ((rows[u] >> v) & 1)
-            scored.append((col, v))
-        min_col = min(col for col, _ in scored)
-        for col, v in sorted(scored):
-            if col != min_col:
-                break
-            cols.append(col)
-            placed.append(v)
-            rec(placed, used_mask | (1 << v), cols)
-            placed.pop()
-            cols.pop()
-
-    rec([], 0, [])
-    assert best is not None
+    # The partial relabelings tied for the least columns so far.
+    ties: list[tuple[int, ...]] = [()]
     packed = 0
-    for pos, col in enumerate(best):
-        packed = (packed << pos) | col
+    for pos, cls in enumerate(cls for cls in _refinement_classes(t) for _ in cls):
+        scored = []
+        for placed in ties:
+            for v in cls:
+                if v not in placed:
+                    col = 0
+                    for u in placed:
+                        col = col << 1 | rows[u] >> v & 1
+                    scored.append((col, placed + (v,)))
+        least = min(col for col, _ in scored)
+        ties = [placed for col, placed in scored if col == least]
+        packed = packed << pos | least
     return packed
 
 

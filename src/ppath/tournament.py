@@ -158,11 +158,10 @@ def rotational(n: int, residues: Iterable[int]) -> Tournament:
     for d in res:
         if (n - d) in res:
             raise ValueError(f"residues contain both {d} and {n - d}")
-    rows = [0] * n
-    for i in range(n):
-        for d in res:
-            rows[i] |= 1 << ((i + d) % n)
-    return _unchecked(tuple(rows))
+    # Row i is row 0 rotated left by i within n bits.
+    row = sum(1 << d for d in res)
+    full = (1 << n) - 1
+    return _unchecked(tuple((row << i | row >> (n - i)) & full for i in range(n)))
 
 
 # SplitMix64 in numpy: the golden gamma, then (shift, multiplier) of the mix

@@ -327,12 +327,12 @@ class TestSearch:
             assert not (tmp_path / "s").exists()
 
     def test_anneal_flags_rejected_in_enumerate_mode(self, tmp_path, capsys):
-        # Enumeration would ignore --iters; the retired schedule flags are
-        # not flags at all, in either mode.
+        # Enumeration would ignore --seed and --iters; the retired schedule
+        # flags are not flags at all, in either mode.
         base = ["search", "--mode", "enumerate", "--n", 3]
-        for flags in (["--iters", 5], ["--iters", 0]):
-            assert run(base + flags + ["--out-dir", tmp_path / "s"]) == 2
-            assert capsys.readouterr().err == "error: --iters requires --mode anneal\n"
+        for flag, value in [("--iters", 5), ("--iters", 0), ("--seed", 7)]:
+            assert run(base + [flag, value, "--out-dir", tmp_path / "s"]) == 2
+            assert capsys.readouterr().err == f"error: {flag} requires --mode anneal\n"
             assert not (tmp_path / "s").exists()
         for mode in ("enumerate", "anneal"):
             for flag, value in [("--temp", 0.8), ("--cool", 0.95), ("--moves", 6),
@@ -341,8 +341,8 @@ class TestSearch:
                             "--out-dir", tmp_path / "s"]) == 2
                 assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
                 assert not (tmp_path / "s").exists()
-        # At its default, the run is the plain enumeration.
-        assert run(base + ["--iters", 200, "--out-dir", tmp_path / "s"]) == 0
+        # At their defaults, the run is the plain enumeration.
+        assert run(base + ["--iters", 200, "--seed", 0, "--out-dir", tmp_path / "s"]) == 0
 
     def test_anneal_deterministic_csv(self, tmp_path):
         d1, d2 = tmp_path / "a", tmp_path / "b"

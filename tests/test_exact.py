@@ -301,6 +301,19 @@ class TestExactSolver:
             assert not res.optimal and res.states <= cap
             assert len(res.path) == 16 and verify_power_path(t, res.path)[0], cap
 
+    @pytest.mark.parametrize("target", [None, 12])
+    def test_tripped_strong_solve_keeps_a_greedy_tail(self, target):
+        # random_tournament(17, 59) is strong (``solve --exact
+        # --budget-states 1`` on ``gen --type random --n 17 --seed 59``). Its
+        # walk trips after one state at a prefix of 8 vertices, and greedy
+        # over the whole takes 15. A strong or decision solve trips by the
+        # rule of a split one, so the 15 are kept, past a target of 12 too.
+        t = random_tournament(17, 59)
+        res = longest_power_path_exact(t, 2, SolveBudget(max_states=1), target=target)
+        assert not res.optimal and res.states == 1
+        assert res.path.vertices == _greedy_mask(t, t.full_mask, 2, Rng(0))
+        assert len(res.path) == 15 and verify_power_path(t, res.path)[0]
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=5),
            st.integers(min_value=0, max_value=2**32), st.data())
     @settings(max_examples=40, deadline=None)
@@ -338,14 +351,17 @@ class TestExactSolver:
 
     def test_results_match_pinned_digest(self):
         # (path, optimal, states) of every solve of the grid. Re-pinned when
-        # a tripped component came to keep greedy over itself and the rest
-        # when that is longer: 11 budgeted solves gained a vertex, with the
-        # same states (8d0a1f76... before). Earlier re-pins: when the walk
-        # came to solve each strong component apart and to trip before a
-        # finished state would pass the budget (25d0cc20... before that,
-        # be969fcf... before the pair closure).
+        # strong tournaments and decision solves came to trip by the same
+        # rule as split ones: 187 of the 1,764 grid solves gained 1-5
+        # vertices, with the same states and optimal flags (42c89619...
+        # before). Earlier re-pins: when a tripped component came to keep
+        # greedy over itself and the rest when that is longer (8d0a1f76...
+        # before that), and when the walk came to solve each strong
+        # component apart and to trip before a finished state would pass the
+        # budget (25d0cc20... before that, be969fcf... before the pair
+        # closure).
         assert _solve_digest((None, 7, 100), with_states=True) == (
-            1766, "42c89619d927947445597becec659e4700732fe765b12201858e6447a593215e")
+            1766, "53421922bf0e37cc123c24d06174306c21ea99b23f3fe913e1a37c08aec6c73d")
 
     def test_witnesses_match_pinned_digest(self):
         # (path, optimal) of the grid's unbudgeted solves, hashed from the

@@ -68,3 +68,26 @@ def test_package_reads_no_environment_and_starts_no_process():
              for node in ast.walk(ast.parse(source.read_text(), str(source)))
              for name in _banned(node)]
     assert found == []
+
+
+def _callee(call: ast.Call) -> str:
+    """The name ``call`` calls: ``name(...)`` or ``self.name(...)``."""
+    f = call.func
+    if isinstance(f, ast.Name):
+        return f.id
+    if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) and f.value.id == "self":
+        return f.attr
+    return ""
+
+
+def test_package_has_no_recursion():
+    # Every walk keeps its own stack, so no input's depth can reach
+    # Python's recursion limit.
+    sources = sorted(Path(ppath.__file__).parent.glob("*.py"))
+    found = {(source.name, func.name)
+             for source in sources
+             for func in ast.walk(ast.parse(source.read_text(), str(source)))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for call in ast.walk(func)
+             if isinstance(call, ast.Call) and _callee(call) == func.name}
+    assert found == set()

@@ -62,6 +62,17 @@ class TestFingerprint:
         assert classes == [reference_refinement_classes(t) for t in cases]
         assert fps == [canonical_fingerprint(t) for t in cases]
 
+    def test_canonical_bits_match_pinned_digest(self):
+        # The labelling itself, which certify's classes and the "c"
+        # fingerprints are named by: random n = 1-11, two circulants, and the
+        # levels of certify(5, 2, 8).
+        cases = [random_tournament(n, seed) for n in range(1, 12) for seed in range(6)]
+        cases += [rotational(7, {1, 2, 4}), rotational(11, {1, 3, 4, 5, 9})]
+        cases += [t for level in search.certify(5, 2, 8) for t in level]
+        payload = "\n".join(f"{t.n}:{search._canonical_bits(t):x}" for t in cases)
+        assert (len(cases), hashlib.sha256(payload.encode()).hexdigest()) == (
+            113, "2d3c4aa3f0b49eae3afd421e1bf16cd8685ce2b47092fa5e1dfbd7d08ae938b5")
+
     def test_non_isomorphic_differ(self):
         assert canonical_fingerprint(rotational(3, {1})) != canonical_fingerprint(
             transitive(3)
