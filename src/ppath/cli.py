@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .driver import DEFAULT_EXACT_THRESHOLD, find_kth_power_path
 from .exact import (
+    DEFAULT_BUDGET,
     PowerPath,
     SolveBudget,
     greedy_power_path,
@@ -67,6 +68,10 @@ MAX_EXACT_N = 18
 # 90-130 us, against 8-16 us to hash a 342-byte input and 0.9-1.0 ms to hash
 # 1 MiB.
 _THREADED_HASH_BYTES = 1 << 20
+
+# The schedule of ``search --mode anneal``, by the names of the retired flags
+# --temp, --cool and --moves that once set it.
+_ANNEAL_SCHEDULE = {"temp": 0.8, "cool": 0.95, "moves": 6}
 
 _SEARCH_CSV_HEADER = "n,k,fingerprint,pp,bound_flag,method,seed,witness_file"
 _TABLE_CSV_HEADER = "n,seed,method,length"
@@ -218,8 +223,6 @@ def cmd_gen(ns: argparse.Namespace) -> int:
             raise ValueError("rotational requires --residues")
         residues = {int(x) for x in ns.residues.split(",")}
         t = rotational(ns.n, residues)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown type {ns.type}")
     _check_destinations(out, _manifest_path(out))
     save_trn(t, out)
     _write_manifest(_manifest_path(out), ns, [out])
@@ -334,9 +337,9 @@ def cmd_search(ns: argparse.Namespace) -> int:
     else:
         cfg = AnnealConfig(
             iterations=ns.iters,
-            initial_temperature=0.8,
-            cooling_rate=0.95,
-            moves_per_step=6,
+            initial_temperature=_ANNEAL_SCHEDULE["temp"],
+            cooling_rate=_ANNEAL_SCHEDULE["cool"],
+            moves_per_step=_ANNEAL_SCHEDULE["moves"],
             seed=derive_seed(ns.seed, "chain", 0),
         )
         records = anneal_min_pp(ns.n, ns.k, cfg)
@@ -407,7 +410,10 @@ _REMOVED_FLAGS = {
     "find": {"eps": 0.01, "delta": 0.1, "parts": 8, "samples": 8},
     "solve": {"budget_ms": None},
     "search": {"chains": 1, "checkpoint_every": 0, "resume": None, "stop_after": None,
-               "temp": 0.8, "cool": 0.95, "moves": 6, "budget_states": 400_000},
+               **_ANNEAL_SCHEDULE,
+               # The chain ran at twice this flag's value: the 800,000
+               # states its solves are capped at today.
+               "budget_states": 400_000},
 }
 
 
@@ -489,7 +495,8 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--exact", action="store_true")
     mx.add_argument("--greedy", action="store_true")
     s.add_argument("-k", type=int, default=2)
-    s.add_argument("--budget-states", type=int, default=1_000_000, dest="budget_states")
+    s.add_argument("--budget-states", type=int, default=DEFAULT_BUDGET.max_states,
+                   dest="budget_states")
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", default=None)
     s.add_argument("input")
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     se.add_argument("--n", type=int, required=True)
     se.add_argument("-k", type=int, default=2)
     se.add_argument("--seed", type=int, default=0)
-    se.add_argument("--iters", type=int, default=200)
+    se.add_argument("--iters", type=int, default=AnnealConfig.iterations)
     se.add_argument("--out-dir", required=True, dest="out_dir")
 
     tb = sub.add_parser("table", help="experiment CSV: length statistics vs n")

@@ -203,10 +203,10 @@ def _strong_components(t: Tournament) -> list[int]:
     recognised by that test on the sorted degrees alone, before any vertex is
     placed in a block.
     """
-    scores = sorted(map(int.bit_count, t.rows))
+    degree = list(map(int.bit_count, t.rows))
+    scores = sorted(degree)
     if not any(map(eq, accumulate(scores[:-1]), accumulate(range(t.n - 1)))):
         return [t.full_mask]
-    degree = [r.bit_count() for r in t.rows]
     blocks: list[int] = []
     block = total = 0
     for j, v in enumerate(sorted(range(t.n), key=degree.__getitem__), 1):

@@ -8,7 +8,7 @@ the w-th output of the stream seeded at `base`, computable in any order.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -83,20 +83,5 @@ class Rng:
     def random(self) -> float:
         return (self.next_u64() >> 11) * (2.0 ** -53)
 
-    def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
-
     def choice(self, xs: Sequence):
         return xs[self.randrange(len(xs))]
-
-    def sample(self, xs: Iterable, k: int) -> list:
-        """k distinct elements, via a partial Fisher-Yates pass."""
-        pool = list(xs)
-        if k > len(pool):
-            raise ValueError("sample size exceeds population")
-        for i in range(k):
-            j = i + self.randrange(len(pool) - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]

@@ -230,8 +230,9 @@ class AnnealChain:
     record is emitted whenever the current tournament changes (the start, an
     accepted move or a reheat) to one whose solve finished within the budget
     and whose pp is below every pp recorded so far, so recorded pp strictly
-    drops and is always exact. Each exact solve runs at
-    twice the given budget; a move whose solve still exhausts it is rejected.
+    drops and is always exact. Each exact solve runs within the given budget,
+    800,000 states unless one is given; a move whose solve exhausts it is
+    rejected.
     An unsolved start or reheat tournament never makes a record, and its pp
     counts as n + 1, so the chain takes the first solved flip away from it.
     The objective caches each solve's ``ExactResult`` by the rows it solved,
@@ -264,8 +265,7 @@ class AnnealChain:
         self.n = n
         self.k = k
         self.cfg = cfg
-        budget = budget or SolveBudget(max_states=400_000)
-        self.budget = SolveBudget(budget.max_states * 2)
+        self.budget = budget or SolveBudget(max_states=800_000)
         self.rng = Rng(derive_seed(cfg.seed, "anneal"))
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         # run() draws the start unless one is set.

@@ -100,20 +100,22 @@ def _validate_rows(rows: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class Tournament:
-    """Complete oriented graph; ``rows[i]`` holds the out-neighborhood of i."""
+    """Complete oriented graph; ``rows[i]`` holds the out-neighborhood of i.
 
-    n: int
+    ``Tournament(rows)`` takes any iterable of row bitsets, stores them as a
+    tuple and validates them; n is their number.
+    """
+
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n != len(self.rows):
-            raise ValueError("row count disagrees with n")
-        _validate_rows(self.rows)
+        rows = tuple(self.rows)
+        _validate_rows(rows)
+        object.__setattr__(self, "rows", rows)
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[int]) -> "Tournament":
-        rows = tuple(rows)
-        return cls(len(rows), rows)
+    @property
+    def n(self) -> int:
+        return len(self.rows)
 
     @property
     def full_mask(self) -> int:
@@ -133,7 +135,6 @@ class Tournament:
 def _unchecked(rows: tuple[int, ...]) -> Tournament:
     """Construct without invariant validation; callers guarantee correctness."""
     t = object.__new__(Tournament)
-    object.__setattr__(t, "n", len(rows))
     object.__setattr__(t, "rows", rows)
     return t
 

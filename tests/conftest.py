@@ -73,7 +73,7 @@ def relabel(t: Tournament, perm: list[int]) -> Tournament:
         for j in range(t.n):
             if t.has_edge(i, j):
                 rows[perm[i]] |= 1 << perm[j]
-    return Tournament.from_rows(rows)
+    return Tournament(rows)
 
 
 def reference_greedy_mask(t: Tournament, mask: int, k: int, rng) -> tuple[int, ...]:
@@ -276,7 +276,7 @@ def triangle_chain(n: int) -> Tournament:
             rows.append((full >> (start + 3) << (start + 3)) | 1 << nxt)
         else:
             rows.append(full >> (v + 1) << (v + 1))
-    return Tournament.from_rows(rows)
+    return Tournament(rows)
 
 
 def blowup(rows: Sequence[int]) -> Tournament:
@@ -291,4 +291,4 @@ def blowup(rows: Sequence[int]) -> Tournament:
                 block |= 7 << 3 * b
         for i in range(3):
             out.append(block | 1 << 3 * a + (i + 1) % 3)
-    return Tournament.from_rows(out)
+    return Tournament(out)

@@ -94,7 +94,7 @@ def test_criterion_02_hamiltonian_path_law():
                     rows[i] |= 1 << j
                 else:
                     rows[j] |= 1 << i
-            t = Tournament.from_rows(rows)
+            t = Tournament(rows)
             res = longest_power_path_exact(t, 1)
             if not (res.optimal and len(res.path) == 7 == len(order)):
                 bad += 1

@@ -16,7 +16,7 @@ import ppath.search
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, SolveBudget, longest_power_path_exact, verify_power_path
-from ppath.search import flip_edge
+from ppath.search import AnnealConfig, flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
 
@@ -98,6 +98,10 @@ class TestSolve:
                     "--out", trn]) == 0
         assert run(["solve", "--exact", "-k", 2, trn]) == 0
         assert "pp=2" in capsys.readouterr().out
+
+    def test_budget_default_is_the_library_default(self):
+        assert ppath.cli._subparser("solve").get_default("budget_states") == (
+            ppath.exact.DEFAULT_BUDGET.max_states)
 
     def test_greedy_bounded_by_n(self, tmp_path, capsys):
         trn = tmp_path / "r.trn"
@@ -685,6 +689,23 @@ class TestOldSearchManifests:
         assert run(["replay", manifest]) == 0
         assert manifest.read_bytes() == old
         assert {p: p.read_bytes() for p in d.iterdir() if p != manifest} == outputs
+
+    def test_retired_schedule_is_the_one_search_runs(self, tmp_path, monkeypatch):
+        # Old manifests replay only at the schedule search --mode anneal
+        # builds, and --iters defaults to the library's iterations.
+        built = []
+
+        def capture(n, k, cfg, budget=None):
+            built.append((cfg, budget))
+            return iter(())
+
+        monkeypatch.setattr(ppath.cli, "anneal_min_pp", capture)
+        assert run(["search", "--mode", "anneal", "--n", 6, "--out-dir", tmp_path / "s"]) == 0
+        ((cfg, budget),) = built
+        removed = ppath.cli._REMOVED_FLAGS["search"]
+        assert (removed["temp"], removed["cool"], removed["moves"]) == (
+            cfg.initial_temperature, cfg.cooling_rate, cfg.moves_per_step)
+        assert cfg.iterations == AnnealConfig().iterations and budget is None
 
     def test_two_chains_is_refused(self, tmp_path, capsys):
         d, manifest = tmp_path / "s", tmp_path / "m.json"

@@ -26,7 +26,7 @@ def blowup_triangle(m):
                 rows[v] |= 1 << (base + j)
             for j in range(m):
                 rows[v] |= 1 << (nxt + j)
-    return Tournament.from_rows(rows)
+    return Tournament(rows)
 
 
 class TestGreedyRoute:

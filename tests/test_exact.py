@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import random
 from itertools import combinations
 
 import pytest
@@ -112,7 +113,7 @@ class TestVerify:
     def test_matches_reference_on_random_sequences(self):
         # Random label sequences, some with a duplicate or a label outside
         # 0..n-1 spliced in; each outcome occurs, a valid witness included.
-        rng = Rng(11)
+        rng = random.Random(11)
         outcomes = set()
         for seed in range(400):
             n = 3 + seed % 7
@@ -177,7 +178,7 @@ def _join(first, second, perm):
     every vertex of ``second``, relabeled by ``perm``."""
     rows = [r | ((1 << second.n) - 1) << first.n for r in first.rows]
     rows += [r << first.n for r in second.rows]
-    return relabel(Tournament.from_rows(rows), perm)
+    return relabel(Tournament(rows), perm)
 
 
 class TestExactSolver:
@@ -519,7 +520,7 @@ class TestStructuralInvariants:
         t = random_tournament(n, seed)
         full = len(longest_power_path_exact(t, 2).path)
         members = [v for v in range(n) if (seed >> v) & 1] or [0]
-        sub = Tournament.from_rows(induced_rows(t, members))
+        sub = Tournament(induced_rows(t, members))
         assert len(longest_power_path_exact(sub, 2).path) <= full
 
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**32))
@@ -549,7 +550,7 @@ class TestStructuralInvariants:
                     rows[i] |= 1 << j
                 else:
                     rows[j] |= 1 << i
-            t = Tournament.from_rows(rows)
+            t = Tournament(rows)
             assert len(longest_power_path_exact(t, 1).path) == 4
 
     def test_hamiltonian_law_sampled_n16(self):

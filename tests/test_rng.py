@@ -57,15 +57,6 @@ def test_randrange_refuses_bounds_above_two_to_the_64(bound):
     assert raised == ["randrange bound must be at most 2^64"]
 
 
-def test_shuffle_and_sample_are_permutations():
-    rng = Rng(3)
-    xs = list(range(30))
-    rng.shuffle(xs)
-    assert sorted(xs) == list(range(30))
-    picked = Rng(4).sample(range(30), 10)
-    assert len(set(picked)) == 10 and all(0 <= v < 30 for v in picked)
-
-
 def test_state_roundtrip():
     rng = Rng(11)
     rng.next_u64()

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from ppath.trn import load_trn, write_trn
 class TestFingerprint:
     def test_relabeling_invariance_transitive(self):
         t = transitive(5)
-        rng = Rng(11)
+        rng = random.Random(11)
         fps = set()
         for _ in range(20):
             perm = list(range(5))
@@ -48,7 +49,7 @@ class TestFingerprint:
     def test_relabeling_invariance_random(self, n, seed, perm_seed):
         t = random_tournament(n, seed)
         perm = list(range(n))
-        Rng(perm_seed).shuffle(perm)
+        random.Random(perm_seed).shuffle(perm)
         assert canonical_fingerprint(t) == canonical_fingerprint(relabel(t, perm))
 
     def test_matches_reference_refinement(self, monkeypatch):
@@ -88,7 +89,7 @@ class TestFingerprint:
                     rows[i] |= 1 << j
                 else:
                     rows[j] |= 1 << i
-            fps.add(canonical_fingerprint(Tournament.from_rows(rows)))
+            fps.add(canonical_fingerprint(Tournament(rows)))
         assert len(fps) == 2
 
     def test_same_matrix_same_hash(self):
@@ -122,7 +123,7 @@ class TestEnumerate:
                         rows[i] |= 1 << j
                     else:
                         rows[j] |= 1 << i
-                tournaments.append(Tournament.from_rows(rows))
+                tournaments.append(Tournament(rows))
             for k in (1, 2, 3):
                 best, count, first = n + 1, 0, None
                 for t in tournaments:
@@ -203,6 +204,14 @@ class TestAnneal:
         assert len(recs) == 1
         assert recs[0].method == "anneal" and recs[0].iteration == 0
 
+    def test_budget_is_the_one_given(self):
+        # Each solve runs within the cap the chain is given, and within
+        # 800,000 states when it is given none.
+        assert AnnealChain(10, 2, AnnealConfig()).budget == SolveBudget(max_states=800_000)
+        for cap in (1, 60, 400_000):
+            chain = AnnealChain(10, 2, AnnealConfig(), SolveBudget(max_states=cap))
+            assert chain.budget.max_states == cap
+
     def test_stream_determinism(self):
         cfg = AnnealConfig(iterations=80, moves_per_step=4, seed=9)
         assert list(anneal_min_pp(6, 2, cfg)) == list(anneal_min_pp(6, 2, cfg))
@@ -235,7 +244,7 @@ class TestAnneal:
         # 100-state proposal solves cannot settle. A lower bound is no
         # record and leaves the chain's minimum where it was.
         cfg = AnnealConfig(iterations=2, moves_per_step=2, seed=1)
-        chain = AnnealChain(18, 2, cfg, SolveBudget(max_states=50))
+        chain = AnnealChain(18, 2, cfg, SolveBudget(max_states=100))
         chain.t = blowup(load_trn(GOLDEN / "min_pp_n6.trn").rows)
         chain.cur_pp, chain.best_pp = 16, 19
         assert list(chain.run()) == []
@@ -246,14 +255,14 @@ class TestAnneal:
         # Every solve of this chain trips its cap, so none of its lower
         # bounds (7 among them, on a tournament whose pp is 10) is a record.
         chain = AnnealChain(10, 2, AnnealConfig(iterations=2, moves_per_step=2, seed=2),
-                            SolveBudget(max_states=10))
+                            SolveBudget(max_states=20))
         assert list(chain.run()) == [] and chain.best_pp == 11
         assert not any(res.optimal for res in chain._cache.values())
         # Pinned with the oracle's pair-closure prune, which trips later:
-        # seeds 1 and 3 at 100 states now also reach pp 9.
+        # seeds 1 and 3 at 200 states now also reach pp 9.
         got = {}
         for seed in range(4):
-            for states in (10, 30, 100):
+            for states in (20, 60, 200):
                 cfg = AnnealConfig(iterations=20, moves_per_step=4, seed=seed)
                 recs = list(anneal_min_pp(10, 2, cfg, SolveBudget(max_states=states)))
                 for r in recs:
@@ -262,26 +271,26 @@ class TestAnneal:
                     assert verify_power_path(r.tournament, r.witness)[0]
                 got[seed, states] = [(r.iteration, r.pp) for r in recs]
         assert got == {
-            (0, 10): [(3, 10)], (0, 30): [(0, 10)], (0, 100): [(0, 10)],
-            (1, 10): [(0, 10)], (1, 30): [(0, 10)], (1, 100): [(0, 10), (5, 9)],
-            (2, 10): [(3, 10)], (2, 30): [(0, 10)], (2, 100): [(0, 10)],
-            (3, 10): [(1, 10)], (3, 30): [(0, 10)], (3, 100): [(0, 10), (15, 9)],
+            (0, 20): [(3, 10)], (0, 60): [(0, 10)], (0, 200): [(0, 10)],
+            (1, 20): [(0, 10)], (1, 60): [(0, 10)], (1, 200): [(0, 10), (5, 9)],
+            (2, 20): [(3, 10)], (2, 60): [(0, 10)], (2, 200): [(0, 10)],
+            (3, 20): [(1, 10)], (3, 60): [(0, 10)], (3, 200): [(0, 10), (15, 9)],
         }
 
     def test_tripped_moves_are_rejected(self):
         # A move whose solve trips its cap is rejected, so a chain walks only
         # onto tournaments it solved; a tripped start counts as pp n + 1, so
         # the chain leaves it by its first solved flip. Seeds 2 and 3 start
-        # on tripped solves at 10 states, and no chain ends on one (20
+        # on tripped solves at 20 states, and no chain ends on one (20
         # iterations do not reach a reheat).
         ended_tripped = []
-        for states in (10, 30):
+        for states in (20, 60):
             for seed in range(4):
                 cfg = AnnealConfig(iterations=20, moves_per_step=4, seed=seed)
                 chain = AnnealChain(10, 2, cfg, SolveBudget(max_states=states))
                 start = random_tournament(10, derive_seed(seed, "anneal-init"))
                 list(chain.run())
-                if (states, seed) in [(10, 2), (10, 3)]:
+                if (states, seed) in [(20, 2), (20, 3)]:
                     assert not chain._cache[start.rows].optimal
                 if not chain._cache[chain.t.rows].optimal:
                     ended_tripped.append((states, seed))
@@ -363,7 +372,7 @@ class TestAnneal:
         # records alone when the chain state went with checkpointing, from
         # the code that still passed the digest of records and states
         # (3294077d...).
-        assert _chains_digest([None, 10, 30, 200, 5000]) == (
+        assert _chains_digest([None, 20, 60, 400, 10_000]) == (
             "ea2f22f1350c0ee05d936e7ccd433c15af4afd8f76f7881a151abd97b4cb0815")
 
     def test_unbudgeted_records_and_states_match_pinned_digest(self):
@@ -390,15 +399,15 @@ class TestAnneal:
                     degrees = [r.bit_count() for r in rows]
                     assert degrees == sorted(t.out_degree(v) for v in range(n))[::-1]
 
-    @pytest.mark.parametrize("budget, solves", [(None, 123), (SolveBudget(max_states=30), 177)])
+    @pytest.mark.parametrize("budget, solves", [(None, 123), (SolveBudget(max_states=60), 177)])
     def test_solver_calls_pinned(self, monkeypatch, budget, solves):
         # The chain that solves every flip makes 175 and 177 solver calls.
         # Without a budget the chain skips flips that keep a spanning
         # witness, solves the rest relabeled by descending out-degree, and
         # solves each record's tournament again in its own labels; the
         # witnesses of the relabeled solves decide which flips are skipped.
-        # Under 30 states (60 after doubling, against the walk's 23,050
-        # states) a solve can trip, so every proposal is solved as before.
+        # Under 60 states (against the walk's 23,050) a solve can trip, so
+        # every proposal is solved as before.
         calls, proposals = [], []
 
         def counting(t, k, budget=None, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -160,16 +161,23 @@ class TestInvariants:
 
     def test_constructor_rejects_violations(self):
         with pytest.raises(ValueError):
-            Tournament.from_rows([0b10, 0b01])  # 2-cycle
+            Tournament([0b10, 0b01])  # 2-cycle
         with pytest.raises(ValueError):
-            Tournament.from_rows([0b01, 0b00])  # self-loop
+            Tournament([0b01, 0b00])  # self-loop
         with pytest.raises(ValueError):
-            Tournament.from_rows([0b000, 0b001, 0b000])  # missing orientation
+            Tournament([0b000, 0b001, 0b000])  # missing orientation
         rows = list(random_tournament(100, 5).rows)
         rows[30] |= 1 << 60
         rows[60] |= 1 << 30
         with pytest.raises(ValueError, match=r"pair \(30,60\) is not oriented exactly once"):
-            Tournament.from_rows(rows)  # both ways, n > 64
+            Tournament(rows)  # both ways, n > 64
+
+    def test_rows_are_the_one_field(self):
+        # n is the row count, not a second stored value that could disagree.
+        t = Tournament(iter([0b110, 0b100, 0b000]))
+        assert type(t.rows) is tuple and t.rows == transitive(3).rows
+        assert t.n == 3 and t == transitive(3)
+        assert [f.name for f in dataclasses.fields(Tournament)] == ["rows"]
 
 
 def naive_first_misoriented(mat):
