@@ -16,7 +16,7 @@ import ppath.search
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, SolveBudget, longest_power_path_exact, verify_power_path
-from ppath.search import AnnealConfig, flip_edge
+from ppath.search import flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
 
@@ -705,7 +705,7 @@ class TestOldSearchManifests:
         removed = ppath.cli._REMOVED_FLAGS["search"]
         assert (removed["temp"], removed["cool"], removed["moves"]) == (
             cfg.initial_temperature, cfg.cooling_rate, cfg.moves_per_step)
-        assert cfg.iterations == AnnealConfig().iterations and budget is None
+        assert cfg.iterations == ppath.search.AnnealConfig().iterations and budget is None
 
     def test_two_chains_is_refused(self, tmp_path, capsys):
         d, manifest = tmp_path / "s", tmp_path / "m.json"
