@@ -34,7 +34,10 @@ replaced; the others are kept, so one file can gather several invocations
 on the same two trees. When a run exits nonzero, the
 pairs finished before it are summarised and written as above, with a
 ``failed_run`` record (workload, side, seed, 1-based pair, exit code,
-command and checkout), and the script exits 1.
+command and checkout), and the script exits 1. ``machine`` also holds, per side, the file system
+of the checkout (``filesystem``: the ``/proc/mounts`` entry whose mount
+point is the longest prefix of the checkout's path, with its type and
+options), since the cost of writing outputs depends on it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 RUN_TIMEOUT_S = 600
 SIDES = ("parent", "change")
@@ -225,6 +228,24 @@ def _src_lines(checkout: Path) -> int:
                for path in (checkout / "src" / "ppath").glob("*.py"))
 
 
+def filesystem(path: Path, mounts: str) -> dict | None:
+    """The mount point, type and options of the file system that holds the
+    absolute ``path``, from ``mounts`` in the format of ``/proc/mounts``: the
+    entry whose mount point is the longest prefix of ``path``, the last one
+    listed of several at that point (it is mounted over the others)."""
+    found = None
+    for line in mounts.splitlines():
+        fields = line.split()
+        if len(fields) < 4:
+            continue
+        # A space, tab, newline or backslash in a mount point is an octal escape.
+        point = re.sub(r"\\([0-7]{3})", lambda m: chr(int(m[1], 8)), fields[1])
+        if PurePosixPath(path).is_relative_to(point) and (
+                found is None or len(point) >= len(found["mount_point"])):
+            found = {"mount_point": point, "type": fields[2], "options": fields[3]}
+    return found
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -263,12 +284,18 @@ def main(argv=None) -> int:
     out["method"] = METHOD
     if out.get("failed_run", {}).get("workload") == args.workload:
         del out["failed_run"]
+    try:
+        mounts = Path("/proc/mounts").read_text()
+    except OSError:
+        mounts = ""
     seeds = {}
     failed = None
     for seed in args.seeds:
         pairs, failed = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
         if pairs:
-            out["machine"] = pairs[0][0]["machine"]
+            out["machine"] = {**(pairs[0][0]["machine"] or {}), "filesystem": {
+                side: filesystem(checkout.resolve(), mounts)
+                for side, checkout in checkouts.items()}}
             seeds[f"seed{seed}"] = summary = summarize(pairs, better)
             for name, metric in summary["metrics"].items():
                 metric.update(verdict(metric, bounds[name]))

@@ -55,7 +55,7 @@ from .search import (
     enumerate_min_pp,
 )
 from .tournament import Tournament, random_tournament, rotational, transitive
-from .trn import load_trn, save_trn, write_trn
+from .trn import load_trn, save_trn, write_file, write_trn
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -84,7 +84,7 @@ def _json_bytes(obj) -> bytes:
 def _write_manifest(path: Path, ns: argparse.Namespace, outputs: list,
                     input_hashes: Optional[dict] = None) -> None:
     """Record the run of ``ns`` (its parsed flags, for replay) at ``path``."""
-    path.write_bytes(_json_bytes({
+    write_file(path, _json_bytes({
         "subcommand": ns.subcommand,
         "args": {key: value for key, value in vars(ns).items() if key != "subcommand"},
         "seed": ns.seed,
@@ -180,14 +180,17 @@ def _hashing(name: str):
 
 
 def _witness_json(t: Tournament, witness: PowerPath) -> bytes:
-    """The witness JSON, once it verifies against ``t``."""
+    """The witness JSON, once it verifies against ``t``: the bytes
+    ``_json_bytes`` gives ``{"k", "vertices"}``, formatted directly."""
     if not verify_power_path(t, witness)[0]:
         raise RuntimeError("emitted witness failed self-verification")
-    return _json_bytes({"k": witness.k, "vertices": list(witness.vertices)})
+    body = ",\n  ".join(map(str, witness.vertices))
+    vertices = f"[\n  {body}\n ]" if body else "[]"
+    return f'{{\n "k": {witness.k},\n "vertices": {vertices}\n}}\n'.encode()
 
 
 def _write_csv(path: Path, header: str, rows: list[str]) -> None:
-    path.write_text("".join(line + "\n" for line in [header, *rows]))
+    write_file(path, "".join(line + "\n" for line in [header, *rows]).encode())
 
 
 def _read_witness(path: Path) -> PowerPath:
@@ -253,7 +256,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         else:
             path = greedy_power_path(t, ns.k, seed=ns.seed)
             method = "greedy"
-        out.write_bytes(_witness_json(t, path))
+        write_file(out, _witness_json(t, path))
         _write_manifest(_manifest_path(out), ns, [out], input_hashes())
     print(f"pp={len(path)} method={method} verified=true")
     return EXIT_BUDGET if exceeded else EXIT_OK
@@ -270,14 +273,14 @@ def cmd_find(ns: argparse.Namespace) -> int:
         _check_destinations(out, ns.trace, _manifest_path(out), source=ns.input)
         trace: Optional[list] = [] if ns.trace else None
         path = find_kth_power_path(t, ns.k, seed=ns.seed, trace=trace)
-        out.write_bytes(_witness_json(t, path))
+        write_file(out, _witness_json(t, path))
         outputs = [out]
         if ns.trace:
             lines = "".join(
                 json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n"
                 for rec in trace
             )
-            Path(ns.trace).write_text(lines)
+            write_file(ns.trace, lines.encode())
             outputs.append(ns.trace)
         _write_manifest(_manifest_path(out), ns, outputs, input_hashes())
     print(f"len={len(path)} k={ns.k} verified=true")
@@ -359,7 +362,7 @@ def cmd_search(ns: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _check_destinations(*(out_dir / name for name in [*files, "results.csv", "manifest.json"]))
     for name, data in files.items():
-        (out_dir / name).write_bytes(data)
+        write_file(out_dir / name, data)
     csv_path = out_dir / "results.csv"
     _write_csv(csv_path, _SEARCH_CSV_HEADER, rows)
     _write_manifest(out_dir / "manifest.json", ns, [csv_path])

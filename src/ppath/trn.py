@@ -24,6 +24,8 @@ or neither way; of several defects, any may be reported.
 
 from __future__ import annotations
 
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -118,4 +120,22 @@ def load_trn(path: str | Path) -> Tournament:
 
 
 def save_trn(t: Tournament, path: str | Path) -> None:
-    Path(path).write_bytes(write_trn(t))
+    write_file(path, write_trn(t))
+
+
+def write_file(path: str | Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` over the old bytes of an existing file, then
+    cut a regular file to ``len(data)``; a FIFO or ``/dev/null`` is not cut.
+    On ext4 with ``auto_da_alloc``, truncating a file to zero makes its close
+    start writeback; cutting it to a nonzero length does not. No ``fsync``, no
+    rename: an interrupted write can leave the new bytes followed by stale
+    bytes of the old file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)

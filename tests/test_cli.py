@@ -976,6 +976,80 @@ def test_table_ignores_ppath_threads(tmp_path, monkeypatch, workers):
     assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 2048])
+def test_witness_json_is_the_indented_json_encoding(m):
+    # The encoder the witness was once written with, kept here as the reference.
+    def reference(obj):
+        return (json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)
+                + "\n").encode()
+
+    witness = PowerPath(2, tuple(range(m)))
+    assert ppath.cli._witness_json(transitive(max(m, 1)), witness) == reference(
+        {"k": 2, "vertices": list(range(m))})
+
+
+def _tree(root):
+    """Every file under ``root``, by its path relative to ``root``, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def _plant_stale(root, files):
+    # Longer than the output it stands in for, so only the cut to length
+    # removes its tail.
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(b"stale\n" * (len(data) // 6 + 64))
+
+
+# Each writing command, run in a directory that holds in.trn, and the
+# manifest it writes; every path is relative to that directory.
+OVERWRITE_RUNS = {
+    "gen": (["gen", "--type", "random", "--n", 30, "--seed", 4, "--out", "g.trn"],
+            "g.trn.manifest.json"),
+    "solve": (["solve", "--exact", "-k", 2, "--out", "w.json", "in.trn"],
+              "w.json.manifest.json"),
+    "find": (["find", "-k", 2, "--seed", 1, "--trace", "tr.jsonl", "--out", "f.json",
+              "in.trn"], "f.json.manifest.json"),
+    "table": (["table", "--n-list", "5,8", "--trials", 2, "--method", "exact",
+               "--out", "t.csv"], "t.csv.manifest.json"),
+    "search": (["search", "--mode", "enumerate", "--n", 4, "--out-dir", "s"],
+               "s/manifest.json"),
+}
+
+
+class TestOverwrite:
+    @pytest.mark.parametrize("argv, manifest", OVERWRITE_RUNS.values(), ids=OVERWRITE_RUNS)
+    def test_run_and_replay_over_longer_stale_files(self, tmp_path, monkeypatch, argv,
+                                                   manifest):
+        # Every output written over a longer file at its path comes out as the
+        # bytes of a run into an empty directory, and so does every output of
+        # a replay of its manifest.
+        def run_dir(name):
+            root = tmp_path / name
+            root.mkdir()
+            save_trn(random_tournament(12, 9), root / "in.trn")
+            monkeypatch.chdir(root)
+            return root
+
+        clean = run_dir("clean")
+        assert run(argv) == 0
+        expected = _tree(clean)
+        outputs = {name: data for name, data in expected.items() if name != "in.trn"}
+        assert {manifest, "in.trn"} < set(expected)
+        stale = run_dir("stale")
+        _plant_stale(stale, outputs)
+        assert run(argv) == 0
+        assert _tree(stale) == expected
+        # The replay reads a copy, since the run it replays rewrites the
+        # manifest's own path too.
+        recorded = tmp_path / "recorded.json"
+        recorded.write_bytes(expected[manifest])
+        _plant_stale(stale, outputs)
+        assert run(["replay", recorded]) == 0
+        assert _tree(stale) == expected
+
+
 class TestEdgeCases:
     @pytest.mark.parametrize("argv", [
         ["find", "-k", 2, "{dir}"],

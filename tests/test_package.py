@@ -91,3 +91,59 @@ def test_package_has_no_recursion():
              for call in ast.walk(func)
              if isinstance(call, ast.Call) and _callee(call) == func.name}
     assert found == set()
+
+
+# Flags of os.open that let it write.
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC"}
+
+
+def _writes_file(call: ast.Call) -> bool:
+    """Whether ``call`` writes a file: ``.write_bytes``, ``.write_text``, or
+    an ``open`` whose mode (or ``os.open`` flags) can write or is not a
+    literal that says it cannot."""
+    f = call.func
+    name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+    if name in {"write_bytes", "write_text"}:
+        return True
+    if name != "open":
+        return False
+    receiver = f.value.id if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) else ""
+    # open(file, mode) and io.open take the mode second, Path.open first.
+    at = 0 if isinstance(f, ast.Attribute) and receiver not in {"io", "os"} else 1
+    mode = next((k.value for k in call.keywords if k.arg in {"mode", "flags"}),
+                call.args[at] if len(call.args) > at else None)
+    if receiver == "os":
+        names = {getattr(n, "attr", getattr(n, "id", None)) for n in ast.walk(mode)}
+        return bool(names & WRITE_FLAGS) or "O_RDONLY" not in names
+    if mode is None:
+        return False
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and not set(mode.value) & set("wax+"))
+
+
+def test_package_writes_files_only_through_write_file():
+    # trn.write_file writes over an existing file's bytes and cuts it to
+    # length; any other write path would truncate the file to zero first.
+    exempt, found = [], []
+    for source in sorted(Path(ppath.__file__).parent.glob("*.py")):
+        tree = ast.parse(source.read_text(), str(source))
+        helper = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "write_file"
+                  and source.name == "trn.py"
+                  for node in ast.walk(func)}
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and _writes_file(call):
+                (exempt if id(call) in helper else found).append(
+                    (source.name, ast.unparse(call.func)))
+    assert exempt == [("trn.py", "os.open")]
+    assert found == []
+
+
+def test_write_guard_sees_each_kind_of_write():
+    writes = ["p.write_bytes(b'')", "Path(p).write_text('')", "open(p, 'w')",
+              "open(p, mode='ab')", "open(p, 'r+')", "p.open('x')", "io.open(p, 'wb')",
+              "open(p, m)", "os.open(p, os.O_WRONLY | os.O_CREAT)", "os.open(p, flags)"]
+    reads = ["open(p)", "open(p, 'rb')", "p.open()", "p.open('r')", "p.read_bytes()",
+             "os.open(p, os.O_RDONLY)", "fh.write(b'')"]
+    for text, expected in [*((w, True) for w in writes), *((r, False) for r in reads)]:
+        assert _writes_file(ast.parse(text).body[0].value) is expected, text

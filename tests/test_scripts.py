@@ -378,3 +378,28 @@ def test_bench_pairs_alternates_sides(tmp_path):
     assert set(bench["workloads"]["find_large"]) == {"seed1", "seed7"}
     assert bench["workloads"]["find_large"]["seed7"]["metrics"]["run_s"]["change_wins"] == 3
     assert bench["machine"]["vcpus"] == 2
+
+
+def test_bench_pairs_filesystem_on_fabricated_mounts():
+    module = _load(SCRIPTS / "bench_pairs.py")
+    mounts = "\n".join([
+        "/dev/vda / ext4 rw,relatime,discard 0 0",
+        "proc /proc proc rw,nosuid 0 0",
+        "tmpfs /root/repo2 tmpfs rw 0 0",
+        "/dev/vdb /root/my\\040work xfs rw,noatime 0 0",
+        "/dev/vdc /root/my\\040work/b ext4 rw 0 0",
+        "overlay /root/my\\040work/b overlay rw,lowerdir=/l 0 0",
+        "",
+    ])
+    def mount(path):
+        found = module.filesystem(Path(path), mounts)
+        return found and (found["mount_point"], found["type"], found["options"])
+
+    # The longest mount point that is a prefix by whole path components.
+    assert mount("/root/repo") == ("/", "ext4", "rw,relatime,discard")
+    assert mount("/root/repo2/x") == ("/root/repo2", "tmpfs", "rw")
+    assert mount("/root/my work") == ("/root/my work", "xfs", "rw,noatime")
+    assert mount("/root/my work/bc") == ("/root/my work", "xfs", "rw,noatime")
+    # Of two mounts at one point, the last listed is the one on top.
+    assert mount("/root/my work/b/c") == ("/root/my work/b", "overlay", "rw,lowerdir=/l")
+    assert module.filesystem(Path("/root"), "") is None

@@ -1,11 +1,12 @@
 import hashlib
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppath.tournament import random_tournament, transitive
-from ppath.trn import read_trn, write_trn
+from ppath.trn import read_trn, write_file, write_trn
 
 
 def test_exact_bytes_for_two_vertices():
@@ -131,3 +132,35 @@ def test_defect_in_last_slab_at_2048(cells, message):
     with pytest.raises(ValueError) as info:
         read_trn(data)
     assert str(info.value) == message
+
+
+def test_write_file_cuts_a_longer_file_without_truncating_it_to_zero(tmp_path, monkeypatch):
+    # The file is opened without O_TRUNC and cut once, to the length written.
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * 100)
+    opened, cuts = [], []
+    real_open, real_ftruncate = os.open, os.ftruncate
+    monkeypatch.setattr(os, "open", lambda p, flags, *a: opened.append(flags)
+                        or real_open(p, flags, *a))
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: cuts.append(size)
+                        or real_ftruncate(fd, size))
+    write_file(path, bytearray(b"TRN 1\n"))
+    assert path.read_bytes() == b"TRN 1\n"
+    assert [flags & os.O_TRUNC for flags in opened] == [0] and cuts == [6]
+    write_file(tmp_path / "new", b"abc")
+    assert (tmp_path / "new").read_bytes() == b"abc"
+
+
+def test_write_file_to_devnull_and_fifo(tmp_path):
+    # Neither is a regular file, so neither is cut to length.
+    write_file(os.devnull, b"TRN 1\n")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # A reader opened first, without blocking, lets the writer open at once;
+    # the bytes fit in the pipe's buffer.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_file(fifo, b"TRN 1\n")
+        assert os.read(reader, 64) == b"TRN 1\n"
+    finally:
+        os.close(reader)
