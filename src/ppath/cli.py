@@ -15,6 +15,10 @@ another destination is refused), 3 the ``solve --exact`` budget
 exhausted, 70 an internal fault, any ``RuntimeError``: a witness failed
 self-verification, or another self-check of the library failed.
 
+Every file is written over the old bytes of any file at its path, then cut
+to length (``trn.write_file``), with no ``fsync`` or rename: an interrupted
+write can leave new bytes followed by stale ones, until a rerun or replay.
+
 ``solve`` and ``find`` hash an input of at least ``_THREADED_HASH_BYTES`` on
 a second thread, begun when the command starts, so the hash overlaps reading
 and solving; a smaller input is hashed when the manifest is written. Either

@@ -124,12 +124,9 @@ def save_trn(t: Tournament, path: str | Path) -> None:
 
 
 def write_file(path: str | Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` over the old bytes of an existing file, then
-    cut a regular file to ``len(data)``; a FIFO or ``/dev/null`` is not cut.
-    On ext4 with ``auto_da_alloc``, truncating a file to zero makes its close
-    start writeback; cutting it to a nonzero length does not. No ``fsync``, no
-    rename: an interrupted write can leave the new bytes followed by stale
-    bytes of the old file."""
+    """Write ``data`` over the old bytes of any file at ``path``, then cut a
+    regular file (not a FIFO or ``/dev/null``) to ``len(data)``. On ext4 with
+    ``auto_da_alloc``, the close of a file truncated to zero starts writeback."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         view = memoryview(data)
