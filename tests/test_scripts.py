@@ -385,10 +385,10 @@ def test_bench_pairs_filesystem_on_fabricated_mounts():
     mounts = "\n".join([
         "/dev/vda / ext4 rw,relatime,discard 0 0",
         "proc /proc proc rw,nosuid 0 0",
-        "tmpfs /root/repo2 tmpfs rw 0 0",
-        "/dev/vdb /root/my\\040work xfs rw,noatime 0 0",
-        "/dev/vdc /root/my\\040work/b ext4 rw 0 0",
-        "overlay /root/my\\040work/b overlay rw,lowerdir=/l 0 0",
+        "tmpfs /srv/data2 tmpfs rw 0 0",
+        "/dev/vdb /srv/my\\040work xfs rw,noatime 0 0",
+        "/dev/vdc /srv/my\\040work/b ext4 rw 0 0",
+        "overlay /srv/my\\040work/b overlay rw,lowerdir=/l 0 0",
         "",
     ])
     def mount(path):
@@ -396,10 +396,10 @@ def test_bench_pairs_filesystem_on_fabricated_mounts():
         return found and (found["mount_point"], found["type"], found["options"])
 
     # The longest mount point that is a prefix by whole path components.
-    assert mount("/root/repo") == ("/", "ext4", "rw,relatime,discard")
-    assert mount("/root/repo2/x") == ("/root/repo2", "tmpfs", "rw")
-    assert mount("/root/my work") == ("/root/my work", "xfs", "rw,noatime")
-    assert mount("/root/my work/bc") == ("/root/my work", "xfs", "rw,noatime")
+    assert mount("/srv/data") == ("/", "ext4", "rw,relatime,discard")
+    assert mount("/srv/data2/x") == ("/srv/data2", "tmpfs", "rw")
+    assert mount("/srv/my work") == ("/srv/my work", "xfs", "rw,noatime")
+    assert mount("/srv/my work/bc") == ("/srv/my work", "xfs", "rw,noatime")
     # Of two mounts at one point, the last listed is the one on top.
-    assert mount("/root/my work/b/c") == ("/root/my work/b", "overlay", "rw,lowerdir=/l")
-    assert module.filesystem(Path("/root"), "") is None
+    assert mount("/srv/my work/b/c") == ("/srv/my work/b", "overlay", "rw,lowerdir=/l")
+    assert module.filesystem(Path("/srv"), "") is None
