@@ -11,8 +11,10 @@ that records a flag this version no longer has at other than its old default
 or a changed or unhashed replay input too, and any file that cannot be read
 or written: missing, a directory, no permission; every destination, manifest
 included, is checked before the first write, and one that is the input or
-another destination is refused), 3 the ``solve --exact`` budget
-exhausted, 70 an internal fault, any ``RuntimeError``: a witness failed
+another destination is refused, links followed, dangling ones too; and a
+too deeply nested JSON input's ``RecursionError``), 3 a budget of
+``solve --exact`` or ``table --method exact`` exhausted, outputs written,
+70 an internal fault, any other ``RuntimeError``: a witness failed
 self-verification, or another self-check of the library failed.
 
 Every file is written over the old bytes of any file at its path, then cut
@@ -51,7 +53,6 @@ from .exact import (
 )
 from .rng import derive_seed
 from .search import (
-    _ENUMERATION_MAX_N,
     AnnealConfig,
     SearchRecord,
     anneal_min_pp,
@@ -66,7 +67,6 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 70
-MAX_EXACT_N = 18
 # An input of at least this many bytes (a .trn of n >= 1024) is hashed on a
 # second thread. On a 2-vCPU Xeon VM, starting and joining a thread takes
 # 90-130 us, against 8-16 us to hash a 342-byte input and 0.9-1.0 ms to hash
@@ -105,15 +105,16 @@ def _manifest_path(out: Path) -> Path:
 
 def _file_identity(path) -> tuple:
     """What every name of one file shares, links included: the file's device
-    and inode, or, for a file not made yet, its directory's and its name.
-    Two ``os.stat`` calls at most, where ``Path.resolve`` makes one per path
-    component."""
+    and inode, or, for a file not made yet, its directory's and its name once
+    links are followed, dangling ones too. Two ``os.stat`` calls at most for
+    a file that exists, where ``Path.resolve`` makes one per path component."""
     path = os.fspath(path)
     try:
         st = os.stat(path)
         return st.st_dev, st.st_ino
     except FileNotFoundError:
-        st = os.stat(os.path.dirname(path) or ".")
+        path = os.path.realpath(path)
+        st = os.stat(os.path.dirname(path))
         return st.st_dev, st.st_ino, os.path.basename(path)
 
 
@@ -319,9 +320,6 @@ def cmd_search(ns: argparse.Namespace) -> int:
     if ns.mode == "enumerate":
         if ns.n < 1:
             raise ValueError("--n must be >= 1")
-        if ns.n > _ENUMERATION_MAX_N:
-            raise ValueError(f"enumeration is limited to n <= {_ENUMERATION_MAX_N}; "
-                             "use --mode anneal")
         # Enumeration would ignore --seed and --iters, which only the anneal reads.
         for flag in ("seed", "iters"):
             if getattr(ns, flag) != _subparser("search").get_default(flag):
@@ -383,19 +381,18 @@ def cmd_table(ns: argparse.Namespace) -> int:
     sizes = [int(x) for x in ns.n_list.split(",") if x]
     if not sizes or ns.trials < 0:
         raise ValueError("need a nonempty --n-list and --trials >= 0")
-    if ns.method == "exact" and max(sizes) > MAX_EXACT_N:
-        raise ValueError(
-            f"--method exact is limited to n <= {MAX_EXACT_N} (got {max(sizes)})"
-        )
     out = Path(ns.out)
     _check_destinations(out, _manifest_path(out))
     rows = []
+    exceeded = False
     for n in sizes:
         for trial in range(ns.trials):
             cell_seed = derive_seed(ns.seed, "table", n, trial)
             t = random_tournament(n, cell_seed)
             if ns.method == "exact":
-                path = longest_power_path_exact(t, ns.k).path
+                res = longest_power_path_exact(t, ns.k)
+                path = res.path
+                exceeded |= not res.optimal
             elif ns.method == "greedy":
                 path = greedy_power_path(t, ns.k, seed=cell_seed)
             else:
@@ -404,7 +401,7 @@ def cmd_table(ns: argparse.Namespace) -> int:
     _write_csv(out, _TABLE_CSV_HEADER, rows)
     _write_manifest(_manifest_path(out), ns, [out])
     print(f"rows={len(rows)} out={out}")
-    return EXIT_OK
+    return EXIT_BUDGET if exceeded else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -567,12 +564,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _DISPATCH[ns.subcommand](ns)
+    # Ahead of RuntimeError, its base: ppath has no recursion, so a parse raised RecursionError.
+    except (ValueError, KeyError, OSError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

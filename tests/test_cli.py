@@ -16,6 +16,7 @@ import ppath.search
 from conftest import GOLDEN, blowup, triangle_chain
 from ppath.cli import main
 from ppath.exact import PowerPath, SolveBudget, longest_power_path_exact, verify_power_path
+from ppath.rng import derive_seed
 from ppath.search import flip_edge
 from ppath.tournament import random_tournament, transitive
 from ppath.trn import load_trn, save_trn, write_trn
@@ -307,9 +308,11 @@ class TestSearch:
         assert csv[1].startswith("3,2,") and ",enumeration," in csv[1]
         assert (tmp_path / "s" / "w_enum.trn").exists()
 
-    def test_enumerate_large_n_rejected(self, tmp_path):
+    def test_enumerate_large_n_rejected(self, tmp_path, capsys):
+        # The library refuses n > 7 before anything is written.
         assert run(["search", "--mode", "enumerate", "--n", 8,
                     "--out-dir", tmp_path / "s"]) == 2
+        assert capsys.readouterr().err == "error: enumeration beyond n = 7 is infeasible\n"
         assert not (tmp_path / "s").exists()
 
     def test_enumerate_seven(self, tmp_path, capsys):
@@ -418,9 +421,37 @@ class TestTable:
                     "--method", "greedy", "--out", out]) == 0
         assert out.read_text() == "n,seed,method,length\n"
 
-    def test_exact_beyond_oracle_limit_rejected(self, tmp_path):
-        assert run(["table", "--n-list", "4,24", "--trials", 1,
-                    "--method", "exact", "--out", tmp_path / "t.csv"]) == 2
+    @pytest.mark.parametrize("n_list, trials, k", [("19,40,256", 2, 2), ("19,128", 1, 3)])
+    def test_exact_at_any_n_is_the_oracle(self, tmp_path, n_list, trials, k):
+        # No size cap: each cell finishes under the default budget.
+        out = tmp_path / "t.csv"
+        assert run(["table", "--n-list", n_list, "--trials", trials, "-k", k,
+                    "--method", "exact", "--out", out]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == trials * len(n_list.split(","))
+        for n, seed, _, length in rows:
+            t = random_tournament(int(n), int(seed))
+            assert int(length) == len(longest_power_path_exact(t, k).path)
+
+    def test_exact_trip_exits_3_with_outputs(self, tmp_path, monkeypatch, capsys):
+        # A cell whose solve trips writes its lower bound, and the table
+        # still writes the CSV and manifest before it exits 3.
+        solve = ppath.cli.longest_power_path_exact
+
+        def trip_at_8(t, k, budget=SolveBudget()):
+            return solve(t, k, SolveBudget(1) if t.n == 8 else budget)
+
+        monkeypatch.setattr(ppath.cli, "longest_power_path_exact", trip_at_8)
+        out = tmp_path / "t.csv"
+        assert run(["table", "--n-list", "6,8", "--trials", 1,
+                    "--method", "exact", "--out", out]) == 3
+        assert capsys.readouterr().out == f"rows=2 out={out}\n"
+        seed = derive_seed(0, "table", 8, 0)
+        t8 = random_tournament(8, seed)
+        bound = solve(t8, 2, SolveBudget(1))
+        assert not bound.optimal and len(bound.path) < len(solve(t8, 2).path)
+        assert out.read_text().splitlines()[2] == f"8,{seed},exact,{len(bound.path)}"
+        assert (tmp_path / "t.csv.manifest.json").exists()
 
 
 class TestReplay:
@@ -1123,6 +1154,34 @@ class TestEdgeCases:
         assert capsys.readouterr().err == "error: w.json would overwrite the input\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.trn", "w.json"]
         assert (tmp_path / "r.trn").read_bytes() == before
+
+    @pytest.mark.parametrize("link, target, argv", [
+        ("t.jsonl", "w.json", ["find", "-k", 2, "--out", "w.json", "--trace", "t.jsonl", "r.trn"]),
+        ("q.trn.manifest.json", "q.trn", ["gen", "--type", "random", "--n", 6, "--out", "q.trn"]),
+    ], ids=["find-trace-to-out", "gen-manifest-to-out"])
+    def test_dangling_link_to_another_destination_writes_nothing(
+            self, tmp_path, monkeypatch, capsys, link, target, argv):
+        # A link to a destination not made yet names that destination.
+        monkeypatch.chdir(tmp_path)
+        save_trn(random_tournament(20, 1), tmp_path / "r.trn")
+        os.symlink(target, link)
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {link} would overwrite another output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["r.trn", link])
+        assert not (tmp_path / target).exists()
+
+    @pytest.mark.parametrize("argv", [["verify", "r.trn", "deep.json"], ["replay", "deep.json"]],
+                             ids=["verify", "replay"])
+    def test_deeply_nested_json_is_format_error(self, tmp_path, monkeypatch, capsys, argv):
+        # Python's JSON parser recurses, so nesting past its limit is a
+        # malformed input, not an internal fault.
+        monkeypatch.chdir(tmp_path)
+        save_trn(random_tournament(5, 1), tmp_path / "r.trn")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: maximum recursion depth exceeded") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.json", "r.trn"]
 
     def test_gen_rotational_single_vertex(self, tmp_path):
         out = tmp_path / "one.trn"
