@@ -34,10 +34,14 @@ replaced; the others are kept, so one file can gather several invocations
 on the same two trees. When a run exits nonzero, the
 pairs finished before it are summarised and written as above, with a
 ``failed_run`` record (workload, side, seed, 1-based pair, exit code,
-command and checkout), and the script exits 1. ``machine`` also holds, per side, the file system
-of the checkout (``filesystem``: the ``/proc/mounts`` entry whose mount
-point is the longest prefix of the checkout's path, with its type and
-options), since the cost of writing outputs depends on it.
+command and checkout), and the script exits 1. ``machine`` also holds, per
+side, the file system of the checkout (``filesystem``: the ``/proc/mounts``
+entry whose mount point is the longest prefix of the checkout's path, with
+its type and options), since the cost of writing outputs depends on it, and
+its bytecode cache (``bytecode``: the ``PYTHONDONTWRITEBYTECODE`` value the
+runs inherit, None when unset, and whether ``src/ppath/__pycache__`` holds a
+``.pyc`` for this interpreter), since a run that finds none compiles
+``src/ppath`` inside its ``setup_s``.
 """
 
 from __future__ import annotations
@@ -246,6 +250,15 @@ def filesystem(path: Path, mounts: str) -> dict | None:
     return found
 
 
+def bytecode(checkout: Path) -> dict:
+    """The ``PYTHONDONTWRITEBYTECODE`` value the runs inherit (None when
+    unset), and whether the checkout's ``src/ppath/__pycache__`` holds a
+    ``.pyc`` for this interpreter."""
+    cache = checkout / "src" / "ppath" / "__pycache__"
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "cached_pyc": any(cache.glob(f"*.{sys.implementation.cache_tag}.pyc"))}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
@@ -293,9 +306,11 @@ def main(argv=None) -> int:
     for seed in args.seeds:
         pairs, failed = run_pairs(checkouts, args.workload, seed, seconds, 0, args.pairs)
         if pairs:
-            out["machine"] = {**(pairs[0][0]["machine"] or {}), "filesystem": {
-                side: filesystem(checkout.resolve(), mounts)
-                for side, checkout in checkouts.items()}}
+            out["machine"] = {
+                **(pairs[0][0]["machine"] or {}),
+                "filesystem": {side: filesystem(checkout.resolve(), mounts)
+                               for side, checkout in checkouts.items()},
+                "bytecode": {side: bytecode(checkout) for side, checkout in checkouts.items()}}
             seeds[f"seed{seed}"] = summary = summarize(pairs, better)
             for name, metric in summary["metrics"].items():
                 metric.update(verdict(metric, bounds[name]))

@@ -24,9 +24,8 @@ components' values and the witness is the concatenation of theirs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import accumulate
-from operator import eq
 from typing import Optional
 
 from .rng import Rng, derive_seed
@@ -194,19 +193,23 @@ def longest_power_path_exact(
     return ExactResult(PowerPath(k, tuple(path)), True, states)
 
 
+def walk_states(n: int, k: int) -> int:
+    """The most states ``longest_power_path_exact`` counts on n vertices,
+    Σ_{m=1..n} C(n, m)·P(m, min(k, m)): one per used set and ordered tail of
+    min(k, |used|) of its labels. The memo counts each state once, and the
+    components of a split solve walk disjoint states, so a budget of this
+    many never trips."""
+    return sum(math.comb(n, m) * math.perm(m, min(k, m)) for m in range(1, n + 1))
+
+
 def _strong_components(t: Tournament) -> list[int]:
     """Vertex masks of t's strong components, each beating all later ones.
 
     By Landau's theorem the j vertices of least out-degree are beaten by all
     the others exactly when their out-degrees sum to C(j, 2), which is the
-    sum of 0, 1, ..., j - 1. A strong t, most of the anneal's solves, is
-    recognised by that test on the sorted degrees alone, before any vertex is
-    placed in a block.
+    sum of 0, 1, ..., j - 1; a strong t is the one block ``t.full_mask``.
     """
     degree = list(map(int.bit_count, t.rows))
-    scores = sorted(degree)
-    if not any(map(eq, accumulate(scores[:-1]), accumulate(range(t.n - 1)))):
-        return [t.full_mask]
     blocks: list[int] = []
     block = total = 0
     for j, v in enumerate(sorted(range(t.n), key=degree.__getitem__), 1):
@@ -235,12 +238,17 @@ def _walk(
     # ``base | v << n | used`` and ``w & rows[v] & ~used``.
     mask = (1 << shift * (k - 1)) - 1
     high = shift + n
+    # prefix[lo:] is the prefix's last k - 1 labels, or all of them while it
+    # is shorter; at k = 1, lo = n is past its end.
+    lo = 1 - k if k > 1 else n
     # At k = 1 a pair (a, y) needs no arc a -> c, so the closure is the out-arc closure.
     lead = rows if k > 1 else [full] * n
     memo: set[int] = set()
     states = 0
-    best: tuple[int, ...] = ()
-    best_len = 0
+    # A new best prefix is prefix[:best_len - 1] + [last], kept uncopied
+    # (best is None) until the walk pops below it or ends.
+    best: Optional[tuple[int, ...]] = ()
+    best_len = last = 0
     prefix: list[int] = []
     depth = 0
     used = 0
@@ -248,6 +256,7 @@ def _walk(
     cand = w = full
     base = key = 0
     stack: list[tuple[int, int, int, int]] = []
+    optimal = True
     while True:
         if cand:
             b = cand & -cand
@@ -256,15 +265,16 @@ def _walk(
             d = depth + 1
             child_used = used | b
             if d > best_len:
-                best = (*prefix, v)
-                best_len = d
+                best = None
+                best_len, last = d, v
                 if d == goal:
-                    return best, True, states
+                    break
             child = base | v << n | child_used
             if child in memo:
                 continue
             if states >= max_states:
-                return best, False, states
+                optimal = False
+                break
             free = full ^ child_used
             nxt = w & rows[v] & free
             room = best_len - d
@@ -299,22 +309,25 @@ def _walk(
             key = child
             cand = nxt
             base = (child >> n & mask) << high
-            if d < k:
-                w &= rows[v]
-            else:
-                w = full
-                for u in prefix[d - k + 1:]:
-                    w &= rows[u]
+            w = full
+            for u in prefix[lo:]:
+                w &= rows[u]
         elif stack:
             if states >= max_states:
-                return best, False, states
+                optimal = False
+                break
             memo.add(key)
             states += 1
             cand, key, base, w = stack.pop()
+            if best is None and depth < best_len:
+                best = (*prefix, last)  # depth is best_len - 1 here
             used ^= 1 << prefix.pop()
             depth -= 1
         else:
-            return best, True, states
+            break
+    if best is None:
+        best = (*prefix[:best_len - 1], last)
+    return best, optimal, states
 
 
 def _greedy_mask(t: Tournament, mask: int, k: int, rng: Rng) -> tuple[int, ...]:

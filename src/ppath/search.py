@@ -21,13 +21,13 @@ from .exact import (
     PowerPath,
     SolveBudget,
     longest_power_path_exact,
+    walk_states,
 )
 from .rng import Rng, derive_seed
 from .tournament import Tournament, _unchecked, random_tournament
 
 _CANONICAL_MAX_N = 10
 _ENUMERATION_MAX_N = 7
-_ENUMERATION_BUDGET = SolveBudget(max_states=5_000_000)
 
 
 def flip_edge(t: Tournament, i: int, j: int) -> Tournament:
@@ -109,24 +109,24 @@ def certify(x: int, k: int, n_max: int) -> list[list[Tournament]]:
 
     Level m extends each representative of level m - 1 by a new vertex in
     all 2^(m-1) ways. An extension is kept when its solve with
-    ``target = x + 1`` finds at most x vertices, and only the first
-    representative of each ``_canonical_bits`` class is kept. pp <= x is
-    hereditary (a path power of a subtournament is one of the whole), so
-    deleting the last vertex of an m-vertex tournament with pp <= x leaves
-    a copy of a level m - 1 representative, and the extensions reach every
-    class.
+    ``target = x + 1`` finds at most x vertices. That solve runs under a
+    budget of ``walk_states(m, k)`` states, which it cannot trip, so each
+    answer is exact. Only the first representative of each
+    ``_canonical_bits`` class is kept. pp <= x is hereditary (a path power
+    of a subtournament is one of the whole), so deleting the last vertex of
+    an m-vertex tournament with pp <= x leaves a copy of a level m - 1
+    representative, and the extensions reach every class.
     """
     levels: list[list[Tournament]] = []
     level = [_unchecked(())]
     for m in range(n_max):
+        budget = SolveBudget(walk_states(m + 1, k))
         classes: dict[int, Tournament] = {}
         for t in level:
             for outs in range(1 << m):
                 rows = tuple(r | (~outs >> i & 1) << m for i, r in enumerate(t.rows))
                 ext = _unchecked(rows + (outs,))
-                res = longest_power_path_exact(ext, k, _ENUMERATION_BUDGET, target=x + 1)
-                if not res.optimal:
-                    raise RuntimeError("enumeration budget too small for exactness")
+                res = longest_power_path_exact(ext, k, budget, target=x + 1)
                 if len(res.path) <= x:
                     classes.setdefault(_canonical_bits(ext), ext)
         level = list(classes.values())
@@ -238,21 +238,18 @@ class AnnealChain:
     The objective caches each solve's ``ExactResult`` by the rows it solved,
     so every distinct rows is solved once. Fingerprints are computed for
     records only.
-    When the budget cannot trip (it is at least the walk's
-    Σ_{m=1..n} C(n, m)·P(m, min(k, m)) states, 23,050 at n = 10, k = 2;
-    a solve split into strong components walks each within that sum for the
-    component's own size, and these sum to at most the whole one), solves
-    take two shortcuts. A flip of two vertices more than k apart in
-    the current tournament's spanning witness keeps that witness, so its pp
-    is n and it is accepted without a solve. Any other tournament is solved
-    relabeled by descending out-degree, ties by label, which reaches a
-    spanning path in fewer states, and the witness is mapped back; such a
-    result may carry any maximum witness. A tournament whose pp makes a
-    record is solved again in its own labels, with its pp as the target, so
-    a record's witness is always the lexicographically least maximum one.
-    pp does not depend on the labels, so the chain's decisions, records and
-    rng draws are those of the chain that solves every flip in its own
-    labels.
+    When the budget cannot trip (it is at least ``walk_states(n, k)``,
+    23,050 at n = 10, k = 2), solves take two shortcuts. A flip of two
+    vertices more than k apart in the current tournament's spanning witness
+    keeps that witness, so its pp is n and it is accepted without a solve.
+    Any other tournament is solved relabeled by descending out-degree, ties
+    by label, which reaches a spanning path in fewer states, and the witness
+    is mapped back; such a result may carry any maximum witness. A
+    tournament whose pp makes a record is solved again in its own labels,
+    with its pp as the target, so a record's witness is always the
+    lexicographically least maximum one. pp does not depend on the labels,
+    so the chain's decisions, records and rng draws are those of the chain
+    that solves every flip in its own labels.
     """
 
     def __init__(
@@ -274,10 +271,7 @@ class AnnealChain:
         self.iteration = 0
         self.best_pp = n + 1
         self._cache: dict[tuple[int, ...], ExactResult] = {}
-        # Every solve is exact when the budget covers all the walk's
-        # (used set, tail) states.
-        self._never_trips = self.budget.max_states >= sum(
-            math.comb(n, m) * math.perm(m, min(k, m)) for m in range(1, n + 1))
+        self._never_trips = self.budget.max_states >= walk_states(n, k)
         # The current tournament's solve while its witness spans and flips
         # that keep that witness may reuse it.
         self._span: Optional[ExactResult] = None

@@ -260,6 +260,25 @@ def induced_rows(t: Tournament, members: Iterable[int]) -> tuple[int, ...]:
     )
 
 
+def reference_strong_components(t: Tournament) -> list[int]:
+    """Vertex masks of t's strong components by reachability: u and v share
+    one when each reaches the other, and a component that reaches more
+    vertices comes first (the condensation of a tournament is transitive)."""
+    reach = []
+    for v in range(t.n):
+        seen, todo = 1 << v, [v]
+        while todo:
+            gained = t.rows[todo.pop()] & ~seen
+            seen |= gained
+            todo += [u for u in range(t.n) if gained >> u & 1]
+        reach.append(seen)
+    reached = {}
+    for v in range(t.n):
+        mask = sum(1 << u for u in range(t.n) if reach[v] >> u & 1 and reach[u] >> v & 1)
+        reached[mask] = reach[v].bit_count()
+    return sorted(reached, key=reached.get, reverse=True)
+
+
 def triangle_chain(n: int) -> Tournament:
     """Directed triangles {3i, 3i+1, 3i+2} in transitive order, then n mod 3
     single vertices: every vertex beats each later block, and 3i -> 3i+1 ->

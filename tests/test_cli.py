@@ -965,17 +965,14 @@ class TestWitnessGate:
          "unverified witness leaving driver"),
         (["solve", "--greedy", "-k", 2], ppath.exact, "verify_power_path",
          lambda t, p: (False, (0, 0)), "unverified greedy witness"),
-        (["search", "--mode", "enumerate", "--n", 5, "--out-dir"], ppath.search,
-         "_ENUMERATION_BUDGET", SolveBudget(max_states=1),
-         "enumeration budget too small for exactness"),
-    ], ids=["find-driver", "solve-greedy", "search-certify-budget"])
+    ], ids=["find-driver", "solve-greedy"])
     def test_library_self_check_is_exit_70(self, tmp_path, capsys, monkeypatch,
                                           argv, target, name, value, message):
         # A self-check inside the library fails before the CLI's own gate.
         monkeypatch.setattr(target, name, value)
         trn = tmp_path / "t.trn"
         save_trn(random_tournament(12, 3), trn)
-        assert run(argv + [tmp_path / "s" if argv[0] == "search" else trn]) == 70
+        assert run(argv + [trn]) == 70
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"internal error: {message}\n")
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [trn]

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import math
 import random
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from conftest import (
     brute_longest_power,
     induced_rows,
     reference_greedy_mask,
+    reference_strong_components,
     reference_verify_power_path,
     relabel,
     triangle_chain,
@@ -25,10 +27,12 @@ from ppath.exact import (
     PowerPath,
     SolveBudget,
     _greedy_mask,
+    _strong_components,
     greedy_power_path,
     hamiltonian_path_insertion,
     longest_power_path_exact,
     verify_power_path,
+    walk_states,
 )
 from ppath.rng import Rng
 from ppath.search import flip_edge
@@ -374,6 +378,27 @@ class TestExactSolver:
         assert _solve_digest((None,), with_states=False, deep=False) == (
             588, "4288daf0dc1da7500a1fe190860eba69a26ec6e2957e3ab995a11f465a63bf19")
 
+    @pytest.mark.parametrize("build, max_states, expected", [
+        pytest.param(lambda: flip_edge(triangle_chain(301), 0, 300), 20_000,
+                     (201, False, 20_000, "f033c4e46ebcfaebd3fb7d74b10b7056"
+                      "27b91725ebc14f752cfaccc660255b10"), id="strong_chain301"),
+        pytest.param(lambda: flip_edge(triangle_chain(2049), 0, 2048), 20_000,
+                     (1366, False, 20_000, "1ba15a83261905c509b10c141cd9a839"
+                      "1f421bf2bc084c526d38d7452bfb92d8"), id="strong_chain2049"),
+        pytest.param(lambda: random_tournament(2048, 1), 150_000,
+                     (2048, True, 23, "1bcfec0ccf1e36c2bb0e6046be43ce91"
+                      "1da65ead14f812a912c6946a9f3adb08"), id="random2048"),
+    ])
+    def test_deep_solves_match_pinned(self, build, max_states, expected):
+        # (length, optimal, states, sha256 of the comma-joined witness) of
+        # walks thousands of levels deep, pinned before the walk stopped
+        # copying its prefix at every new best.
+        t = build()
+        res = longest_power_path_exact(t, 2, SolveBudget(max_states))
+        digest = hashlib.sha256(",".join(map(str, res.path.vertices)).encode()).hexdigest()
+        assert (len(res.path), res.optimal, res.states, digest) == expected
+        assert verify_power_path(t, res.path)[0]
+
     def test_solve_leaves_no_cyclic_garbage(self):
         t = random_tournament(9, 4)
         gc.collect()
@@ -384,6 +409,48 @@ class TestExactSolver:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestWalkStates:
+    def test_counts_used_sets_and_ordered_tails(self):
+        for n in range(6):
+            for k in range(1, 5):
+                count = sum(
+                    math.perm(len(used), min(k, len(used)))
+                    for m in range(1, n + 1) for used in combinations(range(n), m))
+                assert walk_states(n, k) == count, (n, k)
+        assert (walk_states(10, 2), walk_states(13, 4)) == (23_050, 8_787_805)
+
+    def test_budget_of_the_bound_never_trips(self):
+        # An unbudgeted walk counts at most the bound, so under a budget of
+        # exactly the bound every solve, decision ones included, finishes
+        # with the unbudgeted result.
+        unbudgeted = SolveBudget(10**12)
+        for seed in range(3):
+            for n in range(1, 10):
+                for k in range(1, 7):
+                    t = random_tournament(n, seed)
+                    bound = SolveBudget(walk_states(n, k))
+                    full = longest_power_path_exact(t, k, unbudgeted)
+                    assert full.optimal and full.states <= bound.max_states
+                    pp = len(full.path)
+                    for target in (None, pp, pp + 1):
+                        res = longest_power_path_exact(t, k, bound, target=target)
+                        assert res.optimal, (seed, n, k, target)
+                        assert res == longest_power_path_exact(
+                            t, k, unbudgeted, target=target), (seed, n, k, target)
+
+
+class TestStrongComponents:
+    def test_matches_reachability(self):
+        cases = [random_tournament(n, seed) for n in (1, 2, 3, 5, 10, 18) for seed in range(20)]
+        cases += [transitive(n) for n in (1, 2, 7, 40)]
+        cases += [triangle_chain(n) for n in (3, 7, 20)]
+        cases += [flip_edge(triangle_chain(n), 0, n - 1) for n in (6, 20)]
+        cases += [_join(random_tournament(5, seed), triangle_chain(7),
+                        random.Random(seed).sample(range(12), 12)) for seed in range(20)]
+        for t in cases:
+            assert _strong_components(t) == reference_strong_components(t), t.rows
 
 
 class TestGreedy:

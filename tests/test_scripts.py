@@ -380,6 +380,27 @@ def test_bench_pairs_alternates_sides(tmp_path):
     assert bench["machine"]["vcpus"] == 2
 
 
+def test_bench_pairs_records_bytecode_cache(tmp_path, monkeypatch):
+    # The change side holds a .pyc for this interpreter; the parent side
+    # holds one only for another interpreter, which the runs cannot load.
+    parent, change = _stand_in_checkouts(tmp_path, tmp_path / "order.log")
+    for checkout, tag in ((parent, "cpython-00"), (change, sys.implementation.cache_tag)):
+        (checkout / "src" / "ppath" / "__pycache__").mkdir()
+        (checkout / "src" / "ppath" / "__pycache__" / f"m0.{tag}.pyc").write_bytes(b"")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    module = _load(SCRIPTS / "bench_pairs.py")
+    out = tmp_path / "BENCH.json"
+    assert module.main(["--parent", str(parent), "--change", str(change),
+                        "--workload", "find_large", "--seeds", "1", "--pairs", "1",
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["machine"]["bytecode"] == {
+        "parent": {"PYTHONDONTWRITEBYTECODE": "1", "cached_pyc": False},
+        "change": {"PYTHONDONTWRITEBYTECODE": "1", "cached_pyc": True}}
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert module.bytecode(tmp_path / "nowhere") == {
+        "PYTHONDONTWRITEBYTECODE": None, "cached_pyc": False}
+
+
 def test_bench_pairs_filesystem_on_fabricated_mounts():
     module = _load(SCRIPTS / "bench_pairs.py")
     mounts = "\n".join([

@@ -15,7 +15,7 @@ from conftest import (
     triangle_chain,
 )
 from ppath import search
-from ppath.exact import SolveBudget, longest_power_path_exact, verify_power_path
+from ppath.exact import SolveBudget, longest_power_path_exact, verify_power_path, walk_states
 from ppath.rng import Rng, derive_seed
 from ppath.search import (
     AnnealChain,
@@ -173,10 +173,21 @@ class TestCertify:
             for t in level:
                 assert t.n == m and len(longest_power_path_exact(t, k).path) <= x
 
-    def test_tripped_solve_raises(self, monkeypatch):
-        monkeypatch.setattr(search, "_ENUMERATION_BUDGET", SolveBudget(max_states=1))
-        with pytest.raises(RuntimeError, match="budget too small"):
-            search.certify(5, 2, 6)
+    def test_every_solve_gets_the_walk_bound(self, monkeypatch):
+        # Each extension is solved under exactly walk_states(ext.n, k)
+        # states, a budget no walk can trip.
+        budgets = []
+
+        def recording(t, k, budget=None, *, target=None):
+            budgets.append((t.n, k, budget))
+            return longest_power_path_exact(t, k, budget, target=target)
+
+        monkeypatch.setattr(search, "longest_power_path_exact", recording)
+        levels = search.certify(4, 3, 8)
+        assert [len(level) for level in levels] == [1, 1, 2, 4, 10, 20, 19, 8]
+        sizes = [1] + [len(level) for level in levels[:-1]]
+        assert len(budgets) == sum(size << m for m, size in enumerate(sizes))
+        assert all(budget == SolveBudget(walk_states(n, k)) for n, k, budget in budgets)
 
 
 def _chains_digest(max_states):
